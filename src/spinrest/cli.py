@@ -67,7 +67,10 @@ def parse_subgroup(text: str, n: int) -> object:
     for prefix, builder in (("WA", wreath_alt), ("W", wreath), ("I2", index2_wr_b2)):
         if s.startswith(prefix + "("):
             a, b = (int(x) for x in s[len(prefix) + 1 : -1].split(","))
-            return builder(a, b)
+            spec = builder(a, b)
+            if spec.n != n:
+                raise ValueError(f"subgroup {s} acts on {spec.n} points, but n = {n}")
+            return spec
     if s.startswith(("S(", "A(")):
         blocks = tuple(int(x) for x in s[2:-1].split(","))
         return (young if s[0] == "S" else alt_young)(n, blocks)

@@ -1,128 +1,110 @@
 """Dense exact linear algebra over the prime field GF(p).
 
-Matrices are numpy int64 arrays with entries reduced to [0, p); elimination
-is plain Gauss-Jordan with vectorized row updates.  Subspaces carry a
-canonical reduced-echelon basis, so equality is matrix equality.
+Matrices are numpy int64 arrays with entries reduced to [0, p).  All
+elimination goes through one panel-blocked echelon routine: pivots are found
+in a narrow column panel by a scalar loop, and the rest of the matrix is
+updated by one BLAS-backed product per panel.  Row updates form products of
+two residues, so p is limited to isqrt(2^63 - 1), where (p - 1)^2
+still fits in int64.  Subspaces carry a canonical reduced-echelon basis, so
+equality is matrix equality.
 """
 
 from dataclasses import dataclass, field
+from math import isqrt
 
 import numpy as np
 
 from .partitions import _is_prime
 
+_P_MAX = isqrt(2**63 - 1)
+_PANEL = 64
+
+
+def _check_fits(p: int) -> None:
+    if p > _P_MAX:
+        raise ValueError(f"p must be at most {_P_MAX} so that (p-1)^2 fits in int64, got {p}")
+
 
 def _check_prime(p: int) -> int:
+    _check_fits(p)
     if not _is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     return p
 
 
-def rref(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and pivot columns, over GF(p)."""
+def _echelon(arr: np.ndarray, p: int, full: bool) -> tuple[np.ndarray, list[int]]:
+    """Echelon form over GF(p) by column panels: (nonzero rows, pivot columns).
+
+    The scalar loop finds the pivots of the next _PANEL columns, or of all
+    remaining columns once at most _PANEL rows are left.  The rest of the
+    matrix is then updated by one product with the panel's pivot rows, made
+    unit by the inverse of their pivot block; that inverse is this routine
+    on [block | I], which has at most _PANEL rows.  Only rows with a nonzero
+    entry in the pivot columns take part, which keeps sparse incidence
+    matrices cheap.  full=True also clears the rows above the panel and
+    yields the RREF; full=False clears only below and skips the panel's own
+    columns, which is all the rank needs: then only the pivots are meaningful.
+    """
+    _check_fits(p)
     a = np.mod(np.asarray(arr, dtype=np.int64), p)
     rows, cols = a.shape
     pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + nz[0]
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
-        other = np.nonzero(a[:, c])[0]
-        other = other[other != r]
-        if other.size:
-            a[other] = (a[other] - np.outer(a[other, c], a[r])) % p
-        pivots.append(c)
-        r += 1
-    return a[: len(pivots)], pivots
-
-
-def rank(arr: np.ndarray, p: int) -> int:
-    """Rank over GF(p): plain forward elimination, switching to blocked
-    Schur-complement elimination for large matrices."""
-    a = np.mod(np.asarray(arr, dtype=np.int64), p)
-    if min(a.shape) >= 256:
-        return _rank_blocked(a, p)
-    return _rank_plain(a, p)
-
-
-def _rank_plain(a: np.ndarray, p: int) -> int:
-    rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + nz[0]
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
-        below = r + 1 + np.nonzero(a[r + 1 :, c])[0]
-        if below.size:
-            a[below] = (a[below] - np.outer(a[below, c], a[r])) % p
-        r += 1
-    return r
-
-
-def _inv_mod(mat: np.ndarray, p: int) -> np.ndarray:
-    k = mat.shape[0]
-    aug = np.concatenate([mat % p, np.eye(k, dtype=np.int64)], axis=1)
-    red, pivots = rref(aug, p)
-    if pivots[:k] != list(range(k)):
-        raise ValueError("matrix is singular")
-    return red[:, k:]
-
-
-def _rank_blocked(a: np.ndarray, p: int, panel: int = 64) -> int:
-    """Blocked elimination: find pivots inside a narrow column panel with
-    scalar elimination, then Schur-complement the trailing columns in one
-    BLAS-backed multiply per panel."""
-    a = a.copy()
-    m, n = a.shape
-    top = 0
-    c0 = 0
-    while c0 < n and top < m:
-        c1 = min(c0 + panel, n)
+    top = c0 = 0
+    while top < rows and c0 < cols:
+        c1 = cols if rows - top <= _PANEL else min(c0 + _PANEL, cols)
         work = a[top:, c0:c1].copy()
-        mm = work.shape[0]
-        perm = np.arange(mm)
-        piv_cols: list[int] = []
-        r = 0
+        perm = np.arange(rows - top)
+        found: list[int] = []
         for c in range(c1 - c0):
-            if r >= mm:
+            r = len(found)
+            if r == work.shape[0]:
                 break
             nz = np.nonzero(work[r:, c])[0]
             if nz.size == 0:
                 continue
-            piv = r + nz[0]
-            if piv != r:
-                work[[r, piv]] = work[[piv, r]]
-                perm[[r, piv]] = perm[[piv, r]]
+            if nz[0]:
+                work[[r, r + nz[0]]] = work[[r + nz[0], r]]
+                perm[[r, r + nz[0]]] = perm[[r + nz[0], r]]
             work[r] = work[r] * pow(int(work[r, c]), -1, p) % p
-            below = r + 1 + np.nonzero(work[r + 1 :, c])[0]
-            if below.size:
-                work[below] = (work[below] - np.outer(work[below, c], work[r])) % p
-            piv_cols.append(c0 + c)
-            r += 1
-        k = r
+            first = 0 if full else r + 1
+            clear = first + np.nonzero(work[first:, c])[0]
+            clear = clear[clear != r]
+            if clear.size:
+                work[clear] = (work[clear] - np.outer(work[clear, c], work[r])) % p
+            found.append(c0 + c)
+        k = len(found)
         if k:
-            a[top:] = a[top:][perm]
-            if c1 < n:
-                a11 = a[top : top + k][:, piv_cols]
-                coeff = matmul_mod(a[top + k :, piv_cols], _inv_mod(a11, p), p)
-                update = matmul_mod(coeff, a[top : top + k, c1:], p)
-                a[top + k :, c1:] = (a[top + k :, c1:] - update) % p
+            if c1 == cols:  # the scalar loop saw every remaining column
+                a[top:, c0:] = work
+                x, start = work[:k], c0
+            else:
+                a[top:, c0:] = a[top:, c0:][perm]
+                start = c0 if full else c1
+                block = np.concatenate([a[top : top + k, found], np.eye(k, dtype=np.int64)], axis=1)
+                x = matmul_mod(_echelon(block, p, True)[0][:, k:], a[top : top + k, start:], p)
+            # rows below the pivot rows, and with full=True the rows above
+            lo, hi = (0 if full else top + k), (top if c1 == cols else rows)
+            coeff = a[lo:hi, found]
+            hit = np.nonzero(coeff.any(axis=1))[0]
+            if hit.size:
+                update = matmul_mod(coeff[hit], x, p)
+                np.subtract(a[lo + hit, start:], update, out=update)
+                a[lo + hit, start:] = update % p
+            a[top : top + k, start:] = x
+            pivots += found
             top += k
         c0 = c1
-    return top
+    return a[:top], pivots
+
+
+def rref(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form and pivot columns, over GF(p)."""
+    return _echelon(arr, p, True)
+
+
+def rank(arr: np.ndarray, p: int) -> int:
+    """Rank over GF(p), by forward elimination only."""
+    return len(_echelon(arr, p, False)[1])
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -184,36 +166,22 @@ def subspace_from_rows(rows, ambient: int, p: int) -> Subspace:
 
 
 def kernel(arr: np.ndarray, p: int) -> Subspace:
-    """Right kernel {v : arr v = 0} as a canonical Subspace."""
+    """Right kernel {v : arr v = 0} as a canonical Subspace.
+
+    Eliminating the reversed columns puts each free column after the pivots
+    its kernel vector involves; reversed back, the kernel vectors have their
+    leading 1 at distinct columns that are zero in the others, so read from
+    the last free column to the first they are already the RREF.
+    """
     a = np.asarray(arr, dtype=np.int64)
-    rows, cols = a.shape
-    red, pivots = rref(a, p)
-    free = [c for c in range(cols) if c not in set(pivots)]
-    if not free:
-        return Subspace(cols, np.zeros((0, cols), dtype=np.int64), p)
+    cols = a.shape[1]
+    red, pivots = rref(a[:, ::-1], p)
+    pivot_set = set(pivots)
+    free = [c for c in range(cols) if c not in pivot_set]
     basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[k, pc] = (-red[r, fc]) % p
-    basis, _ = rref(basis, p)
-    return Subspace(cols, basis, p)
-
-
-def solve(arr: np.ndarray, b, p: int) -> np.ndarray | None:
-    """One solution of arr x = b over GF(p), or None if inconsistent."""
-    a = np.mod(np.asarray(arr, dtype=np.int64), p)
-    rhs = np.mod(np.asarray(b, dtype=np.int64), p)
-    if rhs.ndim != 1 or rhs.shape[0] != a.shape[0]:
-        raise ValueError("right-hand side has wrong length")
-    aug = np.concatenate([a, rhs[:, None]], axis=1)
-    red, pivots = rref(aug, p)
-    if a.shape[1] in pivots:
-        return None
-    x = np.zeros(a.shape[1], dtype=np.int64)
-    for r, c in enumerate(pivots):
-        x[c] = red[r, a.shape[1]]
-    return x
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (-red[:, free].T) % p
+    return Subspace(cols, np.ascontiguousarray(basis[::-1, ::-1]), p)
 
 
 class GFpMatrix:
@@ -258,11 +226,6 @@ class GFpMatrix:
     def rank(self) -> int:
         return rank(self.array, self.p)
 
-    def kernel(self) -> Subspace:
-        return kernel(self.array, self.p)
-
-    def solve(self, b) -> np.ndarray | None:
-        return solve(self.array, b, self.p)
 
 
 def fixed_space(mats, dim: int, p: int) -> Subspace:

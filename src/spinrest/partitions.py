@@ -138,10 +138,6 @@ def p_strict_partitions(n: int, p: int) -> Iterator[Partition]:
     return partitions_of(n, lambda lam: is_p_strict(lam, p))
 
 
-def p_regular_partitions(n: int, p: int) -> Iterator[Partition]:
-    return partitions_of(n, lambda lam: is_p_regular(lam, p))
-
-
 def restricted_p_strict_partitions(n: int, p: int) -> Iterator[Partition]:
     """RP_p(n), the labels of the irreducible spin supermodules."""
     return partitions_of(n, lambda lam: is_restricted_p_strict(lam, p))
@@ -186,7 +182,3 @@ def dominance_leq(lam: Partition, mu: Partition) -> bool:
         if s_l > s_m:
             return False
     return True
-
-
-def dominance_lt(lam: Partition, mu: Partition) -> bool:
-    return lam != mu and dominance_leq(lam, mu)

@@ -129,3 +129,48 @@ def brute_good_cogood(lam: tuple[int, ...], p: int, i: int):
     normal = [node for node, s in reduced if s == "-"]
     conormal = [node for node, s in reduced if s == "+"]
     return (normal[-1] if normal else None, conormal[0] if conormal else None)
+
+
+def gauss_jordan(rows: list[list[int]], ncols: int, p: int) -> tuple[list[list[int]], list[int]]:
+    """Textbook Gauss-Jordan over GF(p) on lists of Python ints, one row at a
+    time: (nonzero rows of the reduced echelon form, pivot columns)."""
+    a = [[x % p for x in row] for row in rows]
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if hit is None:
+            continue
+        a[r], a[hit] = a[hit], a[r]
+        inv = pow(a[r][c], p - 2, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a[: len(pivots)], pivots
+
+
+def kernel_by_hand(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
+    """Reduced echelon basis of {v : rows v = 0}: one vector per free column,
+    then a second Gauss-Jordan pass over those vectors."""
+    red, pivots = gauss_jordan(rows, ncols, p)
+    vecs = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[f] = 1
+        for r, c in enumerate(pivots):
+            v[c] = -red[r][f] % p
+        vecs.append(v)
+    return gauss_jordan(vecs, ncols, p)[0]
+
+
+def inverse_by_hand(rows: list[list[int]], p: int) -> list[list[int]]:
+    """Inverse of a nonsingular square matrix over GF(p), from [A | I]."""
+    k = len(rows)
+    aug = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(rows)]
+    red, pivots = gauss_jordan(aug, 2 * k, p)
+    if pivots != list(range(k)):
+        raise ValueError("matrix is singular")
+    return [row[k:] for row in red]

@@ -8,6 +8,7 @@ def run_cli(*args):
         [sys.executable, "-m", "spinrest.cli", *args],
         capture_output=True,
         text=True,
+        timeout=120,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -118,3 +119,16 @@ def test_argument_errors_exit_2():
     assert code == 2
     code, _, err = run_cli("classify", "--group", "S", "--n", "6", "--p", "3", "--label", "D[(4,2);+]", "--subgroup", "W(3,2)")
     assert code == 2  # eps inconsistent with a_p
+    code, out, err = run_cli("invariants", "--shape", "(4,2)", "--p", "3", "--subgroup", "W(3,3)")
+    assert code == 2 and out == ""
+    assert "subgroup W(3,3) acts on 9 points, but n = 6" in err
+
+
+def test_p_beyond_int64_products_exits_2():
+    """p = 4294967311 used to give a wrong kernel and a misleading error;
+    p = 2^61 - 1 used to hang in trial division.  Both are now refused at
+    once, naming the limit."""
+    for p in ("4294967311", str(2**61 - 1)):
+        code, out, err = run_cli("invariants", "--shape", "(4,2)", "--p", p, "--subgroup", "W(2,3)")
+        assert code == 2 and out == ""
+        assert "3037000499" in err and "not stable" not in err

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import gauss_jordan, inverse_by_hand, kernel_by_hand
+from spinrest import gfp
 from spinrest.gfp import (
     GFpMatrix,
-    _inv_mod,
-    _rank_plain,
     fixed_space,
     kernel,
     matmul_mod,
@@ -13,10 +13,46 @@ from spinrest.gfp import (
     quotient_projection,
     rank,
     rref,
-    solve,
     subspace_from_rows,
 )
 from spinrest.specht import closure, from_cycles, permutation_matrix, subset_basis
+
+# primes for the differential tests; the last one is above 2^31, where
+# matmul_mod leaves float64 BLAS for exact object arithmetic
+PRIMES = [2, 3, 7, 65521, 2147483659]
+
+
+def _known_rank(rng, m, n, r, p):
+    """An m x n matrix of rank exactly r: [I; X] @ [I | Y] with rows and
+    columns shuffled."""
+    left = np.concatenate([np.eye(r, dtype=np.int64), rng.integers(0, p, (m - r, r))])
+    right = np.concatenate([np.eye(r, dtype=np.int64), rng.integers(0, p, (r, n - r))], axis=1)
+    a = matmul_mod(left, right, p)
+    return a[rng.permutation(m)][:, rng.permutation(n)]
+
+
+def _random_matrix(rng, m, n, p):
+    """Full random, low rank or sparse, so that zero columns, zero rows and
+    rank deficits all turn up."""
+    kind = int(rng.integers(0, 3))
+    if kind == 0 or min(m, n) == 0:
+        return rng.integers(0, p, (m, n))
+    if kind == 1:
+        return _known_rank(rng, m, n, int(rng.integers(0, min(m, n) + 1)), p)
+    return rng.integers(0, p, (m, n)) * (rng.random((m, n)) < 0.15)
+
+
+def _assert_matches_reference(a, p):
+    n = a.shape[1]
+    want_red, want_pivots = gauss_jordan(a.tolist(), n, p)
+    red, pivots = rref(a, p)
+    assert pivots == want_pivots
+    assert red.shape == (len(want_pivots), n) and red.tolist() == want_red
+    assert rank(a, p) == len(want_pivots)
+    ker = kernel(a, p)
+    assert ker.basis.shape == (n - len(want_pivots), n)
+    assert ker.basis.tolist() == kernel_by_hand(a.tolist(), n, p)
+    assert not np.any(matmul_mod(a, ker.basis.T, p))
 
 
 def test_rank_basics():
@@ -48,11 +84,61 @@ def test_rank_nullity(m, n, p, seed):
 
 def test_rank_nullity_large_blocked():
     rng = np.random.default_rng(7)
-    for p in (3, 5, 7):
-        a = rng.integers(0, p, (400, 380))
-        r = rank(a, p)
-        assert r == _rank_plain(a % p, p)
+    for p, r in ((3, 380), (5, 251), (7, 64)):
+        a = _known_rank(rng, 400, 380, r, p)
+        assert rank(a, p) == r
         assert r + kernel(a, p).dim == 380
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=0, max_value=40),
+    st.sampled_from(PRIMES),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_matches_reference_elimination(m, n, p, seed):
+    _assert_matches_reference(_random_matrix(np.random.default_rng(seed), m, n, p), p)
+
+
+def test_blocked_panels_match_reference():
+    """Shapes past one 64-column panel, so the pivot-block inverse and the
+    product update run, at a small prime and at one above 2^31."""
+    rng = np.random.default_rng(11)
+    for m, n, p in ((100, 90, 3), (100, 90, 2147483659), (70, 140, 3), (140, 70, 2147483659)):
+        _assert_matches_reference(_random_matrix(rng, m, n, p), p)
+        _assert_matches_reference(_known_rank(rng, m, n, min(m, n) // 3, p), p)
+
+
+def test_kernel_runs_one_rref(monkeypatch):
+    calls = []
+
+    def counted(arr, p):
+        calls.append(arr.shape)
+        return rref(arr, p)
+
+    monkeypatch.setattr(gfp, "rref", counted)
+    a = _known_rank(np.random.default_rng(4), 90, 120, 50, 5)
+    assert kernel(a, 5).dim == 70
+    assert calls == [(90, 120)]
+
+
+def test_rejects_p_beyond_int64_products():
+    """(p-1)^2 overflows int64 above isqrt(2^63 - 1) = 3037000499; such p are
+    refused before any primality test or elimination."""
+
+    def rank_two(p):
+        a = np.array([[p - 1, p - 2, p - 3], [p - 5, p - 7, p - 11], [0, 0, 0]], dtype=np.int64)
+        a[2] = (a[0] + a[1]) % p
+        return a
+
+    for p in (4294967311, 2**61 - 1):
+        for call in (rank, rref, kernel, GFpMatrix):
+            with pytest.raises(ValueError, match="3037000499"):
+                call(rank_two(p), p)
+    p = 3037000493  # the largest prime below the limit
+    assert rank(rank_two(p), p) == 2
+    _assert_matches_reference(rank_two(p), p)
 
 
 def test_kernel_vectors_annihilate():
@@ -63,22 +149,17 @@ def test_kernel_vectors_annihilate():
         assert not np.any(matmul_mod(a, ker.basis.T, p))
 
 
-def test_solve():
-    a = np.array([[1, 2], [0, 1], [1, 0]])
-    x = solve(a, np.array([2, 2, 1]), 3)
-    assert x is not None and np.array_equal(matmul_mod(a, x[:, None], 3).ravel(), [2, 2, 1])
-    assert solve(np.array([[1, 1], [1, 1]]), np.array([1, 2]), 3) is None
-
-
 def test_inv_mod():
+    """Inverting through rref of [A | I], the way the elimination core
+    inverts its pivot blocks; 100 x 100 runs past one panel."""
     rng = np.random.default_rng(2)
-    for p in (3, 7):
-        while True:
-            a = rng.integers(0, p, (6, 6))
-            if rank(a, p) == 6:
-                break
-        inv = _inv_mod(a, p)
-        assert np.array_equal(matmul_mod(a, inv, p), np.eye(6, dtype=np.int64))
+    for p, k in ((3, 6), (7, 6), (5, 100)):
+        a = _known_rank(rng, k, k, k, p)
+        red, pivots = rref(np.concatenate([a, np.eye(k, dtype=np.int64)], axis=1), p)
+        assert pivots == list(range(k))
+        inv = red[:, k:]
+        assert np.array_equal(matmul_mod(a, inv, p), np.eye(k, dtype=np.int64))
+        assert inv.tolist() == inverse_by_hand(a.tolist(), p)
 
 
 def test_fixed_space_of_cycle_is_constants():
@@ -127,7 +208,7 @@ def _random_stable_pair(rng, n, k, p):
     block[:k, :k] = rng.integers(0, p, (k, k))
     block[:k, k:] = rng.integers(0, p, (k, n - k))
     block[k:, k:] = rng.integers(0, p, (n - k, n - k))
-    g = matmul_mod(matmul_mod(cols, block, p), _inv_mod(cols, p), p)
+    g = matmul_mod(matmul_mod(cols, block, p), np.array(inverse_by_hand(cols.tolist(), p)), p)
     return g, w
 
 
