@@ -22,6 +22,20 @@ class Outcome(Enum):
     OUT_OF_SCOPE = "OutOfScope"
 
 
+# The primitive atoms by degree n; "other-primitive" stands for any primitive
+# subgroup not listed.
+PRIMITIVE_ATOMS = {
+    5: ("Z5:4", "Z5:2"),
+    6: ("S5", "A5"),
+    7: ("L2(7)",),
+    8: ("AGL3(2)",),
+    9: ("L2(8)", "3^2:Q8"),
+    10: ("S6", "M10", "AutA6", "A6"),
+    11: ("M11",),
+    12: ("M12",),
+}
+
+
 @dataclass(frozen=True)
 class PrimitiveCase:
     """A primitive-subgroup atom from the known finite list, e.g. M_12 < S_12.
@@ -33,6 +47,14 @@ class PrimitiveCase:
     name: str
     n: int
     two_classes: bool = False
+
+    def __post_init__(self):
+        if self.name != "other-primitive" and self.name not in PRIMITIVE_ATOMS.get(self.n, ()):
+            listed = ", ".join(PRIMITIVE_ATOMS.get(self.n, ())) or "none"
+            raise ValueError(
+                f"prim:{self.name} is not a listed primitive atom of degree {self.n} "
+                f"(listed: {listed}; or other-primitive)"
+            )
 
     def __str__(self) -> str:
         return f"prim:{self.name}<S{self.n}"

@@ -146,16 +146,6 @@ class Subspace:
             and np.array_equal(self.basis, other.basis)
         )
 
-    def reduce_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Residues of the given row vectors modulo the subspace."""
-        x = np.mod(np.asarray(rows, dtype=np.int64), self.p)
-        if self.dim == 0:
-            return x
-        return (x - matmul_mod(x[:, list(self.pivots)], self.basis, self.p)) % self.p
-
-    def contains(self, vec) -> bool:
-        return not np.any(self.reduce_rows(np.asarray(vec, dtype=np.int64)[None, :]))
-
 
 def subspace_from_rows(rows, ambient: int, p: int) -> Subspace:
     arr = np.asarray(rows, dtype=np.int64)
@@ -243,35 +233,26 @@ def fixed_space(mats, dim: int, p: int) -> Subspace:
     return kernel(np.concatenate(blocks, axis=0), p)
 
 
-def quotient_action(g: np.ndarray, w: Subspace) -> np.ndarray:
-    """Matrix induced by g on ambient/W in the coordinates of W's non-pivot
-    columns; raises if g does not stabilize W."""
+def quotient_action(g, w: Subspace) -> np.ndarray:
+    """Matrix induced on ambient/W, in the coordinates of W's non-pivot
+    columns, by the coordinate permutation g (coordinate j goes to g[j]);
+    raises if g does not stabilize W.
+
+    The projection to ambient/W is the identity on the free columns and
+    -basis[:, free] on the pivots; the quotient matrix gathers its columns
+    at the images of the free coordinates."""
     p, n = w.p, w.ambient
-    g = np.mod(np.asarray(g, dtype=np.int64), p)
-    if g.shape != (n, n):
-        raise ValueError(f"generator shape {g.shape} != ({n}, {n})")
-    if w.dim == n:
-        return np.zeros((0, 0), dtype=np.int64)
-    if w.dim:
-        image = matmul_mod(g, w.basis.T, p).T  # rows are g * basis vectors
-        if np.any(w.reduce_rows(image)):
-            raise ValueError("subspace is not stable under the generator")
+    g = np.asarray(g, dtype=np.intp)
+    if g.shape != (n,) or not np.array_equal(np.sort(g), np.arange(n)):
+        raise ValueError(f"generator must be a permutation of {n} coordinates")
     pivots = list(w.pivots)
-    free = [c for c in range(n) if c not in set(pivots)]
-    gq = g[np.ix_(free, free)].copy()
-    if w.dim:
-        gq = (gq - matmul_mod(w.basis[:, free].T, g[np.ix_(pivots, free)], p)) % p
-    return gq
-
-
-def quotient_projection(w: Subspace) -> np.ndarray:
-    """The projection ambient -> ambient/W, rows indexed by quotient coords."""
-    n = w.ambient
-    pivots = list(w.pivots)
-    free = [c for c in range(n) if c not in set(pivots)]
+    free = np.setdiff1d(np.arange(n), pivots)
+    image = w.basis[:, np.argsort(g)]  # rows are g * basis vectors
+    # in RREF the residue modulo W vanishes on the pivot columns identically
+    residue = (image[:, free] - matmul_mod(image[:, pivots], w.basis[:, free], p)) % p
+    if np.any(residue):
+        raise ValueError("subspace is not stable under the generator")
     proj = np.zeros((len(free), n), dtype=np.int64)
-    for k, fc in enumerate(free):
-        proj[k, fc] = 1
-    if w.dim:
-        proj[:, pivots] = (-w.basis[:, free].T) % w.p
-    return proj
+    proj[np.arange(len(free)), free] = 1
+    proj[:, pivots] = (-w.basis[:, free].T) % p
+    return proj[:, g[free]]

@@ -2,13 +2,18 @@
 invariants under wreath/Young subgroups, and the incidence maps between
 k-subset bases.
 
-Permutations are 0-indexed image tuples; all bases are ordered
-lexicographically on their canonical encodings so matrices are reproducible.
+Permutations are 0-indexed image tuples.  A tabloid of shape
+(l_1, ..., l_r) is one word of row labels: word[x] is the row of entry x,
+with row 1 labelled 0, so label a occurs l_{a+1} times.  A basis lists these
+words in lexicographic word order, and a word's index is its multinomial
+rank, computed in closed form.  A permutation acts on a basis as one index
+array (image of each tabloid), so orbits, polytabloids and quotient actions
+are gathers and scatters on integer arrays, and matrices are reproducible.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import permutations, product
 from math import comb, factorial
 
 import numpy as np
@@ -64,25 +69,6 @@ def perm_sign(g: Perm) -> int:
         if length % 2 == 0:
             sign = -sign
     return sign
-
-
-def closure(gens: list[Perm]) -> set[Perm]:
-    """Full group generated by gens (only sensible for small groups)."""
-    if not gens:
-        return set()
-    n = len(gens[0])
-    group = {identity_perm(n)}
-    frontier = [identity_perm(n)]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for s in gens:
-                h = compose(s, g)
-                if h not in group:
-                    group.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    return group
 
 
 @dataclass(frozen=True)
@@ -244,27 +230,50 @@ def generators(spec: SubgroupSpec) -> list[Perm]:
 # Tabloid bases
 # ---------------------------------------------------------------------------
 
-Tabloid = tuple[tuple[int, ...], ...]  # rows 2..r, each sorted; row 1 implicit
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PermBasis:
     """Ordered basis of tabloids of a given shape.
 
-    For shape (n - k, k) the objects are the k-subsets of {0..n-1} (a tabloid
-    is recovered from everything below row 1).
+    `words` is a read-only (m, n) int8 array: words[t, x] is the row of
+    entry x in tabloid t (row 1 is label 0), and the rows are in
+    lexicographic word order.  For shape (n - k, k) the entries labelled 1
+    are the k-subset.
     """
 
     shape: Partition
-    objects: tuple[Tabloid, ...]
-    index: dict
+    words: np.ndarray
 
     @property
     def n(self) -> int:
         return sum(self.shape)
 
     def __len__(self) -> int:
-        return len(self.objects)
+        return self.words.shape[0]
+
+    def index_of(self, words) -> np.ndarray:
+        """Positions in the basis of a batch of words (shape (..., n)): their
+        multinomial lexicographic rank.  If `count` words continue the prefix
+        before position x, then count * below / (n - x) of them put a smaller
+        label at x, where `below` counts the later entries with a smaller
+        label, and count * here / (n - x) put the same label."""
+        words = np.asarray(words)
+        batch = words.shape[:-1]
+        cols = np.ascontiguousarray(words.reshape(int(np.prod(batch)), self.n).T)
+        count = np.full(cols.shape[1], len(self), dtype=np.int64)
+        out = np.zeros(cols.shape[1], dtype=np.int64)
+        for x in range(self.n - 1):  # the last label is forced
+            rest = cols[x + 1 :]
+            below = np.count_nonzero(rest < cols[x], axis=0)
+            here = np.count_nonzero(rest == cols[x], axis=0) + 1
+            out += count * below // (self.n - x)
+            count = count * here // (self.n - x)
+        return out.astype(np.intp).reshape(batch)
+
+    def act(self, g: Perm) -> np.ndarray:
+        """g on the basis as an index array: img[j] is the position of g t_j,
+        whose entry g[x] sits in the row of entry x of t_j."""
+        return self.index_of(self.words[:, np.argsort(np.asarray(g, dtype=np.intp))])
 
 
 def shape_from_tail(n: int, tail) -> Partition:
@@ -279,97 +288,64 @@ def shape_from_tail(n: int, tail) -> Partition:
 
 @lru_cache(maxsize=512)
 def perm_basis(shape: Partition) -> PermBasis:
-    """All tabloids of the given shape, ordered lexicographically."""
+    """All tabloids of the given shape as row-label words, in lex order: each
+    level extends every prefix by every label it has left, smallest first."""
     shape = check_partition(shape)
-    n = sum(shape)
-    tail = shape[1:]
-    objects: list[Tabloid] = []
-
-    def fill(remaining: tuple[int, ...], rows_left: tuple[int, ...], acc: list):
-        if not rows_left:
-            objects.append(tuple(acc))
-            return
-        for row in combinations(remaining, rows_left[0]):
-            acc.append(row)
-            rest = tuple(x for x in remaining if x not in set(row))
-            fill(rest, rows_left[1:], acc)
-            acc.pop()
-
-    fill(tuple(range(n)), tail, [])
-    objects.sort()
-    expected = factorial(n)
-    for part in shape:
-        expected //= factorial(part)
-    if len(objects) != expected:
-        raise RuntimeError(f"tabloid count mismatch for {shape}")
-    return PermBasis(shape, tuple(objects), {t: i for i, t in enumerate(objects)})
+    words = np.zeros((1, 0), dtype=np.int8)
+    left = np.array([shape], dtype=np.int64)
+    for _ in range(sum(shape)):
+        prefix, label = np.nonzero(left)  # by prefix, then by label
+        words = np.concatenate([words[prefix], label[:, None].astype(np.int8)], axis=1)
+        left = left[prefix]
+        left[np.arange(len(prefix)), label] -= 1
+    words.flags.writeable = False
+    return PermBasis(shape, words)
 
 
-def apply_to_tabloid(g: Perm, tab: Tabloid) -> Tabloid:
-    return tuple(tuple(sorted(g[x] for x in row)) for row in tab)
-
-
-def permutation_matrix(g: Perm, basis: PermBasis) -> np.ndarray:
-    """0/1 matrix of g on the tabloid basis (columns are sent to rows)."""
-    m = len(basis)
-    mat = np.zeros((m, m), dtype=np.int64)
-    for j, tab in enumerate(basis.objects):
-        mat[basis.index[apply_to_tabloid(g, tab)], j] = 1
-    return mat
+def _orbit_labels(spec: SubgroupSpec, basis: PermBasis) -> np.ndarray:
+    """lab[j] = the smallest index in the orbit of tabloid j: min-label
+    propagation along each generator and its inverse, plus pointer jumping,
+    until a round changes nothing."""
+    lab = np.arange(len(basis))
+    moves = []
+    for g in generators(spec):
+        img = basis.act(g)
+        inv = np.empty_like(img)
+        inv[img] = lab
+        moves += [img, inv]
+    while True:
+        old = lab
+        lab = lab.copy()
+        for move in moves:
+            np.minimum(lab, lab[move], out=lab)
+        lab = lab[lab]
+        if np.array_equal(lab, old):
+            return lab
 
 
 def orbit_count(spec: SubgroupSpec, basis: PermBasis) -> int:
     """Number of orbits of the generated group on the basis objects; equals
     dim M^H in every characteristic."""
-    gens = generators(spec)
-    if not gens:
-        return len(basis)
-    seen = [False] * len(basis)
-    orbits = 0
-    for start in range(len(basis)):
-        if seen[start]:
-            continue
-        orbits += 1
-        stack = [basis.objects[start]]
-        seen[start] = True
-        while stack:
-            tab = stack.pop()
-            for g in gens:
-                img = apply_to_tabloid(g, tab)
-                idx = basis.index[img]
-                if not seen[idx]:
-                    seen[idx] = True
-                    stack.append(img)
-    return orbits
+    return int(np.count_nonzero(_orbit_labels(spec, basis) == np.arange(len(basis))))
 
 
 def orbit_basis(spec: SubgroupSpec, basis: PermBasis) -> np.ndarray:
-    """Orbit indicator vectors: a basis of the fixed space of H on M^shape."""
-    gens = generators(spec)
-    labels = [-1] * len(basis)
-    orbits = 0
-    for start in range(len(basis)):
-        if labels[start] >= 0:
-            continue
-        labels[start] = orbits
-        stack = [basis.objects[start]]
-        while stack:
-            tab = stack.pop()
-            for g in gens:
-                idx = basis.index[apply_to_tabloid(g, tab)]
-                if labels[idx] < 0:
-                    labels[idx] = orbits
-                    stack.append(basis.objects[idx])
-        orbits += 1
-    mat = np.zeros((orbits, len(basis)), dtype=np.int64)
-    for idx, lab in enumerate(labels):
-        mat[lab, idx] = 1
+    """Orbit indicator vectors, numbered by their smallest index: a basis of
+    the fixed space of H on M^shape."""
+    lab = _orbit_labels(spec, basis)
+    roots = np.flatnonzero(lab == np.arange(len(basis)))
+    mat = np.zeros((len(roots), len(basis)), dtype=np.int64)
+    mat[np.searchsorted(roots, lab), np.arange(len(basis))] = 1
     return mat
 
 
 # ---------------------------------------------------------------------------
 # Standard tableaux and polytabloids
 # ---------------------------------------------------------------------------
+
+# Standard tableaux ranked per batch in polytabloid_matrix; bounds the
+# temporaries at (column group order) x _TABLEAU_CHUNK x n.
+_TABLEAU_CHUNK = 256
 
 
 def hook_dimension(shape: Partition) -> int:
@@ -408,47 +384,45 @@ def standard_tableaux(shape: Partition) -> list[tuple[tuple[int, ...], ...]]:
     return out
 
 
-def _tableau_tabloid(tableau) -> Tabloid:
-    return tuple(tuple(sorted(row)) for row in tableau[1:])
-
-
-def _column_group(tableau) -> list[tuple[Perm, int]]:
-    """(permutation of entries, sign) pairs of the column stabilizer."""
-    cols = []
-    height = len(tableau)
-    for c in range(len(tableau[0])):
-        col = [tableau[r][c] for r in range(height) if c < len(tableau[r])]
-        cols.append(col)
-    n_entries = sum(len(c) for c in cols)
-    out = []
-
-    def build(ci: int, mapping: dict, sign: int):
-        if ci == len(cols):
-            out.append((dict(mapping), sign))
-            return
-        col = cols[ci]
-        for perm in permutations(range(len(col))):
-            s = perm_sign(perm)
-            for i, x in enumerate(col):
-                mapping[x] = col[perm[i]]
-            build(ci + 1, mapping, sign * s)
-        for x in col:
-            mapping.pop(x, None)
-
-    build(0, {}, 1)
-    return out
+def _column_table(shape: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """The column stabiliser of the diagram as (labels, signs).  Cells are
+    numbered in row-reading order; labels[pi, i] is the row of the cell that
+    pi sends cell i to.  For a tableau with entry T[i] in cell i, the
+    tabloid of the column-permuted tableau is the word with T[i] labelled
+    labels[pi, i], and it enters the polytabloid with signs[pi]."""
+    heights = [sum(1 for part in shape if part > c) for c in range(shape[0])] if shape else []
+    cell = {}
+    for r, part in enumerate(shape):
+        for c in range(part):
+            cell[r, c] = len(cell)
+    labels, signs = [], []
+    for perms in product(*(permutations(range(h)) for h in heights)):
+        word = [0] * len(cell)
+        sign = 1
+        for c, perm in enumerate(perms):
+            sign *= perm_sign(perm)
+            for r, target in enumerate(perm):
+                word[cell[r, c]] = target
+        labels.append(word)
+        signs.append(sign)
+    return np.array(labels, dtype=np.int8), np.array(signs, dtype=np.int64)
 
 
 def polytabloid_matrix(shape: Partition, p: int) -> GFpMatrix:
     """Columns are the polytabloids of the standard tableaux, in the tabloid
-    basis; the column space is the Specht module S^shape over GF(p)."""
-    basis = perm_basis(check_partition(shape))
-    tableaux = standard_tableaux(shape)
-    mat = np.zeros((len(basis), len(tableaux)), dtype=np.int64)
-    for j, t in enumerate(tableaux):
-        for mapping, sign in _column_group(t):
-            rows = tuple(tuple(sorted(mapping.get(x, x) for x in row)) for row in t[1:])
-            mat[basis.index[rows], j] += sign
+    basis; the column space is the Specht module S^shape over GF(p).
+
+    Distinct column permutations of one tableau give distinct tabloids
+    (C_t meets R_t trivially), so every entry is set exactly once."""
+    shape = check_partition(shape)
+    basis = perm_basis(shape)
+    labels, signs = _column_table(shape)
+    cells = np.array([sum(t, ()) for t in standard_tableaux(shape)], dtype=np.intp)
+    cell_of = np.argsort(cells, axis=1)  # cell_of[t, x]: the cell holding entry x
+    mat = np.zeros((len(basis), len(cells)), dtype=np.int64)
+    for lo in range(0, len(cells), _TABLEAU_CHUNK):
+        block = cell_of[lo : lo + _TABLEAU_CHUNK]
+        mat[basis.index_of(labels[:, block]), np.arange(lo, lo + len(block))] = signs[:, None]
     return GFpMatrix(mat, p)
 
 
@@ -481,7 +455,7 @@ def dual_specht_invariant_dim(shape: Partition, p: int, spec: SubgroupSpec) -> i
     w = specht_perp(shape, p)
     quotients = []
     for g in generators(spec):
-        quotients.append(quotient_action(permutation_matrix(g, basis), w))
+        quotients.append(quotient_action(basis.act(g), w))
     qdim = len(basis) - w.dim
     return fixed_space(quotients, qdim, p).dim
 
@@ -512,23 +486,14 @@ def subset_basis(n: int, k: int) -> PermBasis:
 
 def eta(k: int, l: int, n: int, p: int) -> GFpMatrix:
     """The incidence map M_k -> M_l sending X to the sum of all l-subsets
-    comparable with X (rows: l-subsets, columns: k-subsets)."""
+    comparable with X (rows: l-subsets, columns: k-subsets).  X and Y are
+    comparable iff |X & Y| = min(k, l); the intersection sizes are one
+    product of the 0/1 membership words, in one byte per entry."""
     if not (0 <= k <= n // 2 and 0 <= l <= n // 2):
         raise ValueError("need k, l <= n/2")
-    kb = perm_basis(check_partition((n - k, k)))
-    lb = perm_basis(check_partition((n - l, l)))
-    mat = np.zeros((len(lb), len(kb)), dtype=np.int64)
-    for j, tab in enumerate(kb.objects):
-        x = set(tab[0]) if tab else set()
-        if l >= k:
-            rest = [y for y in range(n) if y not in x]
-            for extra in combinations(rest, l - k):
-                y = tuple(sorted(x.union(extra)))
-                mat[lb.index[(y,) if l else ()], j] += 1
-        else:
-            for sub in combinations(sorted(x), l):
-                mat[lb.index[(sub,) if l else ()], j] += 1
-    return GFpMatrix(mat, p)
+    kb, lb = subset_basis(n, k), subset_basis(n, l)
+    meet = lb.words.view(np.uint8) @ kb.words.view(np.uint8).T
+    return GFpMatrix(meet == min(k, l), p)
 
 
 def wilson_rank(k: int, l: int, n: int, p: int) -> int:

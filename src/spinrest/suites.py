@@ -10,6 +10,7 @@ from math import comb
 
 from . import labels as lb
 from .classify import (
+    PRIMITIVE_ATOMS,
     Outcome,
     PrimitiveCase,
     RestrictionQuery,
@@ -390,19 +391,7 @@ def _sweep_subgroups(n: int):
 
 
 def _primitive_atoms(n: int) -> list[PrimitiveCase]:
-    names = {
-        5: ["Z5:4", "Z5:2"],
-        6: ["S5", "A5"],
-        7: ["L2(7)"],
-        8: ["AGL3(2)"],
-        9: ["L2(8)", "3^2:Q8"],
-        10: ["S6", "M10", "AutA6", "A6"],
-        11: ["M11"],
-        12: ["M12"],
-    }
-    return [PrimitiveCase(name, n) for name in names.get(n, [])] + [
-        PrimitiveCase("other-primitive", n)
-    ]
+    return [PrimitiveCase(name, n) for name in PRIMITIVE_ATOMS.get(n, ()) + ("other-primitive",)]
 
 
 @_suite("classify-sweep")

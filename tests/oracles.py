@@ -5,6 +5,9 @@ the package's row-arithmetic code paths, so agreement is meaningful.
 """
 
 from collections import defaultdict
+from itertools import permutations
+
+import numpy as np
 
 Node = tuple[int, int]
 
@@ -174,3 +177,118 @@ def inverse_by_hand(rows: list[list[int]], p: int) -> list[list[int]]:
     if pivots != list(range(k)):
         raise ValueError("matrix is singular")
     return [row[k:] for row in red]
+
+
+def is_prime_by_trial_division(p: int) -> bool:
+    return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
+
+
+# ---------------------------------------------------------------------------
+# Permutation groups, tabloids and polytabloids on tuples
+# ---------------------------------------------------------------------------
+
+
+def closure(gens: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    """The whole group generated by the image tuples gens (small groups only)."""
+    if not gens:
+        return set()
+    ident = tuple(range(len(gens[0])))
+    group, frontier = {ident}, [ident]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for s in gens:
+                h = tuple(s[g[i]] for i in range(len(g)))
+                if h not in group:
+                    group.add(h)
+                    nxt.append(h)
+        frontier = nxt
+    return group
+
+
+def perm_matrix(img) -> np.ndarray:
+    """Dense 0/1 matrix of an index permutation: column j has its 1 in row img[j]."""
+    m = len(img)
+    mat = np.zeros((m, m), dtype=np.int64)
+    for j, i in enumerate(img):
+        mat[int(i), j] = 1
+    return mat
+
+
+def contingency_count(rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
+    """Number of nonnegative integer matrices with the given row and column
+    sums, one row at a time: the orbits of the Young subgroup S_rows on the
+    tabloids of shape cols."""
+    if not rows:
+        return int(not any(cols))
+    first, rest = rows[0], rows[1:]
+
+    def split(i: int, left: int, remaining: tuple[int, ...]) -> int:
+        if i == len(cols):
+            return contingency_count(rest, remaining) if left == 0 else 0
+        return sum(
+            split(i + 1, left - take, remaining + (cols[i] - take,))
+            for take in range(min(left, cols[i]) + 1)
+        )
+
+    return split(0, first, ())
+
+
+def _inversions(seq) -> int:
+    return sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq)) if seq[i] > seq[j])
+
+
+def polytabloids_by_hand(shape: tuple[int, ...]) -> list[dict]:
+    """For each standard tableau of the shape (lex order of its rows), its
+    polytabloid as {tabloid: coefficient}; a tabloid is the tuple of its rows
+    as sorted tuples.  Tableaux come from filtering all fillings, and each
+    column group from all permutations that fix every column setwise."""
+    n = sum(shape)
+    diagram = [(r, c) for r, part in enumerate(shape) for c in range(part)]
+    tableaux = []
+    for filling in permutations(range(n)):
+        at = dict(zip(diagram, filling))
+        if all(at[r, c] < at[r, c + 1] for r, c in diagram if (r, c + 1) in at) and all(
+            at[r, c] < at[r + 1, c] for r, c in diagram if (r + 1, c) in at
+        ):
+            tableaux.append(tuple(tuple(at[r, c] for c in range(part)) for r, part in enumerate(shape)))
+    tableaux.sort()
+    out = []
+    for t in tableaux:
+        column_of = {x: c for row in t for c, x in enumerate(row)}
+        vec: dict = defaultdict(int)
+        for sigma in permutations(range(n)):
+            if any(column_of[sigma[x]] != column_of[x] for x in range(n)):
+                continue
+            tabloid = tuple(tuple(sorted(sigma[x] for x in row)) for row in t)
+            vec[tabloid] += (-1) ** _inversions(sigma)
+        out.append(dict(vec))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Subspaces in reduced echelon form
+# ---------------------------------------------------------------------------
+
+
+def residue(w, rows) -> np.ndarray:
+    """Residues of row vectors modulo the subspace w (canonical RREF basis)."""
+    x = np.mod(np.asarray(rows, dtype=np.int64), w.p)
+    for r, c in enumerate(w.pivots):
+        x = (x - np.outer(x[:, c], w.basis[r])) % w.p
+    return x
+
+
+def contains(w, vec) -> bool:
+    return not np.any(residue(w, [vec]))
+
+
+def quotient_projection(w) -> np.ndarray:
+    """The projection ambient -> ambient/W, rows indexed by W's free columns."""
+    free = [c for c in range(w.ambient) if c not in w.pivots]
+    proj = np.zeros((len(free), w.ambient), dtype=np.int64)
+    for k, f in enumerate(free):
+        proj[k, f] = 1
+        for r, c in enumerate(w.pivots):
+            proj[k, c] = -w.basis[r, f] % w.p
+    return proj

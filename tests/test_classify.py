@@ -1,6 +1,7 @@
 import pytest
 
 from spinrest.classify import (
+    PRIMITIVE_ATOMS,
     Outcome,
     PrimitiveCase,
     RestrictionQuery,
@@ -109,6 +110,15 @@ def test_primitive_rows():
     b8_7 = beta_n(8, 7)
     assert _outcome("A", 8, 7, b8_7, "0", PrimitiveCase("AGL3(2)", 8)) == Outcome.REDUCIBLE
     assert _outcome("S", 11, 3, alpha_n(11, 3), "0", PrimitiveCase("other-primitive", 11)) == Outcome.REDUCIBLE
+
+
+def test_primitive_atoms_are_checked_against_the_list():
+    for n, names in PRIMITIVE_ATOMS.items():
+        for name in names + ("other-primitive",):
+            assert PrimitiveCase(name, n).n == n
+    for name, n in (("M12", 6), ("FOO", 6), ("M11", 12), ("S5", 13)):
+        with pytest.raises(ValueError, match="not a listed primitive atom"):
+            PrimitiveCase(name, n)
 
 
 def test_table_ii():

@@ -122,6 +122,12 @@ def test_argument_errors_exit_2():
     code, out, err = run_cli("invariants", "--shape", "(4,2)", "--p", "3", "--subgroup", "W(3,3)")
     assert code == 2 and out == ""
     assert "subgroup W(3,3) acts on 9 points, but n = 6" in err
+    for atom in ("prim:M12", "prim:FOO"):
+        code, out, err = run_cli(
+            "classify", "--group", "S", "--n", "6", "--p", "3", "--label", "D[(4,2);0]", "--subgroup", atom
+        )
+        assert code == 2 and out == ""
+        assert "not a listed primitive atom of degree 6" in err
 
 
 def test_p_beyond_int64_products_exits_2():
@@ -132,3 +138,22 @@ def test_p_beyond_int64_products_exits_2():
         code, out, err = run_cli("invariants", "--shape", "(4,2)", "--p", p, "--subgroup", "W(2,3)")
         assert code == 2 and out == ""
         assert "3037000499" in err and "not stable" not in err
+
+
+def test_invariants_empty_shape():
+    """M^() has one tabloid and S^() is the trivial module."""
+    for shape in ("()", "(0)"):
+        code, out, err = run_cli("--format", "json", "invariants", "--shape", shape, "--p", "3", "--subgroup", "Sn")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert (payload["dim_M_H"], payload["dim_dualS_H"], payload["dim_Z_H"]) == (1, 1, 0)
+
+
+def test_reg_huge_odd_prime():
+    """p = 2^61 - 1 used to hang in trial division; beyond the exact range of
+    the primality test p is refused."""
+    code, out, err = run_cli("reg", "--lambda", "(3,1)", "--p", str(2**61 - 1))
+    assert code == 0, err
+    assert out.startswith("(3,1)^Reg = (3,1)")
+    code, out, err = run_cli("reg", "--lambda", "(3,1)", "--p", str(2**127 - 1))
+    assert code == 2 and "3317044064679887385961981" in err

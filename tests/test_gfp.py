@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import gauss_jordan, inverse_by_hand, kernel_by_hand
+from oracles import (
+    closure,
+    contains,
+    gauss_jordan,
+    inverse_by_hand,
+    kernel_by_hand,
+    perm_matrix,
+    quotient_projection,
+)
 from spinrest import gfp
 from spinrest.gfp import (
     GFpMatrix,
@@ -10,12 +18,11 @@ from spinrest.gfp import (
     kernel,
     matmul_mod,
     quotient_action,
-    quotient_projection,
     rank,
     rref,
     subspace_from_rows,
 )
-from spinrest.specht import closure, from_cycles, permutation_matrix, subset_basis
+from spinrest.specht import from_cycles, subset_basis
 
 # primes for the differential tests; the last one is above 2^31, where
 # matmul_mod leaves float64 BLAS for exact object arithmetic
@@ -166,10 +173,10 @@ def test_fixed_space_of_cycle_is_constants():
     n, p = 6, 5
     cyc = from_cycles(n, tuple(range(n)))
     basis = subset_basis(n, 1)
-    mat = permutation_matrix(cyc, basis)
+    mat = perm_matrix(basis.act(cyc))
     fs = fixed_space([mat], n, p)
     assert fs.dim == 1
-    assert fs.contains([1] * n)
+    assert contains(fs, [1] * n)
 
 
 def test_fixed_space_no_generators_is_everything():
@@ -184,51 +191,43 @@ def test_fixed_space_generator_independence():
     gens = [from_cycles(n, (0, 1)), from_cycles(n, (0, 1, 2, 3))]
     group = closure(gens)
     assert len(group) == 24
-    mats = [permutation_matrix(g, basis) for g in gens]
+    mats = [perm_matrix(basis.act(g)) for g in gens]
     dim = len(basis)
     a = fixed_space(mats, dim, p)
     b = fixed_space(mats[::-1], dim, p)
-    c = fixed_space([permutation_matrix(g, basis) for g in sorted(group)], dim, p)
+    c = fixed_space([perm_matrix(basis.act(g)) for g in sorted(group)], dim, p)
     assert a == b == c
 
 
-def _random_stable_pair(rng, n, k, p):
-    """A subspace W of dim k and a matrix G with G W <= W."""
-    while True:
-        w = subspace_from_rows(rng.integers(0, p, (k, n)), n, p)
-        if w.dim == k:
-            break
-    pivots = list(w.pivots)
-    free = [c for c in range(n) if c not in pivots]
-    cols = np.zeros((n, n), dtype=np.int64)
-    cols[:, :k] = w.basis.T
-    for j, f in enumerate(free):
-        cols[f, k + j] = 1
-    block = np.zeros((n, n), dtype=np.int64)
-    block[:k, :k] = rng.integers(0, p, (k, k))
-    block[:k, k:] = rng.integers(0, p, (k, n - k))
-    block[k:, k:] = rng.integers(0, p, (n - k, n - k))
-    g = matmul_mod(matmul_mod(cols, block, p), np.array(inverse_by_hand(cols.tolist(), p)), p)
-    return g, w
+def _random_stable_pair(rng, n, p):
+    """An index permutation g and a g-stable subspace W: the span of the
+    g-orbits of a few random vectors."""
+    g = rng.permutation(n)
+    vecs = []
+    for v in rng.integers(0, p, (int(rng.integers(0, 3)), n)):
+        for _ in range(n):
+            vecs.append(v)
+            v = v[np.argsort(g)]  # coordinate j goes to g[j]
+    return g, subspace_from_rows(np.array(vecs, dtype=np.int64).reshape(-1, n), n, p)
 
 
 def test_quotient_action_commutes_with_projection():
     rng = np.random.default_rng(3)
-    for _ in range(100):
-        n = int(rng.integers(2, 9))
-        k = int(rng.integers(0, n + 1))
-        p = int(rng.choice([3, 5, 7]))
-        g, w = _random_stable_pair(rng, n, k, p)
+    for _ in range(200):
+        n = int(rng.integers(1, 10))
+        p = int(rng.choice([2, 3, 5, 7]))
+        g, w = _random_stable_pair(rng, n, p)
         q = quotient_action(g, w)
         proj = quotient_projection(w)
-        assert np.array_equal(matmul_mod(q, proj, p), matmul_mod(proj, g, p))
+        assert q.shape == (n - w.dim, n - w.dim)
+        assert np.array_equal(matmul_mod(q, proj, p), matmul_mod(proj, perm_matrix(g), p))
 
 
 def test_quotient_action_trivial_cases():
     p = 5
-    g = np.arange(9).reshape(3, 3) % p
+    g = np.array([2, 0, 1])
     zero = subspace_from_rows(np.zeros((0, 3), dtype=np.int64), 3, p)
-    assert np.array_equal(quotient_action(g, zero), g % p)
+    assert np.array_equal(quotient_action(g, zero), perm_matrix(g))
     full = subspace_from_rows(np.eye(3, dtype=np.int64), 3, p)
     assert quotient_action(g, full).shape == (0, 0)
 
@@ -236,12 +235,10 @@ def test_quotient_action_trivial_cases():
 def test_quotient_action_rejects_unstable():
     p = 3
     w = subspace_from_rows(np.array([[1, 0, 0]]), 3, p)
-    g = from_cycles(3, (0, 1))
-    mat = np.zeros((3, 3), dtype=np.int64)
-    for j in range(3):
-        mat[g[j], j] = 1
-    with pytest.raises(ValueError):
-        quotient_action(mat, w)
+    with pytest.raises(ValueError, match="not stable"):
+        quotient_action(from_cycles(3, (0, 1)), w)
+    with pytest.raises(ValueError, match="permutation"):
+        quotient_action([0, 0, 1], w)
 
 
 def test_gfp_matrix_ops():

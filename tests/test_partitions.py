@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import partitions_by_recursion
+from oracles import is_prime_by_trial_division, partitions_by_recursion
 from spinrest.partitions import (
+    _is_prime,
+    check_odd_prime,
     a_0,
     a_p,
     dominance_leq,
@@ -221,3 +223,21 @@ def test_predicates_total(parts):
         is_p_regular(lam, p)
         if is_strict(lam):
             a_0(lam)
+
+
+def test_is_prime_matches_trial_division():
+    assert [p for p in range(-5, 10**5) if _is_prime(p)] == [
+        p for p in range(-5, 10**5) if is_prime_by_trial_division(p)
+    ]
+
+
+def test_is_prime_large():
+    # Mersenne primes, a Carmichael number, and composites that pass
+    # Miller-Rabin for the bases 2..23 and 2..37 (the latter fails at 41)
+    assert _is_prime(2**31 - 1) and _is_prime(2**61 - 1)
+    assert not _is_prime(561) and not _is_prime(2**61 + 1)
+    assert not _is_prime(318665857834031151167461)
+    assert not _is_prime(3825123056546413051)
+    assert check_odd_prime(2**61 - 1) == 2**61 - 1
+    with pytest.raises(ValueError, match="3317044064679887385961981"):
+        check_odd_prime(2**127 - 1)

@@ -3,20 +3,29 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
+from itertools import combinations, permutations
+
+from oracles import (
+    closure,
+    contingency_count,
+    partitions_by_recursion,
+    perm_matrix,
+    polytabloids_by_hand,
+    residue,
+)
 from spinrest.gfp import matmul_mod
 from spinrest.specht import (
     alt_young,
-    closure,
     dual_specht_invariant_dim,
     eta,
     generators,
     gram_irreducibility,
     hook_dimension,
     index2_wr_b2,
+    orbit_basis,
     orbit_count,
     perm_basis,
     perm_sign,
-    permutation_matrix,
     polytabloid_matrix,
     shape_from_tail,
     specht_perp,
@@ -104,6 +113,61 @@ def test_perm_basis_counts():
     assert len(subset_basis(6, 0)) == 1
 
 
+def _word_index(basis) -> dict:
+    return {tuple(int(a) for a in w): i for i, w in enumerate(basis.words)}
+
+
+def test_perm_basis_words_are_sorted_multiset_permutations():
+    for n in range(0, 7):
+        for shape in partitions_by_recursion(n):
+            basis = perm_basis(shape)
+            content = [a for a, part in enumerate(shape) for _ in range(part)]
+            assert basis.words.tolist() == [list(w) for w in sorted(set(permutations(content)))]
+            assert basis.words.dtype == np.int8 and not basis.words.flags.writeable
+            assert np.array_equal(basis.index_of(basis.words), np.arange(len(basis)))
+
+
+def test_act_matches_moving_entries():
+    """g t has entry g[x] in the row of entry x of t."""
+    rng = np.random.default_rng(5)
+    for shape in ((3, 2, 1), (4, 4), (2, 2, 1, 1)):
+        basis = perm_basis(shape)
+        index = _word_index(basis)
+        for _ in range(5):
+            g = tuple(int(x) for x in rng.permutation(basis.n))
+            img = basis.act(g)
+            for j, w in enumerate(basis.words.tolist()):
+                moved = [0] * basis.n
+                for x, row in enumerate(w):
+                    moved[g[x]] = row
+                assert img[j] == index[tuple(moved)]
+
+
+def test_orbit_count_is_a_contingency_count():
+    """S_mu has as many orbits on shape-lambda tabloids as there are
+    matrices with row sums mu and column sums lambda."""
+    for n in range(0, 8):
+        for lam in partitions_by_recursion(n):
+            basis = perm_basis(lam)
+            for mu in partitions_by_recursion(n):
+                assert orbit_count(young(n, mu), basis) == contingency_count(mu, lam), (lam, mu)
+
+
+def test_orbit_basis_rows_are_orbits():
+    basis = perm_basis((3, 2, 1))
+    spec = wreath(2, 3)
+    rows = orbit_basis(spec, basis)
+    assert rows.shape[0] == orbit_count(spec, basis)
+    assert np.array_equal(rows.sum(axis=0), np.ones(len(basis)))
+    # numbered by smallest index, and closed under every generator
+    firsts = [int(np.flatnonzero(r)[0]) for r in rows]
+    assert firsts == sorted(firsts)
+    for g in generators(spec):
+        img = basis.act(g)
+        for r in rows:
+            assert np.array_equal(r[img], r)
+
+
 def test_orbit_count_examples():
     # stabilizer of a 3-subset acting on 3-subsets has 4 orbits
     for n, m in ((8, 3), (9, 4), (10, 3)):
@@ -143,6 +207,37 @@ def test_polytabloid_matrix_rank_is_standard_count():
         assert e.rank() == hook_dimension(shape)
 
 
+def test_polytabloid_matrix_matches_brute_force():
+    for n in range(0, 7):
+        for shape in partitions_by_recursion(n):
+            basis = perm_basis(shape)
+            index = _word_index(basis)
+            want = np.zeros((len(basis), hook_dimension(shape)), dtype=np.int64)
+            for j, vec in enumerate(polytabloids_by_hand(shape)):
+                for tabloid, coeff in vec.items():
+                    word = [0] * n
+                    for r, row in enumerate(tabloid):
+                        for x in row:
+                            word[x] = r
+                    want[index[tuple(word)], j] = coeff % 7
+            assert np.array_equal(polytabloid_matrix(shape, 7).array, want), shape
+
+
+def test_eta_matches_subset_incidence():
+    for n, k, l in ((7, 1, 3), (8, 3, 2), (8, 4, 4), (6, 0, 2), (6, 2, 0)):
+        kb, lb = _word_index(subset_basis(n, k)), _word_index(subset_basis(n, l))
+
+        def word(subset):
+            return tuple(int(x in subset) for x in range(n))
+
+        want = np.zeros((len(lb), len(kb)), dtype=np.int64)
+        for x in combinations(range(n), k):
+            for y in combinations(range(n), l):
+                if set(x) <= set(y) or set(y) <= set(x):
+                    want[lb[word(y)], kb[word(x)]] = 1
+        assert np.array_equal(eta(k, l, n, 5).array, want)
+
+
 def test_specht_perp_dims():
     assert specht_perp((5, 1), 3).dim == 1
     assert specht_perp((4, 2), 3).dim == 15 - 9
@@ -153,9 +248,8 @@ def test_specht_perp_stable_under_symmetric_group():
     w = specht_perp(shape, p)
     basis = perm_basis(shape)
     for g in generators(young(6, (6,))):
-        mat = permutation_matrix(g, basis)
-        image = matmul_mod(mat, w.basis.T, p).T
-        assert not np.any(w.reduce_rows(image))
+        image = matmul_mod(perm_matrix(basis.act(g)), w.basis.T, p).T
+        assert not np.any(residue(w, image))
 
 
 def test_dual_specht_trivial_subgroup_dimension():
@@ -240,5 +334,5 @@ def test_multinomial_and_fixed_space_agree():
     assert len(basis) == factorial(7) // (factorial(4) * factorial(2))
     spec = wreath(2, 3)  # W_{2,3} inside S_6 <= S_7 is not defined; use Young
     spec = young(7, (4, 3))
-    mats = [permutation_matrix(g, basis) for g in generators(spec)]
+    mats = [perm_matrix(basis.act(g)) for g in generators(spec)]
     assert fixed_space(mats, len(basis), p).dim == orbit_count(spec, basis)
