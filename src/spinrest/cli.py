@@ -1,6 +1,7 @@
 """Batch command-line front end.
 
-Exit codes: 0 success, 1 a verify suite found violations, 2 argument errors.
+Exit codes: 0 success, 1 a verify suite found violations, 2 argument errors
+(including requests too large for memory), 3 an internal error.
 JSON output follows the spinrest-v1 schema: every payload carries a "schema"
 key, and verify violations stream as JSON.
 """
@@ -207,8 +208,8 @@ def cmd_invariants(args) -> int:
     sub = parse_subgroup(args.subgroup, n)
     if not isinstance(sub, SubgroupSpec):
         raise ValueError("invariants needs a concrete subgroup spec")
+    dim_dual = dual_specht_invariant_dim(shape, args.p, sub)  # refuses oversized shapes first
     dim_m = orbit_count(sub, perm_basis(shape))
-    dim_dual = dual_specht_invariant_dim(shape, args.p, sub)
     payload = {
         "shape": format_partition(shape),
         "subgroup": str(sub),
@@ -307,6 +308,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

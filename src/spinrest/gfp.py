@@ -7,7 +7,12 @@ updated by one BLAS-backed product per panel.  Row updates form products of
 two residues, so p is limited to isqrt(2^63 - 1), where (p - 1)^2
 still fits in int64.  Subspaces carry a canonical reduced-echelon basis, so
 equality is matrix equality.
-"""
+
+Reduction mod p is delayed, as in FFLAS-FFPACK (Dumas, Giorgi and Pernet,
+ACM TOMS 2008): elimination subtracts unreduced products and reduces only
+before an int64 entry could overflow, and at the end.  Products of residue
+matrices run in the narrowest exact type: float32 while every inner product
+stays below 2^24, float64 below 2^53, and object integers beyond."""
 
 from dataclasses import dataclass, field
 from math import isqrt
@@ -16,7 +21,8 @@ import numpy as np
 
 from .partitions import _is_prime
 
-_P_MAX = isqrt(2**63 - 1)
+_INT64_MAX = 2**63 - 1
+_P_MAX = isqrt(_INT64_MAX)
 _PANEL = 64
 
 
@@ -44,57 +50,75 @@ def _echelon(arr: np.ndarray, p: int, full: bool) -> tuple[np.ndarray, list[int]
     matrices cheap.  full=True also clears the rows above the panel and
     yields the RREF; full=False clears only below and skips the panel's own
     columns, which is all the rank needs: then only the pivots are meaningful.
+
+    Inside the scalar loop each pivot reduces only its column and its row,
+    and subtracts the outer product unreduced.  That moves an entry by at
+    most (p - 1)^2, so the panel is reduced after every `delay` pivots.  The
+    panel products are also subtracted unreduced, and `spread` bounds the
+    entries of the matrix, so that it is reduced before any can overflow.
     """
     _check_fits(p)
     a = np.mod(np.asarray(arr, dtype=np.int64), p)
     rows, cols = a.shape
+    delay = (_INT64_MAX - p) // max((p - 1) ** 2, 1)
+    spread = p - 1  # no entry of a is larger in magnitude
     pivots: list[int] = []
     top = c0 = 0
     while top < rows and c0 < cols:
         c1 = cols if rows - top <= _PANEL else min(c0 + _PANEL, cols)
-        work = a[top:, c0:c1].copy()
+        work = a[top:, c0:c1] % p
         perm = np.arange(rows - top)
         found: list[int] = []
         for c in range(c1 - c0):
             r = len(found)
             if r == work.shape[0]:
                 break
+            first = 0 if full else r
+            work[first:, c] %= p
             nz = np.nonzero(work[r:, c])[0]
             if nz.size == 0:
                 continue
             if nz[0]:
                 work[[r, r + nz[0]]] = work[[r + nz[0], r]]
                 perm[[r, r + nz[0]]] = perm[[r + nz[0], r]]
-            work[r] = work[r] * pow(int(work[r, c]), -1, p) % p
-            first = 0 if full else r + 1
+            # the pivot row is zero left of c, so the update starts at c
+            work[r, c:] = work[r, c:] % p * pow(int(work[r, c]), -1, p) % p
             clear = first + np.nonzero(work[first:, c])[0]
             clear = clear[clear != r]
             if clear.size:
-                work[clear] = (work[clear] - np.outer(work[clear, c], work[r])) % p
+                work[clear, c:] -= np.outer(work[clear, c], work[r, c:])
             found.append(c0 + c)
+            if len(found) % delay == 0:
+                work %= p
         k = len(found)
         if k:
             if c1 == cols:  # the scalar loop saw every remaining column
-                a[top:, c0:] = work
-                x, start = work[:k], c0
+                a[top:, c0:] = work % p
+                x, start = a[top : top + k, c0:], c0
             else:
-                a[top:, c0:] = a[top:, c0:][perm]
+                moved = np.nonzero(perm != np.arange(rows - top))[0]
+                a[top + moved, c0:] = a[top + perm[moved], c0:]
                 start = c0 if full else c1
                 block = np.concatenate([a[top : top + k, found], np.eye(k, dtype=np.int64)], axis=1)
                 x = matmul_mod(_echelon(block, p, True)[0][:, k:], a[top : top + k, start:], p)
             # rows below the pivot rows, and with full=True the rows above
+            step = min(k * (p - 1) ** 2, 2**53)
+            if spread > _INT64_MAX - step:
+                np.mod(a, p, out=a)
+                spread = p - 1
+            spread += step
             lo, hi = (0 if full else top + k), (top if c1 == cols else rows)
-            coeff = a[lo:hi, found]
+            coeff = a[lo:hi, found] % p
             hit = np.nonzero(coeff.any(axis=1))[0]
-            if hit.size:
-                update = matmul_mod(coeff[hit], x, p)
-                np.subtract(a[lo + hit, start:], update, out=update)
-                a[lo + hit, start:] = update % p
+            if hit.size == hi - lo:
+                a[lo:hi, start:] -= _product(coeff, x, p)
+            elif hit.size:
+                a[lo + hit, start:] -= _product(coeff[hit], x, p)
             a[top : top + k, start:] = x
             pivots += found
             top += k
         c0 = c1
-    return a[:top], pivots
+    return np.mod(a[:top], p), pivots
 
 
 def rref(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -107,15 +131,32 @@ def rank(arr: np.ndarray, p: int) -> int:
     return len(_echelon(arr, p, False)[1])
 
 
+def _reduced(a, p: int) -> np.ndarray:
+    """a as int64 in [0, p); copies only when some entry lies outside."""
+    a = np.asarray(a, dtype=np.int64)
+    if a.size and (a.min() < 0 or a.max() >= p):
+        return np.mod(a, p)
+    return a
+
+
+def _product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b for int64 factors with entries in [0, p), exact in the narrowest
+    float type whose mantissa holds every inner product: float32 below 2^24,
+    float64 below 2^53.  Beyond that it uses object arithmetic and reduces
+    mod p, so every entry of the result is below 2^53."""
+    bound = a.shape[-1] * (p - 1) * (p - 1)
+    if bound >= 2**53:
+        return np.mod(a.astype(object) @ b.astype(object), p).astype(np.int64)
+    dtype = np.float32 if bound < 2**24 else np.float64
+    fb = b.astype(dtype)
+    # a = b.T (a Gram product): one conversion, and BLAS sees the symmetric product
+    fa = fb.T if a.__array_interface__ == b.T.__array_interface__ else a.astype(dtype)
+    return (fa @ fb).astype(np.int64)
+
+
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact a @ b mod p; goes through float64 BLAS while the inner products
-    stay below 2^53."""
-    a = np.mod(np.asarray(a, dtype=np.int64), p)
-    b = np.mod(np.asarray(b, dtype=np.int64), p)
-    if a.shape[-1] * (p - 1) * (p - 1) < 2**53:
-        prod = a.astype(np.float64) @ b.astype(np.float64)
-        return np.mod(np.rint(prod).astype(np.int64), p)
-    return np.mod(a.astype(object) @ b.astype(object), p).astype(np.int64)
+    """Exact a @ b mod p."""
+    return np.mod(_product(_reduced(a, p), _reduced(b, p), p), p)
 
 
 @dataclass(frozen=True)
@@ -175,7 +216,8 @@ def kernel(arr: np.ndarray, p: int) -> Subspace:
 
 
 class GFpMatrix:
-    """An exact matrix over GF(p)."""
+    """An exact matrix over GF(p).  An int64 array already reduced to
+    [0, p) is kept as it is, not copied."""
 
     def __init__(self, entries, p: int):
         _check_prime(p)
@@ -183,7 +225,7 @@ class GFpMatrix:
         arr = np.asarray(entries, dtype=np.int64)
         if arr.ndim != 2:
             raise ValueError("matrix entries must be 2-dimensional")
-        self.array = np.mod(arr, p)
+        self.array = _reduced(arr, p)
 
     @property
     def shape(self) -> tuple[int, int]:

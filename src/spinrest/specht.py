@@ -11,10 +11,11 @@ array (image of each tabloid), so orbits, polytabloids and quotient actions
 are gathers and scatters on integer arrays, and matrices are reproducible.
 """
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import numpy as np
 
@@ -422,14 +423,28 @@ def polytabloid_matrix(shape: Partition, p: int) -> GFpMatrix:
     mat = np.zeros((len(basis), len(cells)), dtype=np.int64)
     for lo in range(0, len(cells), _TABLEAU_CHUNK):
         block = cell_of[lo : lo + _TABLEAU_CHUNK]
-        mat[basis.index_of(labels[:, block]), np.arange(lo, lo + len(block))] = signs[:, None]
+        mat[basis.index_of(labels[:, block]), np.arange(lo, lo + len(block))] = signs[:, None] % p
     return GFpMatrix(mat, p)
 
 
 def specht_perp(shape: Partition, p: int) -> Subspace:
     """(S^shape)^perp in M^shape under the standard tabloid pairing: the
     kernel of the transposed polytabloid matrix.  For two-row shapes this is
-    the radical Z_k with M_k / Z_k = S_k^*."""
+    the radical Z_k with M_k / Z_k = S_k^*.
+
+    A shape that cannot fit in physical memory is refused before anything is
+    allocated.  With m tabloids and d = dim S^shape, the kernel and the
+    quotient actions hold about four int64 copies of the (m - d) x m kernel
+    basis next to the m x d polytabloid matrix."""
+    shape = check_partition(shape)
+    m = factorial(sum(shape)) // prod(factorial(part) for part in shape)
+    d = hook_dimension(shape)
+    need, have = 8 * (4 * m * (m - d) + m * d), os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(
+            f"(S^{shape})^perp needs about {need / 1e9:,.1f} GB (m = {m} tabloids, dim S = {d}), "
+            f"more than the {have / 1e9:,.1f} GB of physical memory"
+        )
     e = polytabloid_matrix(shape, p)
     return kernel(e.array.T, p)
 
@@ -451,8 +466,8 @@ def dual_specht_invariant_dim(shape: Partition, p: int, spec: SubgroupSpec) -> i
     """dim of the H-fixed vectors on the dual Specht module
     M^shape / (S^shape)^perp."""
     shape = check_partition(shape)
-    basis = perm_basis(shape)
     w = specht_perp(shape, p)
+    basis = perm_basis(shape)
     quotients = []
     for g in generators(spec):
         quotients.append(quotient_action(basis.act(g), w))

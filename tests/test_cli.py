@@ -157,3 +157,24 @@ def test_reg_huge_odd_prime():
     assert out.startswith("(3,1)^Reg = (3,1)")
     code, out, err = run_cli("reg", "--lambda", "(3,1)", "--p", str(2**127 - 1))
     assert code == 2 and "3317044064679887385961981" in err
+
+
+def test_invariants_refuses_shapes_beyond_memory():
+    """m = 12!/2 tabloids: the dense (S^λ)^perp basis would need about 1.8e9 GB,
+    and the refusal comes before any tabloid basis is built."""
+    code, out, err = run_cli("invariants", "--shape", "(2,1,1,1,1,1,1,1,1,1,1)", "--p", "3", "--subgroup", "W(2,6)")
+    assert code == 2 and out == ""
+    assert "m = 239500800 tabloids" in err and "GB of physical memory" in err
+
+
+def test_internal_errors_exit_3(monkeypatch, capsys):
+    from spinrest import cli
+
+    def overlap(query):
+        raise RuntimeError("clauses overlap")
+
+    monkeypatch.setattr(cli, "classify_query", overlap)
+    argv = ["classify", "--group", "S", "--n", "6", "--p", "3", "--label", "D[(4,2);0]", "--subgroup", "S(4,2)"]
+    code = cli.main(argv)
+    assert code == 3
+    assert capsys.readouterr().err == "internal error: clauses overlap\n"

@@ -117,6 +117,53 @@ def test_blocked_panels_match_reference():
         _assert_matches_reference(_known_rank(rng, m, n, min(m, n) // 3, p), p)
 
 
+# primes at which an int64 entry absorbs only K = 1, 2 and 3 unreduced
+# rank-one updates, so the elimination core reduces inside every panel
+FEW_UPDATE_PRIMES = {3037000493: 1, 2099999999: 2, 1749999991: 3}
+
+
+def _swap_heavy(rng, m, n, p):
+    """An m x n matrix whose pivots sit in the bottom rows, so nearly every
+    pivot of the elimination is a row swap."""
+    a = np.triu(rng.integers(0, p, (m, n)))
+    a[np.arange(min(m, n)), np.arange(min(m, n))] = rng.integers(1, p, min(m, n))
+    return a[::-1].copy()
+
+
+def test_delayed_reduction_matches_reference():
+    """Shapes past one panel with many row swaps, at primes where the
+    scalar loop must reduce the panel after every 1, 2 or 3 pivots."""
+    rng = np.random.default_rng(5)
+    for p, k in FEW_UPDATE_PRIMES.items():
+        assert (gfp._INT64_MAX - p) // (p - 1) ** 2 == k
+        _assert_matches_reference(_swap_heavy(rng, 100, 80, p), p)
+        _assert_matches_reference(_swap_heavy(rng, 70, 110, p), p)
+        _assert_matches_reference(_known_rank(rng, 80, 90, 60, p), p)
+
+
+@pytest.mark.parametrize("limit", [2**24, 2**53])
+def test_matmul_mod_tiers_match_object_products(limit):
+    """Inner products just below and just above the exact range of float32
+    (2^24) and float64 (2^53).  The factors are given unreduced and negative
+    too, so the check that skips the reducing copy must still reduce them;
+    a = b.T exercises the symmetric Gram product."""
+    rng = np.random.default_rng(limit % 1000)
+    p = {2**24: 2039, 2**53: 47453111}[limit]
+    below = (limit - 1) // (p - 1) ** 2
+    narrow = np.float32 if limit == 2**24 else np.float64
+    for k in (below, below + 1):
+        a = rng.integers(p - p // 8, p, (6, k))
+        b = rng.integers(p - p // 8, p, (k, 7))
+        want = (a.astype(object) @ b.astype(object)) % p
+        if k > below:  # the narrower type would round these sums
+            assert not np.array_equal(np.mod((a.astype(narrow) @ b.astype(narrow)).astype(np.int64), p), want)
+        for shift_a, shift_b in ((0, 0), (p, -p), (-3 * p, 5 * p)):
+            got = matmul_mod(a + shift_a, b + shift_b, p)
+            assert got.dtype == np.int64 and got.tolist() == want.tolist()
+        assert matmul_mod(b.T, b, p).tolist() == ((b.T.astype(object) @ b.astype(object)) % p).tolist()
+        assert matmul_mod((b - p).T, b - p, p).tolist() == matmul_mod(b.T, b, p).tolist()
+
+
 def test_kernel_runs_one_rref(monkeypatch):
     calls = []
 

@@ -8,6 +8,7 @@ from itertools import combinations, permutations
 from oracles import (
     closure,
     contingency_count,
+    gauss_jordan,
     partitions_by_recursion,
     perm_matrix,
     polytabloids_by_hand,
@@ -243,6 +244,18 @@ def test_specht_perp_dims():
     assert specht_perp((4, 2), 3).dim == 15 - 9
 
 
+def test_specht_perp_refuses_beyond_physical_memory(monkeypatch):
+    """With 102 MB of physical memory, (5,3,2) (about 176 MB) is refused
+    before anything is allocated and (4,2,2) (about 5 MB) still runs."""
+    from spinrest import specht
+
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 25_000}
+    monkeypatch.setattr(specht.os, "sysconf", pages.__getitem__)
+    with pytest.raises(ValueError, match=r"needs about 0\.2 GB \(m = 2520 tabloids, dim S = 450\)"):
+        specht_perp((5, 3, 2), 3)
+    assert specht_perp((4, 2, 2), 3).dim == 420 - 56
+
+
 def test_specht_perp_stable_under_symmetric_group():
     shape, p = (4, 2), 3
     w = specht_perp(shape, p)
@@ -318,10 +331,23 @@ def test_filtration_bookkeeping():
 def test_gram_criterion_examples():
     assert gram_irreducibility((6,), 5)
     assert not gram_irreducibility((1, 1, 1), 3)  # sign column, |C_t| = 3! = 0 mod 3
-    # classical: S^(n-1,1) is irreducible mod p exactly when p does not divide n
-    assert not gram_irreducibility((5, 1), 3)
-    assert gram_irreducibility((5, 1), 7)
     assert not gram_irreducibility((4, 2), 5)  # the (1,1)-hook has length 5
+    # the Gram matrix of S^(n-1,1) is I + J, of determinant n
+    for n in range(3, 13):
+        for p in (2, 3, 5, 7):
+            assert gram_irreducibility((n - 1, 1), p) == (n % p != 0), (n, p)
+
+
+def test_gram_criterion_matches_hand_gram_matrix():
+    """The Gram matrix of the hand-built polytabloids, ranked by textbook
+    Gauss-Jordan, for every shape with n <= 6."""
+    for n in range(1, 7):
+        for shape in partitions_by_recursion(n):
+            vecs = polytabloids_by_hand(shape)
+            gram = [[sum(c * v.get(t, 0) for t, c in u.items()) for v in vecs] for u in vecs]
+            for p in (2, 3, 5):
+                want = len(gauss_jordan(gram, len(vecs), p)[1]) == len(vecs)
+                assert gram_irreducibility(shape, p) == want, (shape, p)
 
 
 def test_multinomial_and_fixed_space_agree():
