@@ -274,7 +274,12 @@ class PermBasis:
     def act(self, g: Perm) -> np.ndarray:
         """g on the basis as an index array: img[j] is the position of g t_j,
         whose entry g[x] sits in the row of entry x of t_j."""
-        return self.index_of(self.words[:, np.argsort(np.asarray(g, dtype=np.intp))])
+        g = np.asarray(g, dtype=np.intp)
+        if g.shape != (self.n,):
+            raise ValueError(
+                f"a permutation of degree {len(g)} cannot act on the tabloids of {self.shape}, of degree {self.n}"
+            )
+        return self.index_of(self.words[:, np.argsort(g)])
 
 
 def shape_from_tail(n: int, tail) -> Partition:

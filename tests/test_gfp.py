@@ -30,11 +30,11 @@ PRIMES = [2, 3, 7, 65521, 2147483659]
 
 
 def _known_rank(rng, m, n, r, p):
-    """An m x n matrix of rank exactly r: [I; X] @ [I | Y] with rows and
-    columns shuffled."""
-    left = np.concatenate([np.eye(r, dtype=np.int64), rng.integers(0, p, (m - r, r))])
-    right = np.concatenate([np.eye(r, dtype=np.int64), rng.integers(0, p, (r, n - r))], axis=1)
-    a = matmul_mod(left, right, p)
+    """An m x n matrix of rank exactly r: [I; X] @ [I | Y] = [I, Y; X, XY]
+    with rows and columns shuffled."""
+    x = rng.integers(0, p, (m - r, r))
+    y = rng.integers(0, p, (r, n - r))
+    a = np.block([[np.eye(r, dtype=np.int64), y], [x, matmul_mod(x, y, p)]])
     return a[rng.permutation(m)][:, rng.permutation(n)]
 
 
@@ -139,6 +139,38 @@ def test_delayed_reduction_matches_reference():
         _assert_matches_reference(_swap_heavy(rng, 100, 80, p), p)
         _assert_matches_reference(_swap_heavy(rng, 70, 110, p), p)
         _assert_matches_reference(_known_rank(rng, 80, 90, 60, p), p)
+
+
+# adjacent primes on either side of the exact range of the float32 and the
+# float64 storage of the elimination core: _PANEL (p - 1)^2 against 2^24 and 2^53
+STORAGE_PRIMES = {509: np.float32, 521: np.float64, 11863279: np.float64, 11863289: np.int64}
+
+
+@pytest.mark.parametrize("p", sorted(STORAGE_PRIMES))
+def test_storage_tiers_match_reference(p):
+    """Shapes past several panels, with many row swaps and with a known rank,
+    at the primes next to each storage limit.  At 509 and 11863279 one full
+    panel product nearly fills the exact range, so the matrix is reduced
+    after every panel; unreduced, the 420 x 400 matrix there would leave it
+    after about four panels.  That one is too large for the reference
+    elimination and is checked by its known rank and exact identities."""
+    assert gfp._exact_type(gfp._PANEL * (p - 1) ** 2)[0] is STORAGE_PRIMES[p]
+    rng = np.random.default_rng(p % 1000)
+    _assert_matches_reference(_swap_heavy(rng, 150, 140, p), p)
+    _assert_matches_reference(_swap_heavy(rng, 90, 200, p), p)
+    _assert_matches_reference(_known_rank(rng, 200, 150, 130, p), p)
+    if p not in (509, 11863279):
+        return
+    a = _known_rank(rng, 420, 400, 330, p)
+    red, pivots = rref(a, p)
+    assert rank(a, p) == len(pivots) == 330 and pivots == sorted(pivots)
+    assert np.array_equal(red[:, pivots], np.eye(330, dtype=np.int64))
+    assert all(not red[i, : pivots[i]].any() for i in range(330))
+    # a = a[:, pivots] red and a ker^T = 0, checked on random vectors
+    v, w = rng.integers(0, p, (400, 4)), rng.integers(0, p, (4, 420))
+    assert np.array_equal(matmul_mod(a[:, pivots], matmul_mod(red, v, p), p), matmul_mod(a, v, p))
+    ker = kernel(a, p)
+    assert ker.dim == 70 and not np.any(matmul_mod(matmul_mod(w, a, p), ker.basis.T, p))
 
 
 @pytest.mark.parametrize("limit", [2**24, 2**53])

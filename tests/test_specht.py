@@ -144,6 +144,22 @@ def test_act_matches_moving_entries():
                 assert img[j] == index[tuple(moved)]
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda spec: orbit_count(spec, perm_basis((4, 3))),
+        lambda spec: orbit_basis(spec, perm_basis((4, 3))),
+        lambda spec: z_invariant_dim(3, 7, 3, spec),
+        lambda spec: dual_specht_invariant_dim((2, 1, 1, 1, 1, 1), 3, spec),
+    ],
+    ids=["orbit_count", "orbit_basis", "z_invariant_dim", "dual_specht_invariant_dim"],
+)
+def test_wrong_subgroup_degree_is_a_value_error(call):
+    """W(2,4) permutes 8 points and cannot act on tabloids with 7 entries."""
+    with pytest.raises(ValueError, match="degree 8 .* degree 7"):
+        call(wreath(2, 4))
+
+
 def test_orbit_count_is_a_contingency_count():
     """S_mu has as many orbits on shape-lambda tabloids as there are
     matrices with row sums mu and column sums lambda."""
