@@ -55,7 +55,6 @@ from .specht import (
     orbit_count,
     perm_basis,
     polytabloid_matrix,
-    specht_perp,
     wilson_rank,
     z_invariant_dim,
 )

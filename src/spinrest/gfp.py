@@ -313,44 +313,3 @@ class GFpMatrix:
 
     def rank(self) -> int:
         return rank(self.array, self.p)
-
-
-
-def fixed_space(mats, dim: int, p: int) -> Subspace:
-    """Common fixed vectors of the given square matrices: the intersection of
-    kernel(G - I); the full space when no generators are given."""
-    mats = list(mats)
-    if not mats:
-        return Subspace(dim, np.eye(dim, dtype=np.int64), p)
-    blocks = []
-    for g in mats:
-        g = np.mod(np.asarray(g, dtype=np.int64), p)
-        if g.shape != (dim, dim):
-            raise ValueError(f"generator shape {g.shape} != ({dim}, {dim})")
-        blocks.append((g - np.eye(dim, dtype=np.int64)) % p)
-    return kernel(np.concatenate(blocks, axis=0), p)
-
-
-def quotient_action(g, w: Subspace) -> np.ndarray:
-    """Matrix induced on ambient/W, in the coordinates of W's non-pivot
-    columns, by the coordinate permutation g (coordinate j goes to g[j]);
-    raises if g does not stabilize W.
-
-    The projection to ambient/W is the identity on the free columns and
-    -basis[:, free] on the pivots; the quotient matrix gathers its columns
-    at the images of the free coordinates."""
-    p, n = w.p, w.ambient
-    g = np.asarray(g, dtype=np.intp)
-    if g.shape != (n,) or not np.array_equal(np.sort(g), np.arange(n)):
-        raise ValueError(f"generator must be a permutation of {n} coordinates")
-    pivots = list(w.pivots)
-    free = np.setdiff1d(np.arange(n), pivots)
-    image = w.basis[:, np.argsort(g)]  # rows are g * basis vectors
-    # in RREF the residue modulo W vanishes on the pivot columns identically
-    residue = (image[:, free] - matmul_mod(image[:, pivots], w.basis[:, free], p)) % p
-    if np.any(residue):
-        raise ValueError("subspace is not stable under the generator")
-    proj = np.zeros((len(free), n), dtype=np.int64)
-    proj[np.arange(len(free)), free] = 1
-    proj[:, pivots] = (-w.basis[:, free].T) % p
-    return proj[:, g[free]]

@@ -7,8 +7,9 @@ Permutations are 0-indexed image tuples.  A tabloid of shape
 with row 1 labelled 0, so label a occurs l_{a+1} times.  A basis lists these
 words in lexicographic word order, and a word's index is its multinomial
 rank, computed in closed form.  A permutation acts on a basis as one index
-array (image of each tabloid), so orbits, polytabloids and quotient actions
-are gathers and scatters on integer arrays, and matrices are reproducible.
+array (image of each tabloid), so orbits, polytabloids and the blocks of
+the dual Specht action are gathers and scatters on integer arrays, and
+matrices are reproducible.
 """
 
 import os
@@ -19,7 +20,7 @@ from math import comb, factorial, prod
 
 import numpy as np
 
-from .gfp import GFpMatrix, Subspace, fixed_space, kernel, matmul_mod, quotient_action, rank
+from .gfp import GFpMatrix, kernel, matmul_mod, rank
 from .partitions import Partition, check_partition
 
 Perm = tuple[int, ...]
@@ -390,6 +391,13 @@ def standard_tableaux(shape: Partition) -> list[tuple[tuple[int, ...], ...]]:
     return out
 
 
+def _cell_of_entry(shape: Partition) -> np.ndarray:
+    """cell_of[t, x]: the cell, in row-reading order, that holds entry x of
+    the t-th standard tableau."""
+    cells = np.array([sum(t, ()) for t in standard_tableaux(shape)], dtype=np.intp)
+    return np.argsort(cells, axis=1)
+
+
 def _column_table(shape: Partition) -> tuple[np.ndarray, np.ndarray]:
     """The column stabiliser of the diagram as (labels, signs).  Cells are
     numbered in row-reading order; labels[pi, i] is the row of the cell that
@@ -423,35 +431,12 @@ def polytabloid_matrix(shape: Partition, p: int) -> GFpMatrix:
     shape = check_partition(shape)
     basis = perm_basis(shape)
     labels, signs = _column_table(shape)
-    cells = np.array([sum(t, ()) for t in standard_tableaux(shape)], dtype=np.intp)
-    cell_of = np.argsort(cells, axis=1)  # cell_of[t, x]: the cell holding entry x
-    mat = np.zeros((len(basis), len(cells)), dtype=np.int64)
-    for lo in range(0, len(cells), _TABLEAU_CHUNK):
+    cell_of = _cell_of_entry(shape)
+    mat = np.zeros((len(basis), len(cell_of)), dtype=np.int64)
+    for lo in range(0, len(cell_of), _TABLEAU_CHUNK):
         block = cell_of[lo : lo + _TABLEAU_CHUNK]
         mat[basis.index_of(labels[:, block]), np.arange(lo, lo + len(block))] = signs[:, None] % p
     return GFpMatrix(mat, p)
-
-
-def specht_perp(shape: Partition, p: int) -> Subspace:
-    """(S^shape)^perp in M^shape under the standard tabloid pairing: the
-    kernel of the transposed polytabloid matrix.  For two-row shapes this is
-    the radical Z_k with M_k / Z_k = S_k^*.
-
-    A shape that cannot fit in physical memory is refused before anything is
-    allocated.  With m tabloids and d = dim S^shape, the kernel and the
-    quotient actions hold about four int64 copies of the (m - d) x m kernel
-    basis next to the m x d polytabloid matrix."""
-    shape = check_partition(shape)
-    m = factorial(sum(shape)) // prod(factorial(part) for part in shape)
-    d = hook_dimension(shape)
-    need, have = 8 * (4 * m * (m - d) + m * d), os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise ValueError(
-            f"(S^{shape})^perp needs about {need / 1e9:,.1f} GB (m = {m} tabloids, dim S = {d}), "
-            f"more than the {have / 1e9:,.1f} GB of physical memory"
-        )
-    e = polytabloid_matrix(shape, p)
-    return kernel(e.array.T, p)
 
 
 def gram_irreducibility(shape: Partition, p: int) -> bool:
@@ -469,15 +454,47 @@ def gram_irreducibility(shape: Partition, p: int) -> bool:
 
 def dual_specht_invariant_dim(shape: Partition, p: int, spec: SubgroupSpec) -> int:
     """dim of the H-fixed vectors on the dual Specht module
-    M^shape / (S^shape)^perp."""
+    M^shape / (S^shape)^perp.
+
+    v -> E^T v identifies the quotient with GF(p)^d, E the m x d polytabloid
+    matrix.  In the polytabloid of a standard tableau t the tabloid {t} has
+    coefficient 1 and every other tabloid lies below {t} in dominance
+    (James, LNM 682, section 8), so the rows E[J] at the standard tabloids
+    form an invertible d x d block and their classes are a basis of the
+    quotient.  The class of sum_j y_j {t_j} is fixed by g iff
+    (E[g(J)] - E[J])^T y = 0: the fixed classes are the kernel of these
+    d x d blocks stacked over the generators.
+
+    A subgroup of another degree, and a shape whose E, stacked blocks and
+    elimination copies cannot fit in physical memory, are refused before
+    anything is allocated."""
     shape = check_partition(shape)
-    w = specht_perp(shape, p)
+    n = sum(shape)
+    if spec.n != n:
+        raise ValueError(f"subgroup {spec} has degree {spec.n} and cannot act on the tabloids of {shape}, of degree {n}")
+    gens = generators(spec)
+    m = factorial(n) // prod(factorial(part) for part in shape)
+    d = hook_dimension(shape)
+    # E next to the stacked blocks, then the blocks next to the elimination's
+    # copy of them and its panel products
+    need = 8 * (m * d + 3 * len(gens) * d * d)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(
+            f"(S^{shape})^* needs about {need / 1e9:,.1f} GB (m = {m} tabloids, dim S = {d}), "
+            f"more than the {have / 1e9:,.1f} GB of physical memory"
+        )
     basis = perm_basis(shape)
-    quotients = []
-    for g in generators(spec):
-        quotients.append(quotient_action(basis.act(g), w))
-    qdim = len(basis) - w.dim
-    return fixed_space(quotients, qdim, p).dim
+    row_of_cell = np.repeat(np.arange(len(shape), dtype=np.int8), shape)
+    standard = basis.index_of(row_of_cell[_cell_of_entry(shape)])
+    e = polytabloid_matrix(shape, p).array
+    blocks = np.empty((len(gens) * d, d), dtype=np.int64)
+    for i, g in enumerate(gens):
+        block = blocks[i * d : (i + 1) * d].T
+        np.subtract(e[basis.act(g)[standard]], e[standard], out=block)
+        block %= p
+    del e  # not needed while the blocks are eliminated
+    return kernel(blocks, p).dim
 
 
 def z_invariant_dim(k: int, n: int, p: int, spec: SubgroupSpec) -> tuple[int, int, bool]:

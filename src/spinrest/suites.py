@@ -351,7 +351,10 @@ def run_trp(wide: bool = False) -> dict:
 @_suite("inv42")
 def run_inv42(wide: bool = False) -> dict:
     """The alternating orbit-count identities for (n-6,4,2) / (n-6,2^3) and
-    the Gram irreducibility of S^(6,4,2) mod 3."""
+    the Gram irreducibility of S^(6,4,2) mod 3.  The wide grid also finds
+    the value 1 of the identities as dim (S^alpha*)^W on the Specht modules
+    themselves: S^(6,4,2) mod 3 and S^(4,2,2,2) mod 5 are irreducible, so
+    self-dual."""
     checks, bad = 0, []
     got = orbit_identity_check_inv42(6, 3)
     checks += 1
@@ -364,6 +367,11 @@ def run_inv42(wide: bool = False) -> dict:
     checks += 1
     if not gram_irreducibility((6, 4, 2), 3):
         bad.append({"case": "Gram S^(6,4,2) mod 3", "got": "singular", "want": "nonsingular"})
+    for shape, p, b in (((6, 4, 2), 3, 6), ((4, 2, 2, 2), 5, 5)) if wide else ():
+        got = dual_specht_invariant_dim(shape, p, wreath(2, b))
+        checks += 1
+        if got != 1:
+            bad.append({"case": f"(S^{shape}*)^W(2,{b}) mod {p}", "got": got, "want": 1})
     return _result("inv42", checks, bad)
 
 

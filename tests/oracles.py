@@ -1,13 +1,19 @@
 """Independent brute-force oracles used to freeze expected values.
 
 Everything here works directly on node sets / literal definitions and avoids
-the package's row-arithmetic code paths, so agreement is meaningful.
+the package's row-arithmetic code paths, so agreement is meaningful.  The
+one exception is the last section: the quotient route to dual Specht
+invariants, which uses the package's elimination on other matrices than the
+route it checks.
 """
 
 from collections import defaultdict
 from itertools import permutations
 
 import numpy as np
+
+from spinrest.gfp import Subspace, kernel, matmul_mod
+from spinrest.specht import generators, perm_basis, polytabloid_matrix
 
 Node = tuple[int, int]
 
@@ -292,3 +298,93 @@ def quotient_projection(w) -> np.ndarray:
         for r, c in enumerate(w.pivots):
             proj[k, c] = -w.basis[r, f] % w.p
     return proj
+
+
+# ---------------------------------------------------------------------------
+# Dual Specht invariants through the kernel of E^T and quotient matrices
+# ---------------------------------------------------------------------------
+
+
+def specht_perp(shape, p: int):
+    """(S^shape)^perp in M^shape under the standard tabloid pairing: the
+    kernel of the transposed polytabloid matrix, a dense (m - d) x m basis.
+    For two-row shapes this is the radical Z_k with M_k / Z_k = S_k^*."""
+    return kernel(polytabloid_matrix(shape, p).array.T, p)
+
+
+def fixed_space(mats, dim: int, p: int):
+    """Common fixed vectors of the given square matrices: the intersection of
+    kernel(G - I); the full space when no generators are given."""
+    mats = list(mats)
+    if not mats:
+        return Subspace(dim, np.eye(dim, dtype=np.int64), p)
+    blocks = []
+    for g in mats:
+        g = np.mod(np.asarray(g, dtype=np.int64), p)
+        if g.shape != (dim, dim):
+            raise ValueError(f"generator shape {g.shape} != ({dim}, {dim})")
+        blocks.append((g - np.eye(dim, dtype=np.int64)) % p)
+    return kernel(np.concatenate(blocks, axis=0), p)
+
+
+def quotient_action(g, w) -> np.ndarray:
+    """Matrix induced on ambient/W, in the coordinates of W's non-pivot
+    columns, by the coordinate permutation g (coordinate j goes to g[j]);
+    raises if g does not stabilize W.
+
+    The projection to ambient/W is the identity on the free columns and
+    -basis[:, free] on the pivots; the quotient matrix gathers its columns
+    at the images of the free coordinates."""
+    p, n = w.p, w.ambient
+    g = np.asarray(g, dtype=np.intp)
+    if g.shape != (n,) or not np.array_equal(np.sort(g), np.arange(n)):
+        raise ValueError(f"generator must be a permutation of {n} coordinates")
+    pivots = list(w.pivots)
+    free = np.setdiff1d(np.arange(n), pivots)
+    image = w.basis[:, np.argsort(g)]  # rows are g * basis vectors
+    # in RREF the residue modulo W vanishes on the pivot columns identically
+    residue = (image[:, free] - matmul_mod(image[:, pivots], w.basis[:, free], p)) % p
+    if np.any(residue):
+        raise ValueError("subspace is not stable under the generator")
+    proj = np.zeros((len(free), n), dtype=np.int64)
+    proj[np.arange(len(free)), free] = 1
+    proj[:, pivots] = (-w.basis[:, free].T) % p
+    return proj[:, g[free]]
+
+
+def dual_specht_invariant_dim_by_quotients(shape, p: int, spec) -> int:
+    """dim (M^shape / (S^shape)^perp)^H as the common fixed space of the
+    generators' matrices on the quotient by the full perp basis."""
+    w = specht_perp(shape, p)
+    basis = perm_basis(shape)
+    mats = [quotient_action(basis.act(g), w) for g in generators(spec)]
+    return fixed_space(mats, len(basis) - w.dim, p).dim
+
+
+def dual_specht_invariant_dim_by_hand(shape, p: int, gens) -> int:
+    """dim (M / S^perp)^H = d - rank of the stacked maps v -> E^T (g v - v),
+    on hand-built polytabloids (tabloids as tuples of sorted rows) ranked by
+    gauss_jordan; for small shapes only."""
+    polys = polytabloids_by_hand(shape)
+    tabloids = _all_tabloids(shape)
+    rows = []
+    for g in gens:
+        for vec in polys:
+            row = [0] * len(tabloids)
+            for j, t in enumerate(tabloids):
+                moved = tuple(tuple(sorted(g[x] for x in r)) for r in t)
+                row[j] = (vec.get(moved, 0) - vec.get(t, 0)) % p
+            rows.append(row)
+    return len(polys) - len(gauss_jordan(rows, len(tabloids), p)[1])
+
+
+def _all_tabloids(shape) -> list:
+    """Every tabloid of the shape, as a tuple of sorted rows."""
+    out = set()
+    for filling in permutations(range(sum(shape))):
+        rows, start = [], 0
+        for part in shape:
+            rows.append(tuple(sorted(filling[start : start + part])))
+            start += part
+        out.add(tuple(rows))
+    return sorted(out)

@@ -160,7 +160,7 @@ def test_reg_huge_odd_prime():
 
 
 def test_invariants_refuses_shapes_beyond_memory():
-    """m = 12!/2 tabloids: the dense (S^λ)^perp basis would need about 1.8e9 GB,
+    """m = 12!/2 tabloids: the polytabloid matrix alone would need about 21 GB,
     and the refusal comes before any tabloid basis is built."""
     code, out, err = run_cli("invariants", "--shape", "(2,1,1,1,1,1,1,1,1,1,1)", "--p", "3", "--subgroup", "W(2,6)")
     assert code == 2 and out == ""

@@ -5,19 +5,19 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     closure,
     contains,
+    fixed_space,
     gauss_jordan,
     inverse_by_hand,
     kernel_by_hand,
     perm_matrix,
+    quotient_action,
     quotient_projection,
 )
 from spinrest import gfp
 from spinrest.gfp import (
     GFpMatrix,
-    fixed_space,
     kernel,
     matmul_mod,
-    quotient_action,
     rank,
     rref,
     subspace_from_rows,

@@ -8,14 +8,19 @@ from itertools import combinations, permutations
 from oracles import (
     closure,
     contingency_count,
+    dual_specht_invariant_dim_by_hand,
+    dual_specht_invariant_dim_by_quotients,
+    fixed_space,
     gauss_jordan,
     partitions_by_recursion,
     perm_matrix,
     polytabloids_by_hand,
     residue,
+    specht_perp,
 )
 from spinrest.gfp import matmul_mod
 from spinrest.specht import (
+    SubgroupSpec,
     alt_young,
     dual_specht_invariant_dim,
     eta,
@@ -29,7 +34,6 @@ from spinrest.specht import (
     perm_sign,
     polytabloid_matrix,
     shape_from_tail,
-    specht_perp,
     standard_tableaux,
     subset_basis,
     wilson_rank,
@@ -260,16 +264,33 @@ def test_specht_perp_dims():
     assert specht_perp((4, 2), 3).dim == 15 - 9
 
 
-def test_specht_perp_refuses_beyond_physical_memory(monkeypatch):
-    """With 102 MB of physical memory, (5,3,2) (about 176 MB) is refused
-    before anything is allocated and (4,2,2) (about 5 MB) still runs."""
+def _unreachable(*args):
+    raise AssertionError("the request should have been refused before this call")
+
+
+def test_dual_specht_refuses_beyond_physical_memory(monkeypatch):
+    """With 1 GB of physical memory, (6,4,2) under W(2,6) (E and six
+    2673 x 2673 blocks, about 1.3 GB) is refused before any basis or matrix
+    is built, and (5,3,2) under W(2,5) (about 33 MB) still runs."""
     from spinrest import specht
 
-    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 25_000}
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 250_000}
     monkeypatch.setattr(specht.os, "sysconf", pages.__getitem__)
-    with pytest.raises(ValueError, match=r"needs about 0\.2 GB \(m = 2520 tabloids, dim S = 450\)"):
-        specht_perp((5, 3, 2), 3)
-    assert specht_perp((4, 2, 2), 3).dim == 420 - 56
+    with monkeypatch.context() as patch:
+        patch.setattr(specht, "perm_basis", _unreachable)
+        patch.setattr(specht, "polytabloid_matrix", _unreachable)
+        with pytest.raises(ValueError, match=r"needs about 1\.3 GB \(m = 13860 tabloids, dim S = 2673\)"):
+            dual_specht_invariant_dim((6, 4, 2), 3, wreath(2, 6))
+    assert dual_specht_invariant_dim((5, 3, 2), 3, wreath(2, 5)) == 0
+
+
+def test_dual_specht_checks_the_degree_first(monkeypatch):
+    """A subgroup of the wrong degree is refused before E is built."""
+    from spinrest import specht
+
+    monkeypatch.setattr(specht, "polytabloid_matrix", _unreachable)
+    with pytest.raises(ValueError, match=r"degree 10 .* \(6, 4, 2\), of degree 12"):
+        dual_specht_invariant_dim((6, 4, 2), 3, wreath(2, 5))
 
 
 def test_specht_perp_stable_under_symmetric_group():
@@ -282,11 +303,69 @@ def test_specht_perp_stable_under_symmetric_group():
 
 
 def test_dual_specht_trivial_subgroup_dimension():
-    from spinrest.specht import SubgroupSpec
-
     for n in (6, 8):
         triv = SubgroupSpec("trivial", n)
         assert dual_specht_invariant_dim((n - 2, 2), 3, triv) == n * (n - 3) // 2
+
+
+def _every_kind(n: int) -> list:
+    """One subgroup of each kind for even n, both index-2 variants included."""
+    b = n // 2
+    return [
+        young(n, (n - 2, 2)),
+        alt_young(n, (b, n - b)),
+        wreath(2, b),
+        wreath(b, 2),
+        wreath_alt(2, b),
+        wreath_alt(b, 2),
+        index2_wr_b2(1, b),
+        index2_wr_b2(2, b),
+        SubgroupSpec("full_sym", n),
+        SubgroupSpec("full_alt", n),
+        SubgroupSpec("trivial", n),
+    ]
+
+
+def test_dual_specht_matches_quotient_route():
+    """The d x d standard-tabloid blocks against the fixed space of the
+    quotient matrices on M / (S^perp), for every subgroup kind: every shape
+    of 6 at p = 2 and 3, and the shapes of 8 with at most 420 tabloids at
+    p = 2 or 5."""
+    kinds = {spec.kind for spec in _every_kind(6)}
+    assert kinds == {"young", "alt_young", "wreath", "wreath_alt", "index2_wr_b2", "full_sym", "full_alt", "trivial"}
+    for shape in partitions_by_recursion(6):
+        for p in (2, 3):
+            for spec in _every_kind(6):
+                want = dual_specht_invariant_dim_by_quotients(shape, p, spec)
+                assert dual_specht_invariant_dim(shape, p, spec) == want, (shape, p, str(spec))
+    for shape in partitions_by_recursion(8):
+        if len(perm_basis(shape)) > 420:
+            continue
+        for i, spec in enumerate(_every_kind(8)):
+            p = (2, 5)[i % 2]
+            want = dual_specht_invariant_dim_by_quotients(shape, p, spec)
+            assert dual_specht_invariant_dim(shape, p, spec) == want, (shape, p, str(spec))
+
+
+def test_dual_specht_matches_hand_polytabloids():
+    """d - rank of the maps v -> E^T (g v - v), on polytabloids built from all
+    fillings and ranked by textbook Gauss-Jordan, for every shape with
+    n <= 5."""
+    for n in range(1, 6):
+        specs = [SubgroupSpec("full_sym", n), SubgroupSpec("full_alt", n), SubgroupSpec("trivial", n)]
+        specs += [young(n, (n - 1, 1))] if n > 1 else []
+        for shape in partitions_by_recursion(n):
+            for p in (2, 3, 5):
+                for spec in specs:
+                    want = dual_specht_invariant_dim_by_hand(shape, p, generators(spec))
+                    assert dual_specht_invariant_dim(shape, p, spec) == want, (shape, p, str(spec))
+
+
+def test_dual_specht_4222_under_w25_mod_5():
+    """S^(4,2,2,2) is irreducible mod 5 and so self-dual: the invariant
+    dimension is dim (D^alpha)^W, which the p = 5 orbit identity of inv42
+    puts at 1."""
+    assert dual_specht_invariant_dim((4, 2, 2, 2), 5, wreath(2, 5)) == 1
 
 
 def test_dual_specht_parity_pattern_large_p():
@@ -369,8 +448,6 @@ def test_gram_criterion_matches_hand_gram_matrix():
 def test_multinomial_and_fixed_space_agree():
     """dim M^shape is the tabloid count and the H-fixed dimension matches the
     orbit count through the actual matrices."""
-    from spinrest.gfp import fixed_space
-
     shape, p = (4, 2, 1), 3
     basis = perm_basis(shape)
     assert len(basis) == factorial(7) // (factorial(4) * factorial(2))
