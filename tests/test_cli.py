@@ -160,11 +160,12 @@ def test_reg_huge_odd_prime():
 
 
 def test_invariants_refuses_shapes_beyond_memory():
-    """m = 12!/2 tabloids: the polytabloid matrix alone would need about 21 GB,
-    and the refusal comes before any tabloid basis is built."""
-    code, out, err = run_cli("invariants", "--shape", "(2,1,1,1,1,1,1,1,1,1,1)", "--p", "3", "--subgroup", "W(2,6)")
+    """m = 16!/2 tabloids: the tabloid basis alone would need petabytes, more
+    than any host has, and the refusal comes before it is built."""
+    shape = "(" + ",".join(["2"] + ["1"] * 14) + ")"
+    code, out, err = run_cli("invariants", "--shape", shape, "--p", "3", "--subgroup", "W(2,8)")
     assert code == 2 and out == ""
-    assert "m = 239500800 tabloids" in err and "GB of physical memory" in err
+    assert "m = 10461394944000 tabloids" in err and "GB of physical memory" in err
 
 
 def test_internal_errors_exit_3(monkeypatch, capsys):

@@ -284,6 +284,60 @@ def test_dual_specht_refuses_beyond_physical_memory(monkeypatch):
     assert dual_specht_invariant_dim((5, 3, 2), 3, wreath(2, 5)) == 0
 
 
+def test_dual_specht_counts_the_tabloid_basis_against_memory(monkeypatch):
+    """(1^12) under W(2,6) has d = 1, so E and the blocks take under 4 GB,
+    but its 12! tabloids and column permutations need far more: with 8 GB
+    of physical memory it is refused before any basis is built."""
+    from spinrest import specht
+
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2_000_000}
+    monkeypatch.setattr(specht.os, "sysconf", pages.__getitem__)
+    monkeypatch.setattr(specht, "perm_basis", _unreachable)
+    monkeypatch.setattr(specht, "polytabloid_matrix", _unreachable)
+    with pytest.raises(ValueError, match=r"\(m = 479001600 tabloids, dim S = 1\), more than the 8\.2 GB"):
+        dual_specht_invariant_dim((1,) * 12, 3, wreath(2, 6))
+
+
+@pytest.mark.parametrize(
+    "shape, spec",
+    [((2, 1, 1, 1, 1, 1, 1, 1), young(9, (3, 3, 3))), ((2, 2, 2, 1, 1, 1), young(9, (9,))), ((3, 3, 2, 1), wreath(3, 3))],
+)
+def test_dual_specht_memory_bound_holds(shape, spec):
+    """The bytes the refusal is based on cover what the computation
+    allocates, tabloid basis included, as traced by tracemalloc."""
+    import tracemalloc
+
+    from spinrest import specht
+
+    n = sum(shape)
+    m = factorial(n) // np.prod([factorial(part) for part in shape])
+    bound = specht._dual_specht_bytes(shape, m, hook_dimension(shape), len(generators(spec)))
+    specht.perm_basis.cache_clear()
+    tracemalloc.start()
+    try:
+        dual_specht_invariant_dim(shape, 3, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
+
+
+def test_orbits_refuse_beyond_physical_memory(monkeypatch):
+    """Orbit labels need two int64 index arrays per generator over the
+    tabloids, and orbit sums an (orbits x m) matrix; both are refused when
+    they exceed physical memory."""
+    from spinrest import specht
+
+    basis = perm_basis((3, 3, 2, 1))
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 100}
+    monkeypatch.setattr(specht.os, "sysconf", pages.__getitem__)
+    with pytest.raises(ValueError, match=r"the orbits of S\(9,\) needs about .* \(m = 5040 tabloids\)"):
+        orbit_count(young(9, (9,)), basis)
+    pages["SC_PHYS_PAGES"] = 2_000
+    with pytest.raises(ValueError, match=r"orbit sums of S\(2, 2, 2, 2, 1\) .* \(644 orbits on m = 5040 tabloids\)"):
+        orbit_basis(young(9, (2, 2, 2, 2, 1)), basis)
+
+
 def test_dual_specht_checks_the_degree_first(monkeypatch):
     """A subgroup of the wrong degree is refused before E is built."""
     from spinrest import specht
