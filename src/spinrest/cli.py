@@ -8,6 +8,7 @@ key, and verify violations stream as JSON.
 
 import argparse
 import json
+import re
 import sys
 
 from . import labels as lb
@@ -53,6 +54,15 @@ def _emit(payload: dict, fmt: str, text_lines) -> None:
             print(line)
 
 
+def _spec_ints(s: str, prefix: str, form: str, count: int | None = None) -> tuple[int, ...]:
+    """The integers of a subgroup spec prefix(x,y,...), or a ValueError that
+    names the spec and the expected form."""
+    body = s[len(prefix) :]
+    if not re.fullmatch(r"\(\d+(,\d+)*\)", body.replace(" ", "")) or count not in (None, body.count(",") + 1):
+        raise ValueError(f"cannot parse subgroup {s!r}: expected {form}")
+    return tuple(int(x) for x in body[1:-1].split(","))
+
+
 def parse_subgroup(text: str, n: int) -> object:
     """Parse a subgroup spec: S(n-k,k), A(n-1,1), W(a,b), WA(a,b), I2(v,b),
     prim:NAME, tab2:ROW."""
@@ -60,20 +70,22 @@ def parse_subgroup(text: str, n: int) -> object:
     if s.startswith("prim:"):
         return PrimitiveCase(s[5:], n)
     if s.startswith("tab2:"):
-        return TableIICase(int(s[5:].lstrip("row")))
+        row = s[5:].lstrip("row")
+        if not row.isdigit():
+            raise ValueError(f"cannot parse subgroup {s!r}: expected tab2:ROW")
+        return TableIICase(int(row))
     if s in ("Sn", "full"):
         return SubgroupSpec("full_sym", n)
     if s == "An":
         return SubgroupSpec("full_alt", n)
     for prefix, builder in (("WA", wreath_alt), ("W", wreath), ("I2", index2_wr_b2)):
         if s.startswith(prefix + "("):
-            a, b = (int(x) for x in s[len(prefix) + 1 : -1].split(","))
-            spec = builder(a, b)
+            spec = builder(*_spec_ints(s, prefix, f"{prefix}(a,b)", 2))
             if spec.n != n:
                 raise ValueError(f"subgroup {s} acts on {spec.n} points, but n = {n}")
             return spec
     if s.startswith(("S(", "A(")):
-        blocks = tuple(int(x) for x in s[2:-1].split(","))
+        blocks = _spec_ints(s, s[0], f"{s[0]}(b1,...,bk)")
         return (young if s[0] == "S" else alt_young)(n, blocks)
     raise ValueError(f"cannot parse subgroup {text!r}")
 

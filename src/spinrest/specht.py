@@ -5,11 +5,11 @@ k-subset bases.
 Permutations are 0-indexed image tuples.  A tabloid of shape
 (l_1, ..., l_r) is one word of row labels: word[x] is the row of entry x,
 with row 1 labelled 0, so label a occurs l_{a+1} times.  A basis lists these
-words in lexicographic word order, and a word's index is its multinomial
-rank, computed in closed form.  A permutation acts on a basis as one index
-array (image of each tabloid), so orbits, polytabloids and the blocks of
-the dual Specht action are gathers and scatters on integer arrays, and
-matrices are reproducible.
+words in lexicographic word order, and a word's index is found by binary
+search among them, each word read as one n-byte key.  A permutation acts
+on a basis as one index array (image of each tabloid), so orbits,
+polytabloids and the blocks of the dual Specht action are gathers and
+scatters on integer arrays, and matrices are reproducible.
 """
 
 import os
@@ -254,23 +254,17 @@ class PermBasis:
         return self.words.shape[0]
 
     def index_of(self, words) -> np.ndarray:
-        """Positions in the basis of a batch of words (shape (..., n)): their
-        multinomial lexicographic rank.  If `count` words continue the prefix
-        before position x, then count * below / (n - x) of them put a smaller
-        label at x, where `below` counts the later entries with a smaller
-        label, and count * here / (n - x) put the same label."""
+        """Positions in the basis of a batch of words (shape (..., n)), by
+        binary search.  Each word is one n-byte key: labels are non-negative
+        int8 and all words have length n, so bytewise order is lexicographic
+        word order, the order of the basis.  The words must be tabloids of
+        this shape; any other word gets a meaningless position."""
         words = np.asarray(words)
-        batch = words.shape[:-1]
-        cols = np.ascontiguousarray(words.reshape(int(np.prod(batch)), self.n).T)
-        count = np.full(cols.shape[1], len(self), dtype=np.int64)
-        out = np.zeros(cols.shape[1], dtype=np.int64)
-        for x in range(self.n - 1):  # the last label is forced
-            rest = cols[x + 1 :]
-            below = np.count_nonzero(rest < cols[x], axis=0)
-            here = np.count_nonzero(rest == cols[x], axis=0) + 1
-            out += count * below // (self.n - x)
-            count = count * here // (self.n - x)
-        return out.astype(np.intp).reshape(batch)
+        if self.n == 0:  # one empty tabloid, and no zero-byte key type
+            return np.zeros(words.shape[:-1], dtype=np.intp)
+        key = f"S{self.n}"
+        keys = np.ascontiguousarray(words, np.int8).view(key)[..., 0]
+        return np.searchsorted(self.words.view(key)[:, 0], keys)
 
     def act(self, g: Perm, at=None) -> np.ndarray:
         """g on the basis as an index array: img[j] is the position of g t_j,
@@ -295,11 +289,27 @@ def shape_from_tail(n: int, tail) -> Partition:
     return check_partition(sorted((first,) + tail, reverse=True))
 
 
+def _tabloid_count(shape: Partition) -> int:
+    """m = n! / prod(l_i!), the number of tabloids of the shape."""
+    return factorial(sum(shape)) // prod(factorial(part) for part in shape)
+
+
+def _basis_bytes(shape: Partition, m: int) -> int:
+    """Bytes of perm_basis at its last level: the old, gathered and extended
+    words, two copies of the row counts left, and three int64 index arrays."""
+    count_bytes = np.min_scalar_type(max(shape, default=0)).itemsize
+    return m * (3 * sum(shape) + 2 * len(shape) * count_bytes + 24)
+
+
 @lru_cache(maxsize=512)
 def perm_basis(shape: Partition) -> PermBasis:
     """All tabloids of the given shape as row-label words, in lex order: each
-    level extends every prefix by every label it has left, smallest first."""
+    level extends every prefix by every label it has left, smallest first.
+    A shape whose last level cannot fit in physical memory is refused before
+    the first level is built."""
     shape = check_partition(shape)
+    m = _tabloid_count(shape)
+    _refuse_beyond_memory(_basis_bytes(shape, m), f"the tabloids of {shape}", f"m = {m} tabloids")
     words = np.zeros((1, 0), dtype=np.int8)
     # m x rows counts are live at the last level: one byte each while rows are short
     left = np.array([shape], dtype=np.min_scalar_type(max(shape, default=0)))
@@ -477,19 +487,16 @@ def gram_irreducibility(shape: Partition, p: int) -> bool:
 def _dual_specht_bytes(shape: Partition, m: int, d: int, gens: int) -> int:
     """Bytes that bound what dual_specht_invariant_dim allocates (traced
     peaks were 0.54-0.85 of it on sixteen shapes), as the sum of its stages:
-    - perm_basis at its last level: the old, gathered and extended words,
-      two copies of the row counts left, and three int64 index arrays;
+    - perm_basis at its last level (_basis_bytes);
     - _column_table: per column permutation a list of n ints and a tuple in
       itertools.product's pool, then the int8 labels;
     - one chunk of column words ranked by index_of in polytabloid_matrix;
     - E (m x d) and the stacked blocks, then the blocks next to the
       elimination's copy of them and its panel products."""
-    n, rows = sum(shape), len(shape)
-    count_bytes = np.min_scalar_type(max(shape, default=0)).itemsize
+    n = sum(shape)
     column_group = prod(factorial(sum(1 for part in shape if part > c)) for c in range(max(shape, default=0)))
-    basis = m * (3 * n + 2 * rows * count_bytes + 24)
     columns = column_group * (18 * n + 144 + min(d, _TABLEAU_CHUNK) * (3 * n + 64))
-    return basis + columns + 8 * (m * d + 3 * gens * d * d)
+    return _basis_bytes(shape, m) + columns + 8 * (m * d + 3 * gens * d * d)
 
 
 def dual_specht_invariant_dim(shape: Partition, p: int, spec: SubgroupSpec) -> int:
@@ -513,7 +520,7 @@ def dual_specht_invariant_dim(shape: Partition, p: int, spec: SubgroupSpec) -> i
     if spec.n != n:
         raise ValueError(f"subgroup {spec} has degree {spec.n} and cannot act on the tabloids of {shape}, of degree {n}")
     gens = generators(spec)
-    m = factorial(n) // prod(factorial(part) for part in shape)
+    m = _tabloid_count(shape)
     d = hook_dimension(shape)
     need = _dual_specht_bytes(shape, m, d, len(gens))
     _refuse_beyond_memory(need, f"(S^{shape})^*", f"m = {m} tabloids, dim S = {d}")

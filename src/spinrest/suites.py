@@ -68,9 +68,9 @@ def _result(name: str, checks: int, violations: list) -> dict:
 @_suite("li")
 def run_li(wide: bool = False) -> dict:
     """Orbit counts on k-subsets: dim M_k^W = ceil((k+1)/2) for both wreath
-    types, k <= b, b in [5, 8]."""
+    types, k <= b, b in [5, 8] (60 checks; [5, 10] and 102 checks wide)."""
     checks, bad = 0, []
-    for b in range(5, 9):
+    for b in range(5, 11 if wide else 9):
         n = 2 * b
         for spec in (wreath(2, b), wreath(b, 2)):
             for k in range(0, b + 1):

@@ -9,6 +9,7 @@ route it checks.
 
 from collections import defaultdict
 from itertools import permutations
+from math import factorial, prod
 
 import numpy as np
 
@@ -210,6 +211,27 @@ def closure(gens: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
                     nxt.append(h)
         frontier = nxt
     return group
+
+
+def multinomial_rank(words, shape) -> np.ndarray:
+    """Lexicographic rank of each row-label word of the given shape (batch
+    shape (..., n)), in closed form.  If `count` words continue the prefix
+    before position x, then count * below / (n - x) of them put a smaller
+    label at x, where `below` counts the later entries with a smaller label,
+    and count * here / (n - x) put the same label."""
+    words = np.asarray(words)
+    n, batch = sum(shape), words.shape[:-1]
+    cols = np.ascontiguousarray(words.reshape(int(np.prod(batch)), n).T)
+    m = factorial(n) // prod(factorial(part) for part in shape)
+    count = np.full(cols.shape[1], m, dtype=object)
+    out = np.zeros(cols.shape[1], dtype=object)
+    for x in range(n - 1):  # the last label is forced
+        rest = cols[x + 1 :]
+        below = np.count_nonzero(rest < cols[x], axis=0)
+        here = np.count_nonzero(rest == cols[x], axis=0) + 1
+        out += count * below // (n - x)
+        count = count * here // (n - x)
+    return out.astype(np.int64).reshape(batch)
 
 
 def perm_matrix(img) -> np.ndarray:

@@ -28,6 +28,14 @@ def test_criterion_01_orbit_counts():
     t = time.time()
     result = run_suite("li")
     _report(1, "dim M_k^W = ceil((k+1)/2) for b in [5,8], both wreath types", t, result["violations"])
+    assert result["checks"] == 60
+
+
+def test_criterion_01_orbit_counts_wide_grid():
+    t = time.time()
+    result = run_suite("li", wide=True)
+    _report(1, "dim M_k^W = ceil((k+1)/2) for b in [5,10], both wreath types", t, result["violations"])
+    assert result["checks"] == 102
 
 
 def test_criterion_02_special_shapes():

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*args):
     proc = subprocess.run(
@@ -128,6 +130,27 @@ def test_argument_errors_exit_2():
         )
         assert code == 2 and out == ""
         assert "not a listed primitive atom of degree 6" in err
+
+
+@pytest.mark.parametrize(
+    "spec, form",
+    [("S(3,)", "S(b1,...,bk)"), ("S(2,1", "S(b1,...,bk)"), ("W(5)", "W(a,b)"), ("W(a,b)", "W(a,b)"), ("tab2:x", "tab2:ROW")],
+)
+def test_malformed_subgroup_names_the_spec(spec, form):
+    """A malformed spec exits 2 with a message that names it and the expected
+    form, not Python's own int() or unpacking text."""
+    code, out, err = run_cli("invariants", "--shape", "(3,2)", "--p", "3", "--subgroup", spec)
+    assert code == 2 and out == ""
+    assert f"cannot parse subgroup {spec!r}: expected {form}" in err
+
+
+def test_invariants_on_long_words():
+    """(64,2) has 66-letter words, past any packed 64-bit key; the values are
+    those of the closed-form rank."""
+    code, out, err = run_cli("--format", "json", "invariants", "--shape", "(64,2)", "--p", "3", "--subgroup", "W(2,33)")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert (payload["dim_M_H"], payload["dim_dualS_H"]) == (2, 1)
 
 
 def test_p_beyond_int64_products_exits_2():

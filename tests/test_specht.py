@@ -12,6 +12,7 @@ from oracles import (
     dual_specht_invariant_dim_by_quotients,
     fixed_space,
     gauss_jordan,
+    multinomial_rank,
     partitions_by_recursion,
     perm_matrix,
     polytabloids_by_hand,
@@ -130,6 +131,52 @@ def test_perm_basis_words_are_sorted_multiset_permutations():
             assert basis.words.tolist() == [list(w) for w in sorted(set(permutations(content)))]
             assert basis.words.dtype == np.int8 and not basis.words.flags.writeable
             assert np.array_equal(basis.index_of(basis.words), np.arange(len(basis)))
+
+
+def test_index_of_matches_multinomial_rank():
+    """Binary search in the sorted basis ranks batches of permuted words as
+    the closed-form rank does, for every shape with n <= 8."""
+    rng = np.random.default_rng(9)
+    for n in range(1, 9):
+        for shape in partitions_by_recursion(n):
+            basis = perm_basis(shape)
+            picked = basis.words[rng.integers(len(basis), size=60)]
+            words = rng.permuted(picked, axis=1)  # still tabloids of this shape
+            for batch in ((60,), (6, 10), (0,)):
+                batched = words[: int(np.prod(batch))].reshape(*batch, n)
+                got = basis.index_of(batched)
+                assert got.shape == batch
+                assert np.array_equal(got, multinomial_rank(batched, shape)), (shape, batch)
+
+
+def test_index_of_on_the_empty_shape():
+    """M^() has one tabloid, the empty word, at position 0."""
+    basis = perm_basis(())
+    assert basis.words.shape == (1, 0)
+    assert np.array_equal(basis.index_of(basis.words), [0])
+    assert basis.index_of(np.zeros((2, 3, 0), dtype=np.int8)).shape == (2, 3)
+    assert orbit_count(SubgroupSpec("full_sym", 0), basis) == 1
+
+
+def test_long_words_rank_without_overflow():
+    """(18,1,1,1,1) has 22-letter words over 5 labels, past what a packed
+    64-bit key of 3 bits per label holds; the orbit count of S(11,11) on
+    them still matches the contingency tables."""
+    basis = perm_basis((18, 1, 1, 1, 1))
+    assert np.array_equal(basis.index_of(basis.words[::997]), np.arange(0, len(basis), 997))
+    assert orbit_count(young(22, (11, 11)), basis) == contingency_count((11, 11), (18, 1, 1, 1, 1))
+
+
+def test_perm_basis_refuses_beyond_physical_memory(monkeypatch):
+    """(1^14) has 14! tabloids, about 8 TB at the last level: with 8 GB of
+    physical memory it is refused before the first level is built."""
+    from spinrest import specht
+
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2_000_000}
+    monkeypatch.setattr(specht.os, "sysconf", pages.__getitem__)
+    monkeypatch.setattr(specht.np, "concatenate", _unreachable)
+    with pytest.raises(ValueError, match=r"the tabloids of \(1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1\) needs about .* \(m = 87178291200 tabloids\), more than the 8\.2 GB"):
+        perm_basis((1,) * 14)
 
 
 def test_act_matches_moving_entries():
@@ -264,7 +311,7 @@ def test_specht_perp_dims():
     assert specht_perp((4, 2), 3).dim == 15 - 9
 
 
-def _unreachable(*args):
+def _unreachable(*args, **kwargs):
     raise AssertionError("the request should have been refused before this call")
 
 
