@@ -2,7 +2,6 @@
 restrictions of spin representations of symmetric-group double covers."""
 
 from .partitions import (
-    PrimeChar,
     a_0,
     a_p,
     dominance_leq,

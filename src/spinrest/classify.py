@@ -199,7 +199,7 @@ def classify_wreath(query: "RestrictionQuery") -> RestrictionVerdict:
         raise ValueError("classify_wreath needs a wreath subgroup")
     a, b = sub.blocks
     if query.group == "S" and sub.kind == "wreath_alt":
-        return _classify_index2_family(query)
+        return _index2_verdict(query)
     return _verdict_from(_wreath_clauses(query, a, b))
 
 
@@ -208,7 +208,7 @@ def classify_wreath(query: "RestrictionQuery") -> RestrictionVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _classify_index2_family(query: "RestrictionQuery") -> RestrictionVerdict:
+def _index2_verdict(query: "RestrictionQuery") -> RestrictionVerdict:
     """Inside hat-W_{b,2}: the full group, its two transitive index-2
     subgroups (hat-W ∩ hat-A_n among them) are irreducible for the second
     basic module with p | (n-1); everything else and every proper subgroup of
@@ -236,10 +236,6 @@ def _classify_index2_family(query: "RestrictionQuery") -> RestrictionVerdict:
             # hat-W_{b,2} ∩ hat-A_n is one of the two transitive index-2 subgroups
             clauses.append("index-2 (ii): W_{n/2,2} meet the alternating cover, inside the symmetric cover")
     return _verdict_from(clauses)
-
-
-def classify_index2(query: "RestrictionQuery") -> RestrictionVerdict:
-    return _classify_index2_family(query)
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +435,6 @@ def classify(query: RestrictionQuery) -> RestrictionVerdict:
     if sub.kind == "index2_wr_b2":
         if query.group != "S":
             raise ValueError("index-2 wreath subgroups are classified inside the symmetric cover")
-        return _classify_index2_family(query)
+        return _index2_verdict(query)
 
     raise ValueError(f"unsupported subgroup kind {sub.kind}")

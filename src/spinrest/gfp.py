@@ -6,8 +6,9 @@ in a narrow column panel by a scalar loop, and the rest of the matrix is
 updated by one BLAS-backed product per panel.  The scalar loop leaves its
 multipliers in the cells it clears, as LU factorizations do, so the
 transform of the panel's pivot rows is replayed on k x k arrays instead of
-by a second elimination.  Row updates form products of two residues, so p
-is limited to isqrt(2^63 - 1), where (p - 1)^2 still fits in int64.
+by a second elimination.  Elimination refuses a p that is not prime, and
+as its row updates form products of two residues, p is limited to
+isqrt(2^63 - 1), where (p - 1)^2 still fits in int64.
 Subspaces carry a canonical reduced-echelon basis, so equality is matrix
 equality.
 
@@ -34,16 +35,13 @@ _P_MAX = isqrt(_INT64_MAX)
 _PANEL = 64
 
 
-def _check_fits(p: int) -> None:
+def _check_prime(p: int) -> None:
+    """Refuse a p that elimination cannot work with: (p - 1)^2 must fit in
+    int64, which is checked before the primality test, and p must be prime."""
     if p > _P_MAX:
         raise ValueError(f"p must be at most {_P_MAX} so that (p-1)^2 fits in int64, got {p}")
-
-
-def _check_prime(p: int) -> int:
-    _check_fits(p)
     if not _is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    return p
 
 
 def _exact_type(bound: int) -> tuple[type, int]:
@@ -100,7 +98,7 @@ def _echelon(arr: np.ndarray, p: int, full: bool) -> tuple[np.ndarray, list[int]
     (_exact_type), and `spread` bounds its entries, so that it is reduced
     before any leaves the range that type holds exactly.
     """
-    _check_fits(p)
+    _check_prime(p)
     store, limit = _exact_type(_PANEL * (p - 1) ** 2)
     a = _reduced(arr, p).astype(store)
     rows, cols = a.shape
@@ -211,7 +209,7 @@ def _product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact a @ b mod p."""
+    """Exact a @ b mod p, for any modulus p >= 1."""
     return _product(_reduced(a, p), _reduced(b, p), p).astype(np.int64, copy=False) % p
 
 
@@ -244,14 +242,6 @@ class Subspace:
         )
 
 
-def subspace_from_rows(rows, ambient: int, p: int) -> Subspace:
-    arr = np.asarray(rows, dtype=np.int64)
-    if arr.size == 0:
-        return Subspace(ambient, np.zeros((0, ambient), dtype=np.int64), p)
-    basis, _ = rref(arr, p)
-    return Subspace(ambient, basis, p)
-
-
 def kernel(arr: np.ndarray, p: int) -> Subspace:
     """Right kernel {v : arr v = 0} as a canonical Subspace.
 
@@ -270,46 +260,3 @@ def kernel(arr: np.ndarray, p: int) -> Subspace:
     basis[:, pivots] = (-red[:, free].T) % p
     return Subspace(cols, np.ascontiguousarray(basis[::-1, ::-1]), p)
 
-
-class GFpMatrix:
-    """An exact matrix over GF(p).  An int64 array already reduced to
-    [0, p) is kept as it is, not copied."""
-
-    def __init__(self, entries, p: int):
-        _check_prime(p)
-        self.p = p
-        arr = np.asarray(entries, dtype=np.int64)
-        if arr.ndim != 2:
-            raise ValueError("matrix entries must be 2-dimensional")
-        self.array = _reduced(arr, p)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.array.shape
-
-    @classmethod
-    def identity(cls, n: int, p: int) -> "GFpMatrix":
-        return cls(np.eye(n, dtype=np.int64), p)
-
-    def __matmul__(self, other: "GFpMatrix") -> "GFpMatrix":
-        if self.p != other.p:
-            raise ValueError("mixed characteristics")
-        if self.shape[1] != other.shape[0]:
-            raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        return GFpMatrix(matmul_mod(self.array, other.array, self.p), self.p)
-
-    def __sub__(self, other: "GFpMatrix") -> "GFpMatrix":
-        return GFpMatrix((self.array - other.array) % self.p, self.p)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GFpMatrix)
-            and self.p == other.p
-            and np.array_equal(self.array, other.array)
-        )
-
-    def is_zero(self) -> bool:
-        return not np.any(self.array)
-
-    def rank(self) -> int:
-        return rank(self.array, self.p)

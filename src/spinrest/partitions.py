@@ -5,7 +5,6 @@ partition is ().  All enumeration runs in lexicographically decreasing order
 on part sequences, which is the fixed output order everywhere.
 """
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 Partition = tuple[int, ...]
@@ -40,23 +39,6 @@ def _is_prime(p: int) -> bool:
         else:
             return False
     return True
-
-
-@dataclass(frozen=True)
-class PrimeChar:
-    """An odd prime p with its residue alphabet I = {0, ..., (p-1)/2}."""
-
-    p: int
-    ell: int = field(init=False)
-
-    def __post_init__(self):
-        if self.p < 3 or self.p % 2 == 0 or not _is_prime(self.p):
-            raise ValueError(f"p must be an odd prime >= 3, got {self.p}")
-        object.__setattr__(self, "ell", (self.p - 1) // 2)
-
-    @property
-    def residues(self) -> range:
-        return range(self.ell + 1)
 
 
 def check_odd_prime(p: int) -> int:

@@ -33,10 +33,6 @@ def residue_of_column(s: int, p: int) -> int:
     return r if r <= ell else p - 1 - r
 
 
-def residue_of_node(node: Node, p: int) -> int:
-    return residue_of_column(node[1], p)
-
-
 def residue_counts(lam: Partition, p: int) -> tuple[int, ...]:
     """(gamma_0, ..., gamma_ell): number of nodes of lam of each residue."""
     ell = (p - 1) // 2

@@ -20,7 +20,7 @@ from math import comb, factorial, prod
 
 import numpy as np
 
-from .gfp import GFpMatrix, kernel, matmul_mod, rank
+from .gfp import _check_prime, kernel, matmul_mod, rank
 from .partitions import Partition, check_partition
 
 Perm = tuple[int, ...]
@@ -366,18 +366,6 @@ def orbit_count(spec: SubgroupSpec, basis: PermBasis) -> int:
     return int(np.count_nonzero(_orbit_labels(spec, basis) == np.arange(len(basis))))
 
 
-def orbit_basis(spec: SubgroupSpec, basis: PermBasis) -> np.ndarray:
-    """Orbit indicator vectors, numbered by their smallest index: a basis of
-    the fixed space of H on M^shape."""
-    lab = _orbit_labels(spec, basis)
-    roots = np.flatnonzero(lab == np.arange(len(basis)))
-    need = 8 * len(roots) * len(basis)
-    _refuse_beyond_memory(need, f"the orbit sums of {spec}", f"{len(roots)} orbits on m = {len(basis)} tabloids")
-    mat = np.zeros((len(roots), len(basis)), dtype=np.int64)
-    mat[np.searchsorted(roots, lab), np.arange(len(basis))] = 1
-    return mat
-
-
 # ---------------------------------------------------------------------------
 # Standard tableaux and polytabloids
 # ---------------------------------------------------------------------------
@@ -454,12 +442,15 @@ def _column_table(shape: Partition) -> tuple[np.ndarray, np.ndarray]:
     return np.array(labels, dtype=np.int8), np.array(signs, dtype=np.int64)
 
 
-def polytabloid_matrix(shape: Partition, p: int) -> GFpMatrix:
-    """Columns are the polytabloids of the standard tableaux, in the tabloid
-    basis; the column space is the Specht module S^shape over GF(p).
+def polytabloid_matrix(shape: Partition, p: int) -> np.ndarray:
+    """The m x d matrix whose columns are the polytabloids of the standard
+    tableaux, in the tabloid basis, with entries in [0, p); its column space
+    is the Specht module S^shape over GF(p).  A p that is not prime is
+    refused before the basis is built.
 
     Distinct column permutations of one tableau give distinct tabloids
     (C_t meets R_t trivially), so every entry is set exactly once."""
+    _check_prime(p)
     shape = check_partition(shape)
     basis = perm_basis(shape)
     labels, signs = _column_table(shape)
@@ -468,13 +459,13 @@ def polytabloid_matrix(shape: Partition, p: int) -> GFpMatrix:
     for lo in range(0, len(cell_of), _TABLEAU_CHUNK):
         block = cell_of[lo : lo + _TABLEAU_CHUNK]
         mat[basis.index_of(labels[:, block]), np.arange(lo, lo + len(block))] = signs[:, None] % p
-    return GFpMatrix(mat, p)
+    return mat
 
 
 def gram_irreducibility(shape: Partition, p: int) -> bool:
     """True iff the Gram matrix of the standard polytabloid basis is
     nonsingular mod p (then S^shape = D^shape is irreducible)."""
-    e = polytabloid_matrix(shape, p).array
+    e = polytabloid_matrix(shape, p)
     gram = matmul_mod(e.T, e, p)
     return rank(gram, p) == gram.shape[0]
 
@@ -512,13 +503,14 @@ def dual_specht_invariant_dim(shape: Partition, p: int, spec: SubgroupSpec) -> i
     (E[g(J)] - E[J])^T y = 0: the fixed classes are the kernel of these
     d x d blocks stacked over the generators.
 
-    A subgroup of another degree, and a shape whose tabloid basis, column
-    table, E and stacked blocks cannot fit in physical memory, are refused
-    before anything is allocated."""
+    A subgroup of another degree, a p that is not prime, and a shape whose
+    tabloid basis, column table, E and stacked blocks cannot fit in physical
+    memory, are refused before anything is allocated."""
     shape = check_partition(shape)
     n = sum(shape)
     if spec.n != n:
         raise ValueError(f"subgroup {spec} has degree {spec.n} and cannot act on the tabloids of {shape}, of degree {n}")
+    _check_prime(p)
     gens = generators(spec)
     m = _tabloid_count(shape)
     d = hook_dimension(shape)
@@ -527,7 +519,7 @@ def dual_specht_invariant_dim(shape: Partition, p: int, spec: SubgroupSpec) -> i
     basis = perm_basis(shape)
     row_of_cell = np.repeat(np.arange(len(shape), dtype=np.int8), shape)
     standard = basis.index_of(row_of_cell[_cell_of_entry(shape)])
-    e = polytabloid_matrix(shape, p).array
+    e = polytabloid_matrix(shape, p)
     blocks = np.empty((len(gens) * d, d), dtype=np.int64)
     for i, g in enumerate(gens):
         block = blocks[i * d : (i + 1) * d].T
@@ -539,16 +531,21 @@ def dual_specht_invariant_dim(shape: Partition, p: int, spec: SubgroupSpec) -> i
 
 def z_invariant_dim(k: int, n: int, p: int, spec: SubgroupSpec) -> tuple[int, int, bool]:
     """(dim Z_k^H, dim M_k^H, gap): Z_k = (S^(n-k,k))^perp; a strict gap means
-    a nonzero H-invariant functional survives on the dual Specht quotient."""
+    a nonzero H-invariant functional survives on the dual Specht quotient.
+
+    The orbit sums are a basis of M_k^H, and sum_O c_O O lies in Z_k iff it
+    pairs to zero with every polytabloid, that is iff sum_O c_O s_O = 0 for
+    s_O the sum of the rows of E at the tabloids of O.  So dim Z_k^H is the
+    number of orbits less the rank of the orbit sums of E's rows."""
     if 2 * k > n:
         raise ValueError("need k <= n/2")
     shape = check_partition((n - k, k))
-    basis = perm_basis(shape)
-    fixed = orbit_basis(spec, basis)  # rows span M_k^H
-    e = polytabloid_matrix(shape, p).array
-    # Z_k^H = fixed vectors annihilated by all polytabloid functionals
-    dim_m_h = fixed.shape[0]
-    dim_z_h = dim_m_h - rank(matmul_mod(fixed, e, p), p)
+    e = polytabloid_matrix(shape, p)
+    roots, orbit = np.unique(_orbit_labels(spec, perm_basis(shape)), return_inverse=True)
+    sums = np.zeros((len(roots), e.shape[1]), dtype=np.int64)
+    np.add.at(sums, orbit, e)
+    dim_m_h = len(roots)
+    dim_z_h = dim_m_h - rank(sums, p)
     return dim_z_h, dim_m_h, dim_z_h < dim_m_h
 
 
@@ -561,16 +558,17 @@ def subset_basis(n: int, k: int) -> PermBasis:
     return perm_basis(check_partition((n - k, k)))
 
 
-def eta(k: int, l: int, n: int, p: int) -> GFpMatrix:
-    """The incidence map M_k -> M_l sending X to the sum of all l-subsets
-    comparable with X (rows: l-subsets, columns: k-subsets).  X and Y are
-    comparable iff |X & Y| = min(k, l); the intersection sizes are one
-    product of the 0/1 membership words, in one byte per entry."""
+def eta(k: int, l: int, n: int) -> np.ndarray:
+    """The 0/1 incidence map M_k -> M_l sending X to the sum of all l-subsets
+    comparable with X (rows: l-subsets, columns: k-subsets), as an int64
+    array.  X and Y are comparable iff |X & Y| = min(k, l); the intersection
+    sizes are one product of the 0/1 membership words, in one byte per
+    entry."""
     if not (0 <= k <= n // 2 and 0 <= l <= n // 2):
         raise ValueError("need k, l <= n/2")
     kb, lb = subset_basis(n, k), subset_basis(n, l)
     meet = lb.words.view(np.uint8) @ kb.words.view(np.uint8).T
-    return GFpMatrix(meet == min(k, l), p)
+    return (meet == min(k, l)).astype(np.int64)
 
 
 def wilson_rank(k: int, l: int, n: int, p: int) -> int:

@@ -2,18 +2,19 @@
 
 Everything here works directly on node sets / literal definitions and avoids
 the package's row-arithmetic code paths, so agreement is meaningful.  The
-one exception is the last section: the quotient route to dual Specht
-invariants, which uses the package's elimination on other matrices than the
-route it checks.
+exceptions use the package's elimination on other matrices than the routes
+they check: subspace_from_rows, and the last section, the quotient route to
+dual Specht invariants.
 """
 
 from collections import defaultdict
+from functools import lru_cache
 from itertools import permutations
 from math import factorial, prod
 
 import numpy as np
 
-from spinrest.gfp import Subspace, kernel, matmul_mod
+from spinrest.gfp import Subspace, kernel, matmul_mod, rref
 from spinrest.specht import generators, perm_basis, polytabloid_matrix
 
 Node = tuple[int, int]
@@ -266,6 +267,7 @@ def _inversions(seq) -> int:
     return sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq)) if seq[i] > seq[j])
 
 
+@lru_cache(maxsize=None)
 def polytabloids_by_hand(shape: tuple[int, ...]) -> list[dict]:
     """For each standard tableau of the shape (lex order of its rows), its
     polytabloid as {tabloid: coefficient}; a tabloid is the tuple of its rows
@@ -294,9 +296,54 @@ def polytabloids_by_hand(shape: tuple[int, ...]) -> list[dict]:
     return out
 
 
+def z_invariant_dim_by_hand(k: int, n: int, p: int, gens) -> tuple[int, int, bool]:
+    """(dim Z_k^H, dim M_k^H, gap) for H = <gens> on k-subsets: the orbits of
+    the whole group (closure) on tabloids as tuples of sorted rows, and
+    Z_k^H = the orbit-sum combinations that pair to zero with every
+    hand-built polytabloid, ranked by gauss_jordan; for small n only."""
+    shape = (n - k, k) if k else (n,)
+    polys = polytabloids_by_hand(shape)
+    group = closure(gens) or {tuple(range(n))}
+    orbits, seen = [], set()
+    for t in _all_tabloids(shape):
+        if t not in seen:
+            orbits.append({tuple(tuple(sorted(g[x] for x in row)) for row in t) for g in group})
+            seen |= orbits[-1]
+    rows = [[sum(vec.get(t, 0) for t in orbit) for vec in polys] for orbit in orbits]
+    dim_z = len(rows) - len(gauss_jordan(rows, len(polys), p)[1])
+    return dim_z, len(rows), dim_z < len(rows)
+
+
+def _valuation(x: int, p: int) -> int:
+    v = 0
+    while x % p == 0:
+        x, v = x // p, v + 1
+    return v
+
+
+def carter_irreducible(shape, p: int) -> bool:
+    """Carter's criterion (James and Murphy, J. Algebra 59, 1979; James,
+    LNM 682, Theorem 23.7) for a p-regular shape: S^shape is irreducible
+    over GF(p) iff in each column all hook lengths have the same p-adic
+    valuation."""
+    heights = [sum(1 for part in shape if part > c) for c in range(shape[0])] if shape else []
+    return all(
+        len({_valuation(shape[r] - c + heights[c] - r - 1, p) for r in range(heights[c])}) == 1
+        for c in range(len(heights))
+    )
+
+
 # ---------------------------------------------------------------------------
 # Subspaces in reduced echelon form
 # ---------------------------------------------------------------------------
+
+
+def subspace_from_rows(rows, ambient: int, p: int) -> Subspace:
+    """The span of the given rows, with its canonical RREF basis."""
+    arr = np.asarray(rows, dtype=np.int64)
+    if arr.size == 0:
+        return Subspace(ambient, np.zeros((0, ambient), dtype=np.int64), p)
+    return Subspace(ambient, rref(arr, p)[0], p)
 
 
 def residue(w, rows) -> np.ndarray:
@@ -331,7 +378,7 @@ def specht_perp(shape, p: int):
     """(S^shape)^perp in M^shape under the standard tabloid pairing: the
     kernel of the transposed polytabloid matrix, a dense (m - d) x m basis.
     For two-row shapes this is the radical Z_k with M_k / Z_k = S_k^*."""
-    return kernel(polytabloid_matrix(shape, p).array.T, p)
+    return kernel(polytabloid_matrix(shape, p).T, p)
 
 
 def fixed_space(mats, dim: int, p: int):
@@ -400,6 +447,7 @@ def dual_specht_invariant_dim_by_hand(shape, p: int, gens) -> int:
     return len(polys) - len(gauss_jordan(rows, len(tabloids), p)[1])
 
 
+@lru_cache(maxsize=None)
 def _all_tabloids(shape) -> list:
     """Every tabloid of the shape, as a tuple of sorted rows."""
     out = set()

@@ -163,6 +163,15 @@ def test_p_beyond_int64_products_exits_2():
         assert "3037000499" in err and "not stable" not in err
 
 
+def test_composite_p_exits_2_before_any_work():
+    """p = 0 used to print numpy's divide-by-zero RuntimeWarning before the
+    refusal, and p = 4 was refused only after the tabloids and E were built."""
+    for p in ("0", "4"):
+        code, out, err = run_cli("invariants", "--shape", "(3,2)", "--p", p, "--subgroup", "S(3,2)")
+        assert code == 2 and out == ""
+        assert f"p must be prime, got {p}" in err and "RuntimeWarning" not in err
+
+
 def test_invariants_empty_shape():
     """M^() has one tabloid and S^() is the trivial module."""
     for shape in ("()", "(0)"):

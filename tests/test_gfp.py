@@ -12,17 +12,11 @@ from oracles import (
     perm_matrix,
     quotient_action,
     quotient_projection,
-)
-from spinrest import gfp
-from spinrest.gfp import (
-    GFpMatrix,
-    kernel,
-    matmul_mod,
-    rank,
-    rref,
     subspace_from_rows,
 )
-from spinrest.specht import from_cycles, subset_basis
+from spinrest import gfp
+from spinrest.gfp import kernel, matmul_mod, rank, rref
+from spinrest.specht import eta, from_cycles, subset_basis
 
 # primes for the differential tests; the last one is above 2^31, where
 # matmul_mod leaves float64 BLAS for exact object arithmetic
@@ -71,9 +65,17 @@ def test_rank_basics():
 def test_subset_incidence_rank_anchor():
     """The 6x4 incidence matrix of 1-subsets against 2-subsets of a 4-set has
     rank 4 over GF(3)."""
-    from spinrest.specht import eta
+    assert rank(eta(1, 2, 4), 3) == 4
 
-    assert eta(1, 2, 4, 3).rank() == 4
+
+@pytest.mark.parametrize("p", [0, 1, 4, 9, 15])
+def test_elimination_refuses_composite_moduli(p):
+    """rank over Z/4 is not a field rank: [[3,1],[1,3]] used to get rank 1
+    mod 4, and [[2,0],[0,2]] a bare "base is not invertible"."""
+    for a in ([[3, 1], [1, 3]], [[2, 0], [0, 2]]):
+        for call in (rank, rref, kernel):
+            with pytest.raises(ValueError, match=f"p must be prime, got {p}"):
+                call(np.array(a, dtype=np.int64), p)
 
 
 @settings(max_examples=60, deadline=None)
@@ -219,7 +221,7 @@ def test_rejects_p_beyond_int64_products():
         return a
 
     for p in (4294967311, 2**61 - 1):
-        for call in (rank, rref, kernel, GFpMatrix):
+        for call in (rank, rref, kernel):
             with pytest.raises(ValueError, match="3037000499"):
                 call(rank_two(p), p)
     p = 3037000493  # the largest prime below the limit
@@ -318,14 +320,6 @@ def test_quotient_action_rejects_unstable():
         quotient_action(from_cycles(3, (0, 1)), w)
     with pytest.raises(ValueError, match="permutation"):
         quotient_action([0, 0, 1], w)
-
-
-def test_gfp_matrix_ops():
-    a = GFpMatrix([[1, 2], [3, 4]], 5)
-    b = GFpMatrix([[0, 1], [1, 0]], 5)
-    assert (a @ b).array.tolist() == [[2, 1], [4, 3]]
-    assert (a - a).is_zero()
-    assert GFpMatrix.identity(3, 5).rank() == 3
 
 
 def test_rref_is_canonical():

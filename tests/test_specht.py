@@ -6,6 +6,7 @@ import pytest
 from itertools import combinations, permutations
 
 from oracles import (
+    carter_irreducible,
     closure,
     contingency_count,
     dual_specht_invariant_dim_by_hand,
@@ -18,8 +19,9 @@ from oracles import (
     polytabloids_by_hand,
     residue,
     specht_perp,
+    z_invariant_dim_by_hand,
 )
-from spinrest.gfp import matmul_mod
+from spinrest.gfp import matmul_mod, rank
 from spinrest.specht import (
     SubgroupSpec,
     alt_young,
@@ -29,7 +31,6 @@ from spinrest.specht import (
     gram_irreducibility,
     hook_dimension,
     index2_wr_b2,
-    orbit_basis,
     orbit_count,
     perm_basis,
     perm_sign,
@@ -199,11 +200,10 @@ def test_act_matches_moving_entries():
     "call",
     [
         lambda spec: orbit_count(spec, perm_basis((4, 3))),
-        lambda spec: orbit_basis(spec, perm_basis((4, 3))),
         lambda spec: z_invariant_dim(3, 7, 3, spec),
         lambda spec: dual_specht_invariant_dim((2, 1, 1, 1, 1, 1), 3, spec),
     ],
-    ids=["orbit_count", "orbit_basis", "z_invariant_dim", "dual_specht_invariant_dim"],
+    ids=["orbit_count", "z_invariant_dim", "dual_specht_invariant_dim"],
 )
 def test_wrong_subgroup_degree_is_a_value_error(call):
     """W(2,4) permutes 8 points and cannot act on tabloids with 7 entries."""
@@ -219,21 +219,6 @@ def test_orbit_count_is_a_contingency_count():
             basis = perm_basis(lam)
             for mu in partitions_by_recursion(n):
                 assert orbit_count(young(n, mu), basis) == contingency_count(mu, lam), (lam, mu)
-
-
-def test_orbit_basis_rows_are_orbits():
-    basis = perm_basis((3, 2, 1))
-    spec = wreath(2, 3)
-    rows = orbit_basis(spec, basis)
-    assert rows.shape[0] == orbit_count(spec, basis)
-    assert np.array_equal(rows.sum(axis=0), np.ones(len(basis)))
-    # numbered by smallest index, and closed under every generator
-    firsts = [int(np.flatnonzero(r)[0]) for r in rows]
-    assert firsts == sorted(firsts)
-    for g in generators(spec):
-        img = basis.act(g)
-        for r in rows:
-            assert np.array_equal(r[img], r)
 
 
 def test_orbit_count_examples():
@@ -272,7 +257,7 @@ def test_polytabloid_matrix_rank_is_standard_count():
     for shape, p in (((4, 2), 3), ((5, 1), 3), ((4, 4), 5), ((3, 2, 1), 3)):
         e = polytabloid_matrix(shape, p)
         assert e.shape == (len(perm_basis(shape)), hook_dimension(shape))
-        assert e.rank() == hook_dimension(shape)
+        assert rank(e, p) == hook_dimension(shape)
 
 
 def test_polytabloid_matrix_matches_brute_force():
@@ -288,7 +273,7 @@ def test_polytabloid_matrix_matches_brute_force():
                         for x in row:
                             word[x] = r
                     want[index[tuple(word)], j] = coeff % 7
-            assert np.array_equal(polytabloid_matrix(shape, 7).array, want), shape
+            assert np.array_equal(polytabloid_matrix(shape, 7), want), shape
 
 
 def test_eta_matches_subset_incidence():
@@ -303,7 +288,7 @@ def test_eta_matches_subset_incidence():
             for y in combinations(range(n), l):
                 if set(x) <= set(y) or set(y) <= set(x):
                     want[lb[word(y)], kb[word(x)]] = 1
-        assert np.array_equal(eta(k, l, n, 5).array, want)
+        assert np.array_equal(eta(k, l, n), want)
 
 
 def test_specht_perp_dims():
@@ -371,8 +356,7 @@ def test_dual_specht_memory_bound_holds(shape, spec):
 
 def test_orbits_refuse_beyond_physical_memory(monkeypatch):
     """Orbit labels need two int64 index arrays per generator over the
-    tabloids, and orbit sums an (orbits x m) matrix; both are refused when
-    they exceed physical memory."""
+    tabloids; they are refused when they exceed physical memory."""
     from spinrest import specht
 
     basis = perm_basis((3, 3, 2, 1))
@@ -380,9 +364,6 @@ def test_orbits_refuse_beyond_physical_memory(monkeypatch):
     monkeypatch.setattr(specht.os, "sysconf", pages.__getitem__)
     with pytest.raises(ValueError, match=r"the orbits of S\(9,\) needs about .* \(m = 5040 tabloids\)"):
         orbit_count(young(9, (9,)), basis)
-    pages["SC_PHYS_PAGES"] = 2_000
-    with pytest.raises(ValueError, match=r"orbit sums of S\(2, 2, 2, 2, 1\) .* \(644 orbits on m = 5040 tabloids\)"):
-        orbit_basis(young(9, (2, 2, 2, 2, 1)), basis)
 
 
 def test_dual_specht_checks_the_degree_first(monkeypatch):
@@ -392,6 +373,21 @@ def test_dual_specht_checks_the_degree_first(monkeypatch):
     monkeypatch.setattr(specht, "polytabloid_matrix", _unreachable)
     with pytest.raises(ValueError, match=r"degree 10 .* \(6, 4, 2\), of degree 12"):
         dual_specht_invariant_dim((6, 4, 2), 3, wreath(2, 5))
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 9])
+def test_composite_p_is_refused_before_any_work(monkeypatch, p):
+    """dual_specht_invariant_dim refuses p next to the degree check, before
+    the memory preflight and the tabloid basis; polytabloid_matrix refuses
+    it first of all."""
+    from spinrest import specht
+
+    monkeypatch.setattr(specht, "perm_basis", _unreachable)
+    monkeypatch.setattr(specht, "_refuse_beyond_memory", _unreachable)
+    with pytest.raises(ValueError, match=f"p must be prime, got {p}"):
+        dual_specht_invariant_dim((3, 2), p, young(5, (3, 2)))
+    with pytest.raises(ValueError, match=f"p must be prime, got {p}"):
+        polytabloid_matrix((3, 2), p)
 
 
 def test_specht_perp_stable_under_symmetric_group():
@@ -489,11 +485,47 @@ def test_z_invariant_examples():
         assert mh == 4 and z <= 3 and gap
 
 
+def _z_subgroups(n: int) -> list:
+    """Young, alternating Young, full, alternating, trivial, and for even n
+    every wreath and index-2 kind."""
+    if n % 2 == 0 and n >= 4:
+        return _every_kind(n)
+    specs = [young(n, (n - 1, 1)), alt_young(n, (n - 1, 1))] if n >= 2 else []
+    return specs + [SubgroupSpec(kind, n) for kind in ("full_sym", "full_alt", "trivial")]
+
+
+def test_z_invariant_dim_matches_hand_orbits():
+    """z_invariant_dim against orbit sums of hand-built polytabloids under the
+    whole group, ranked by Gauss-Jordan, for n <= 7 and every k <= n/2."""
+    for n in range(1, 8):
+        for spec in _z_subgroups(n):
+            gens = generators(spec)
+            for k in range(n // 2 + 1):
+                for p in (2, 3, 5):
+                    want = z_invariant_dim_by_hand(k, n, p, gens)
+                    assert z_invariant_dim(k, n, p, spec) == want, (k, n, p, str(spec))
+
+
+def test_gram_criterion_matches_carter():
+    """S^shape is irreducible iff shape is p-regular and satisfies Carter's
+    hook criterion, which shares no code with gfp; every shape with n <= 8
+    and p in {2, 3, 5, 7}.  For a p-singular shape the form vanishes on
+    S^shape, so its Gram matrix is zero."""
+    for n in range(1, 9):
+        for shape in partitions_by_recursion(n):
+            for p in (2, 3, 5, 7):
+                regular = all(shape.count(part) < p for part in shape)
+                assert gram_irreducibility(shape, p) == (regular and carter_irreducible(shape, p)), (shape, p)
+                if not regular:
+                    e = polytabloid_matrix(shape, p)
+                    assert not matmul_mod(e.T, e, p).any(), (shape, p)
+
+
 def test_eta_examples():
-    assert eta(2, 2, 8, 3).array.tolist() == np.eye(comb(8, 2), dtype=int).tolist()
-    e = eta(1, 2, 4, 3)
-    assert e.shape == (6, 4)
-    assert sorted(e.array.sum(axis=0).tolist()) == [3, 3, 3, 3]
+    assert eta(2, 2, 8).tolist() == np.eye(comb(8, 2), dtype=int).tolist()
+    e = eta(1, 2, 4)
+    assert e.shape == (6, 4) and e.dtype == np.int64
+    assert sorted(e.sum(axis=0).tolist()) == [3, 3, 3, 3]
 
 
 def test_wilson_rank_matches_eta_small():
@@ -501,7 +533,7 @@ def test_wilson_rank_matches_eta_small():
         for l in range(0, min(4, n // 2) + 1):
             for k in range(0, l + 1):
                 for p in (3, 5):
-                    assert eta(k, l, n, p).rank() == wilson_rank(k, l, n, p), (k, l, n, p)
+                    assert rank(eta(k, l, n), p) == wilson_rank(k, l, n, p), (k, l, n, p)
 
 
 def test_wilson_rank_full_at_equal_indices():
@@ -518,7 +550,7 @@ def test_filtration_bookkeeping():
         for p in (3, 5):
             total = 0
             for j in range(0, 5):
-                rank_j = polytabloid_matrix((n - j, j) if j else (n,), p).rank()
+                rank_j = rank(polytabloid_matrix((n - j, j) if j else (n,), p), p)
                 assert rank_j == comb(n, j) - (comb(n, j - 1) if j else 0)
                 total += rank_j
             assert total == comb(n, 4)
