@@ -221,19 +221,20 @@ def cmd_invariants(args) -> int:
     if not isinstance(sub, SubgroupSpec):
         raise ValueError("invariants needs a concrete subgroup spec")
     dim_dual = dual_specht_invariant_dim(shape, args.p, sub)  # refuses oversized shapes first
-    dim_m = orbit_count(sub, perm_basis(shape))
+    zs = {}
+    if len(shape) <= 2:  # z_invariant_dim counts the orbits as well
+        z, dim_m, gap = z_invariant_dim(shape[1] if len(shape) == 2 else 0, n, args.p, sub)
+        zs = {"dim_Z_H": z, "hom_gap": gap}
+    else:
+        dim_m = orbit_count(sub, perm_basis(shape))
     payload = {
         "shape": format_partition(shape),
         "subgroup": str(sub),
         "p": args.p,
         "dim_M_H": dim_m,
         "dim_dualS_H": dim_dual,
+        **zs,
     }
-    if len(shape) <= 2:
-        k = shape[1] if len(shape) == 2 else 0
-        z, m, gap = z_invariant_dim(k, n, args.p, sub)
-        payload["dim_Z_H"] = z
-        payload["hom_gap"] = gap
     _emit(payload, args.format, [f"{k}: {v}" for k, v in payload.items()])
     return 0
 

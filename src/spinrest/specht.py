@@ -15,7 +15,7 @@ scatters on integer arrays, and matrices are reproducible.
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import accumulate, permutations, product
 from math import comb, factorial, prod
 
 import numpy as np
@@ -135,49 +135,59 @@ def index2_wr_b2(variant: int, b: int) -> SubgroupSpec:
     return SubgroupSpec("index2_wr_b2", 2 * b, (variant, b))
 
 
-def _young_generators(n: int, blocks) -> list[Perm]:
-    gens = []
-    start = 0
-    for b in blocks:
-        for i in range(start, start + b - 1):
-            gens.append(from_cycles(n, (i, i + 1)))
-        start += b
+def _sym_generators(n: int, start: int, k: int) -> list[Perm]:
+    """S_k on the points start..start+k-1: the transposition of the first two
+    and the k-cycle of all of them (Coxeter and Moser, section 6.2), which
+    coincide for k = 2."""
+    if k < 2:
+        return []
+    gens = [from_cycles(n, (start, start + 1))]
+    if k > 2:
+        gens.append(from_cycles(n, tuple(range(start, start + k))))
     return gens
+
+
+def _alt_generators(n: int, start: int, k: int) -> list[Perm]:
+    """A_k on the points start..start+k-1: the 3-cycle of the first three,
+    with the k-cycle of all of them for odd k, and with the (k-1)-cycle of all
+    but the first for even k (Coxeter and Moser, section 6.2)."""
+    if k < 3:
+        return []
+    gens = [from_cycles(n, (start, start + 1, start + 2))]
+    if k > 3:
+        gens.append(from_cycles(n, tuple(range(start + 1 - k % 2, start + k))))
+    return gens
+
+
+def _young_generators(n: int, blocks) -> list[Perm]:
+    starts = accumulate(blocks, initial=0)
+    return [g for s, b in zip(starts, blocks) for g in _sym_generators(n, s, b)]
 
 
 def _alt_young_generators(n: int, blocks) -> list[Perm]:
-    """Within-block 3-cycles plus one double transposition per adjacent pair
-    of blocks of size >= 2; generates the even part of the Young subgroup."""
-    gens = []
-    starts = []
-    start = 0
-    for b in blocks:
-        starts.append(start)
-        for i in range(start, start + b - 2):
-            gens.append(from_cycles(n, (i, i + 1, i + 2)))
-        start += b
-    big = [(s, b) for s, b in zip(starts, blocks) if b >= 2]
-    for (s1, _), (s2, _) in zip(big, big[1:]):
-        gens.append(from_cycles(n, (s1, s1 + 1), (s2, s2 + 1)))
+    """A_b on every block plus one double transposition per adjacent pair of
+    blocks of size >= 2; generates the even part of the Young subgroup."""
+    starts = list(accumulate(blocks, initial=0))
+    gens = [g for s, b in zip(starts, blocks) for g in _alt_generators(n, s, b)]
+    big = [s for s, b in zip(starts, blocks) if b >= 2]
+    gens += [from_cycles(n, (s1, s1 + 1), (s2, s2 + 1)) for s1, s2 in zip(big, big[1:])]
     return gens
+
+
+def _block_swap(n: int, a: int) -> Perm:
+    """The swap of the first two blocks of size a."""
+    return from_cycles(n, *((i, i + a) for i in range(a)))
 
 
 def _wreath_generators(a: int, b: int) -> list[Perm]:
-    """S_a on the first block plus adjacent block swaps."""
+    """S_a on the first block, the swap of the first two blocks, and the
+    cycle of all b blocks, i -> i + a mod n, when it is not that swap
+    (Dixon and Mortimer, Permutation Groups, section 2.6)."""
     n = a * b
-    gens = [from_cycles(n, (i, i + 1)) for i in range(a - 1)]
-    for j in range(b - 1):
-        gens.append(tuple(_block_swap_image(i, j, a, n) for i in range(n)))
+    gens = _sym_generators(n, 0, a) + [_block_swap(n, a)]
+    if b > 2:
+        gens.append(tuple((i + a) % n for i in range(n)))
     return gens
-
-
-def _block_swap_image(i: int, j: int, a: int, n: int) -> int:
-    lo, hi = j * a, (j + 1) * a
-    if lo <= i < hi:
-        return i + a
-    if hi <= i < hi + a:
-        return i - a
-    return i
 
 
 def _schreier_even_subgroup(gens: list[Perm], n: int) -> list[Perm]:
@@ -201,14 +211,17 @@ def _schreier_even_subgroup(gens: list[Perm], n: int) -> list[Perm]:
 
 
 def generators(spec: SubgroupSpec) -> list[Perm]:
-    """A generating set for the named subgroup."""
+    """A generating set for the named subgroup, with at most two generators
+    per factor: at most 2 per Young block (plus the double transpositions
+    between blocks for the even part), 4 for S_a wr S_b and 8 for its even
+    part."""
     n = spec.n
     if spec.kind == "trivial":
         return []
     if spec.kind == "full_sym":
-        return _young_generators(n, (n,))
+        return _sym_generators(n, 0, n)
     if spec.kind == "full_alt":
-        return _alt_young_generators(n, (n,))
+        return _alt_generators(n, 0, n)
     if spec.kind == "young":
         return _young_generators(n, spec.blocks)
     if spec.kind == "alt_young":
@@ -219,13 +232,10 @@ def generators(spec: SubgroupSpec) -> list[Perm]:
         return _schreier_even_subgroup(_wreath_generators(*spec.blocks), n)
     # index2_wr_b2: A_b x A_b, the double transposition, and the block swap
     variant, b = spec.blocks
-    gens = _alt_young_generators(n, (b, b))
-    gens.append(from_cycles(n, (0, 1), (b, b + 1)))
-    swap = tuple(_block_swap_image(i, 0, b, n) for i in range(n))
+    swap = _block_swap(n, b)
     if variant == 2:
         swap = compose(from_cycles(n, (0, 1)), swap)
-    gens.append(swap)
-    return gens
+    return _alt_young_generators(n, (b, b)) + [swap]
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +345,8 @@ def _refuse_beyond_memory(need: int, what: str, detail: str) -> None:
 def _orbit_labels(spec: SubgroupSpec, basis: PermBasis) -> np.ndarray:
     """lab[j] = the smallest index in the orbit of tabloid j: min-label
     propagation along each generator and its inverse, plus pointer jumping,
-    until a round changes nothing.
+    until a round changes nothing.  generators() gives at most two
+    generators per factor of the subgroup, so there are few moves per round.
 
     Two int64 index arrays per generator, a few label arrays and the
     temporaries of basis.act must fit in physical memory, or the request is
@@ -418,12 +429,13 @@ def _cell_of_entry(shape: Partition) -> np.ndarray:
     return np.argsort(cells, axis=1)
 
 
+@lru_cache(maxsize=64)
 def _column_table(shape: Partition) -> tuple[np.ndarray, np.ndarray]:
-    """The column stabiliser of the diagram as (labels, signs).  Cells are
-    numbered in row-reading order; labels[pi, i] is the row of the cell that
-    pi sends cell i to.  For a tableau with entry T[i] in cell i, the
-    tabloid of the column-permuted tableau is the word with T[i] labelled
-    labels[pi, i], and it enters the polytabloid with signs[pi]."""
+    """The column stabiliser of the diagram as read-only (labels, signs).
+    Cells are numbered in row-reading order; labels[pi, i] is the row of the
+    cell that pi sends cell i to.  For a tableau with entry T[i] in cell i,
+    the tabloid of the column-permuted tableau is the word with T[i]
+    labelled labels[pi, i], and it enters the polytabloid with signs[pi]."""
     heights = [sum(1 for part in shape if part > c) for c in range(shape[0])] if shape else []
     cell = {}
     for r, part in enumerate(shape):
@@ -439,7 +451,9 @@ def _column_table(shape: Partition) -> tuple[np.ndarray, np.ndarray]:
                 word[cell[r, c]] = target
         labels.append(word)
         signs.append(sign)
-    return np.array(labels, dtype=np.int8), np.array(signs, dtype=np.int64)
+    labels, signs = np.array(labels, dtype=np.int8), np.array(signs, dtype=np.int64)
+    labels.flags.writeable = signs.flags.writeable = False
+    return labels, signs
 
 
 def polytabloid_matrix(shape: Partition, p: int) -> np.ndarray:
@@ -477,7 +491,9 @@ def gram_irreducibility(shape: Partition, p: int) -> bool:
 
 def _dual_specht_bytes(shape: Partition, m: int, d: int, gens: int) -> int:
     """Bytes that bound what dual_specht_invariant_dim allocates (traced
-    peaks were 0.54-0.85 of it on sixteen shapes), as the sum of its stages:
+    peaks were 0.35-0.80 of it on fourteen shapes with m >= 840, but up to
+    1.19 of it below 1 MB, where fixed costs dominate), as the sum of its
+    stages:
     - perm_basis at its last level (_basis_bytes);
     - _column_table: per column permutation a list of n ints and a tuple in
       itertools.product's pool, then the int8 labels;
@@ -501,7 +517,8 @@ def dual_specht_invariant_dim(shape: Partition, p: int, spec: SubgroupSpec) -> i
     form an invertible d x d block and their classes are a basis of the
     quotient.  The class of sum_j y_j {t_j} is fixed by g iff
     (E[g(J)] - E[J])^T y = 0: the fixed classes are the kernel of these
-    d x d blocks stacked over the generators.
+    d x d blocks stacked over the generators, at most two per factor of the
+    subgroup.
 
     A subgroup of another degree, a p that is not prime, and a shape whose
     tabloid basis, column table, E and stacked blocks cannot fit in physical

@@ -106,6 +106,30 @@ def test_invariants_command():
     assert payload["dim_Z_H"] == 1 and payload["hom_gap"] is True
 
 
+def test_invariants_labels_orbits_once(monkeypatch, capsys):
+    """On a two-row shape dim M^H is z_invariant_dim's orbit count, so the
+    orbit labels are built once, and the payload is the same as when
+    orbit_count built them a second time."""
+    from spinrest import cli, specht
+
+    calls = []
+    labels = specht._orbit_labels
+    monkeypatch.setattr(specht, "_orbit_labels", lambda *args: calls.append(args) or labels(*args))
+    argv = ["--format", "json", "invariants", "--shape", "(8,2)", "--p", "3", "--subgroup", "W(2,5)"]
+    assert cli.main(argv) == 0
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "schema": "spinrest-v1",
+        "shape": "(8,2)",
+        "subgroup": "W(2,5)",
+        "p": 3,
+        "dim_M_H": 2,
+        "dim_dualS_H": 1,
+        "dim_Z_H": 1,
+        "hom_gap": True,
+    }
+
+
 def test_verify_exit_codes():
     code, out, _ = run_cli("verify", "parity")
     assert code == 0 and "0 violations" in out

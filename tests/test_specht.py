@@ -1,4 +1,4 @@
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from oracles import (
     carter_irreducible,
     closure,
     contingency_count,
+    coxeter_generators,
     dual_specht_invariant_dim_by_hand,
     dual_specht_invariant_dim_by_quotients,
     fixed_space,
@@ -107,6 +108,87 @@ def test_index2_subgroups():
         }
         variants.append(h)
     assert variants[0] != variants[1]
+
+
+def _compositions(n: int):
+    """Every composition of n, one per subset of the n - 1 cut points."""
+    for cuts in range(2 ** (n - 1)):
+        parts, run = [], 1
+        for i in range(n - 1):
+            if cuts >> i & 1:
+                parts.append(run)
+                run = 0
+            run += 1
+        yield tuple(parts + [run])
+
+
+def _specs_of_degree(n: int) -> list:
+    """Every subgroup spec of degree n: Young and alternating-Young on every
+    composition, every wreath product and its even part, both index-2
+    variants, and the full, alternating and trivial groups."""
+    specs = [f(n, c) for c in _compositions(n) for f in (young, alt_young)]
+    for a in range(2, n // 2 + 1):
+        if n % a == 0:
+            specs += [wreath(a, n // a), wreath_alt(a, n // a)]
+    if n % 2 == 0 and n >= 4:
+        specs += [index2_wr_b2(1, n // 2), index2_wr_b2(2, n // 2)]
+    return specs + [SubgroupSpec(kind, n) for kind in ("full_sym", "full_alt", "trivial")]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_generators_match_coxeter_sets(n):
+    """The small generating sets generate the same group as the Coxeter-style
+    sets of the oracle, for every kind of subgroup of degree n."""
+    for spec in _specs_of_degree(n):
+        assert closure(generators(spec)) == closure(coxeter_generators(spec)), spec
+
+
+def test_generator_counts_are_bounded():
+    """At most 2 generators per Young block, plus one double transposition
+    per pair of adjacent blocks for the even part; at most 4 for S_a wr S_b
+    and 8 for its even part."""
+    for n in range(1, 13):
+        for blocks in ((n,), (n - 1, 1), (n // 2, n - n // 2), (1,) * n, (2,) * (n // 2) + (1,) * (n % 2)):
+            blocks = tuple(b for b in blocks if b)
+            assert len(generators(young(n, blocks))) == sum(min(b - 1, 2) for b in blocks)
+            assert len(generators(alt_young(n, blocks))) <= 2 * len(blocks) + len(blocks) - 1
+        assert len(generators(SubgroupSpec("full_sym", n))) <= 2
+        assert len(generators(SubgroupSpec("full_alt", n))) <= 2
+    for a in range(2, 7):
+        for b in range(2, 7):
+            assert len(generators(wreath(a, b))) <= 4
+            assert len(generators(wreath_alt(a, b))) <= 8
+    assert len(generators(wreath(3, 3))) == 4
+
+
+def _orbit_cases() -> list:
+    """The li and special-inv grids, and seeded Young and alternating-Young
+    specs with n <= 12 and at most 5000 tabloids."""
+    from spinrest.suites import _SPECIAL_INV
+
+    cases = [(spec, (2 * b - k, k)) for b in range(5, 9) for spec in (wreath(2, b), wreath(b, 2)) for k in range(b + 1)]
+    cases += [(wreath(2, b), shape_from_tail(2 * b, tail)) for b in (5, 6) for tail in _SPECIAL_INV]
+    rng = np.random.default_rng(11)
+    for n in range(4, 13):
+        shapes = [lam for lam in partitions_by_recursion(n) if factorial(n) // prod(map(factorial, lam)) <= 5000]
+        blocks = list(_compositions(n))
+        for _ in range(6):
+            lam = shapes[rng.integers(len(shapes))]
+            mu = blocks[rng.integers(len(blocks))]
+            cases += [(young(n, mu), lam), (alt_young(n, mu), lam)]
+    return cases
+
+
+def test_orbit_labels_match_coxeter_sets(monkeypatch):
+    """_orbit_labels gives the same array from the small generating sets as
+    from the Coxeter-style ones."""
+    from spinrest import specht
+
+    cases = _orbit_cases()
+    want = [specht._orbit_labels(spec, perm_basis(shape)) for spec, shape in cases]
+    monkeypatch.setattr(specht, "generators", coxeter_generators)
+    for (spec, shape), lab in zip(cases, want):
+        assert np.array_equal(specht._orbit_labels(spec, perm_basis(shape)), lab), (spec, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +358,19 @@ def test_polytabloid_matrix_matches_brute_force():
             assert np.array_equal(polytabloid_matrix(shape, 7), want), shape
 
 
+def test_column_table_is_cached_read_only():
+    """The column table is built once per shape, and its cached arrays
+    refuse writes, so no caller can corrupt the next polytabloid matrix."""
+    from spinrest import specht
+
+    labels, signs = specht._column_table((3, 2, 1))
+    assert specht._column_table((3, 2, 1))[0] is labels
+    for array in (labels, signs):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    assert len(signs) == 3 * 2 * 2 and signs.sum() == 0
+
+
 def test_eta_matches_subset_incidence():
     for n, k, l in ((7, 1, 3), (8, 3, 2), (8, 4, 4), (6, 0, 2), (6, 2, 0)):
         kb, lb = _word_index(subset_basis(n, k)), _word_index(subset_basis(n, l))
@@ -301,17 +396,18 @@ def _unreachable(*args, **kwargs):
 
 
 def test_dual_specht_refuses_beyond_physical_memory(monkeypatch):
-    """With 1 GB of physical memory, (6,4,2) under W(2,6) (E and six
-    2673 x 2673 blocks, about 1.3 GB) is refused before any basis or matrix
-    is built, and (5,3,2) under W(2,5) (about 33 MB) still runs."""
+    """With 0.5 GB of physical memory, (6,4,2) under W(2,6) (E and three
+    2673 x 2673 blocks, one per generator, about 0.8 GB) is refused before
+    any basis or matrix is built, and (5,3,2) under W(2,5) (about 26 MB)
+    still runs."""
     from spinrest import specht
 
-    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 250_000}
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 122_000}
     monkeypatch.setattr(specht.os, "sysconf", pages.__getitem__)
     with monkeypatch.context() as patch:
         patch.setattr(specht, "perm_basis", _unreachable)
         patch.setattr(specht, "polytabloid_matrix", _unreachable)
-        with pytest.raises(ValueError, match=r"needs about 1\.3 GB \(m = 13860 tabloids, dim S = 2673\)"):
+        with pytest.raises(ValueError, match=r"needs about 0\.8 GB \(m = 13860 tabloids, dim S = 2673\)"):
             dual_specht_invariant_dim((6, 4, 2), 3, wreath(2, 6))
     assert dual_specht_invariant_dim((5, 3, 2), 3, wreath(2, 5)) == 0
 
@@ -336,7 +432,8 @@ def test_dual_specht_counts_the_tabloid_basis_against_memory(monkeypatch):
 )
 def test_dual_specht_memory_bound_holds(shape, spec):
     """The bytes the refusal is based on cover what the computation
-    allocates, tabloid basis included, as traced by tracemalloc."""
+    allocates, tabloid basis and column table included, as traced by
+    tracemalloc."""
     import tracemalloc
 
     from spinrest import specht
@@ -345,6 +442,7 @@ def test_dual_specht_memory_bound_holds(shape, spec):
     m = factorial(n) // np.prod([factorial(part) for part in shape])
     bound = specht._dual_specht_bytes(shape, m, hook_dimension(shape), len(generators(spec)))
     specht.perm_basis.cache_clear()
+    specht._column_table.cache_clear()
     tracemalloc.start()
     try:
         dual_specht_invariant_dim(shape, 3, spec)
