@@ -1,9 +1,10 @@
 """The classification oracle: decide irreducibility of the restriction of an
 irreducible spin module to a named subgroup family.
 
-Verdicts carry a clause citation.  The dispatcher collects every clause that
-fires and insists on exactly one, so overlap bugs surface as errors in the
-sweep rather than silent misclassification.
+`classify` validates the subgroup, computes the label's kind once, refuses a
+basic label on a non-maximal imprimitive subgroup as out of scope, and asks one
+subgroup family for the clauses that fire.  `_verdict_from` insists on at most
+one, so overlap bugs surface as errors rather than silent misclassification.
 """
 
 from dataclasses import dataclass
@@ -38,15 +39,11 @@ PRIMITIVE_ATOMS = {
 
 @dataclass(frozen=True)
 class PrimitiveCase:
-    """A primitive-subgroup atom from the known finite list, e.g. M_12 < S_12.
-
-    `name` identifies pi(H); `two_classes` marks the rows that occur as two
-    conjugacy classes (the verdict quantifies over the class).
-    """
+    """A primitive-subgroup atom from the known finite list, e.g. M_12 < S_12;
+    `name` identifies pi(H)."""
 
     name: str
     n: int
-    two_classes: bool = False
 
     def __post_init__(self):
         if self.name != "other-primitive" and self.name not in PRIMITIVE_ATOMS.get(self.n, ()):
@@ -60,11 +57,25 @@ class PrimitiveCase:
         return f"prim:{self.name}<S{self.n}"
 
 
+# Table II: the non-maximal imprimitive atoms, by row.
+_TABLE_II = {
+    1: ("S", 6, (3, 2, 1), lambda p: p >= 7, "Z5:4 inside S_{5,1}"),
+    2: ("S", 6, (3, 2, 1), lambda p: p >= 7, "subgroup of W_{3,2} meeting S_{3,3} in A_{3,3}"),
+    3: ("S", 6, (3, 2, 1), lambda p: p >= 5, "W_{2,2} x S_2"),
+    4: ("A", 7, (4, 2, 1), lambda p: p == 3, "A5 primitive inside S_{6,1}"),
+}
+
+
 @dataclass(frozen=True)
 class TableIICase:
     """A non-maximal imprimitive atom from Table II, identified by row."""
 
-    row: int  # 1..4
+    row: int
+
+    def __post_init__(self):
+        if self.row not in _TABLE_II:
+            rows = ", ".join(map(str, _TABLE_II))
+            raise ValueError(f"tab2:row{self.row} is not a Table II row (rows: {rows})")
 
     def __str__(self) -> str:
         return f"tab2:row{self.row}"
@@ -86,6 +97,9 @@ class RestrictionQuery:
             raise ValueError("label does not match query group/characteristic")
         if size(self.label.lam) != self.n:
             raise ValueError("label size does not match n")
+        sub = self.subgroup
+        if isinstance(sub, (SubgroupSpec, PrimitiveCase)) and sub.n != self.n:
+            raise ValueError(f"subgroup {sub} acts on {sub.n} points, but n = {self.n}")
 
 
 @dataclass(frozen=True)
@@ -113,94 +127,92 @@ def _kind(lam: Partition, n: int, p: int) -> str:
     return "other"
 
 
-# ---------------------------------------------------------------------------
-# Intransitive subgroups  S_{n-k,k} (and the alternating variants)
-# ---------------------------------------------------------------------------
+def _second_even(query: RestrictionQuery, kind: str) -> bool:
+    """The hypothesis of wreath (ii) and index-2 (ii): the second basic label
+    with n even and p | n - 1."""
+    return kind == "second" and (query.n - 1) % query.p == 0 and query.n % 2 == 0
 
 
-def _intransitive_clauses(query: "RestrictionQuery", k: int) -> list[str]:
+# ---------------------------------------------------------------------------
+# Young subgroups S_mu, and A_mu in either cover
+# ---------------------------------------------------------------------------
+
+_WHOLE = "restriction to the whole group"
+
+
+def _young(query: RestrictionQuery, kind: str, blocks: tuple[int, ...]) -> list[str]:
+    """The whole group, the intransitive S_{n-k,k} clauses, or clause (iv) on
+    S_{n-2,1,1}."""
     lam, p, n = query.label.lam, query.p, query.n
-    eps = query.label.eps
-    clauses = []
-    if _kind(lam, n, p) == "basic":
+    if len(blocks) == 1:
+        return [_WHOLE]
+    if len(blocks) > 2:
+        fires = sorted(blocks) == [1, 1, n - 2] and js_class(lam, p) == 0 and query.label.eps in "+-"
+        return ["clause (iv): signed JS(0) label on S_{n-2,1,1}"] if fires else []
+    k = min(blocks)
+    if kind == "basic":
         parity_ok = (n % 2 == 0) if query.group == "S" else (n % 2 == 1)
-        if k % p and (n - k) % p and (parity_ok or n % p == 0):
-            clauses.append("intransitive (i): basic with p coprime to both block sizes")
-        return clauses
+        fires = k % p and (n - k) % p and (parity_ok or n % p == 0)
+        return ["intransitive (i): basic with p coprime to both block sizes"] if fires else []
     js = js_class(lam, p)
-    if k == 1:
-        if js == 0:
-            clauses.append("intransitive (ii)(a): one-step restriction of a JS(0) label")
-        if js is not None and js != 0 and eps in "+-":
-            clauses.append("intransitive (ii)(b): signed one-step restriction of a JS label")
+    clauses = []
+    if k == 1 and js == 0:
+        clauses.append("intransitive (ii)(a): one-step restriction of a JS(0) label")
+    if k == 1 and js is not None and js != 0 and query.label.eps in "+-":
+        clauses.append("intransitive (ii)(b): signed one-step restriction of a JS label")
     if k == 2 and js == 0:
         clauses.append("intransitive (iii): two-step restriction of a JS(0) label")
     return clauses
 
 
-def classify_intransitive(query: "RestrictionQuery") -> RestrictionVerdict:
-    """Restriction to the two-block Young subgroup intersected with the
-    query's group."""
-    sub = query.subgroup
-    if not isinstance(sub, SubgroupSpec) or sub.kind != "young" or len(sub.blocks) != 2:
-        raise ValueError("classify_intransitive needs a two-block Young subgroup")
-    k = min(sub.blocks)
-    if k < 1 or 2 * k > query.n:
-        raise ValueError("need 1 <= k <= n/2")
-    clauses = _intransitive_clauses(query, k)
-    return _verdict_from(clauses)
+def _alt_young(query: RestrictionQuery, kind: str, blocks: tuple[int, ...]) -> list[str]:
+    """A_mu inside the symmetric cover: clauses (ii) and (v)."""
+    n = query.n
+    if js_class(query.label.lam, query.p) != 0 or query.label.eps not in "+-":
+        return []
+    if sorted(blocks) == [1, n - 1]:
+        return ["clause (ii): signed JS(0) label on A_{n-1,1} in the symmetric cover"]
+    if sorted(blocks) == [2, n - 2]:
+        return ["clause (v): signed JS(0) label on A_{n-2,2} in the symmetric cover"]
+    return []
 
 
 # ---------------------------------------------------------------------------
-# Maximal wreath subgroups  W_{a,b} (and intersections with the alternating
-# group), plus Table I
+# Maximal wreath subgroups W_{a,b} (and W_{a,b} ∩ A_n), plus Table I
 # ---------------------------------------------------------------------------
 
 _TABLE_I = (
-    # (lam, group, (a, b), alt_intersection, min_p, dim)
-    ((3, 2, 1), "S", (3, 2), False, 7),
-    ((3, 2, 1), "S", (2, 3), False, 7),
-    ((3, 2, 1), "A", (3, 2), True, 7),
-    ((4, 3, 2, 1), "S", (5, 2), False, 7),
-    ((4, 3, 2, 1), "A", (5, 2), True, 7),
+    # (lam, group, (a, b), min_p)
+    ((3, 2, 1), "S", (3, 2), 7),
+    ((3, 2, 1), "S", (2, 3), 7),
+    ((3, 2, 1), "A", (3, 2), 7),
+    ((4, 3, 2, 1), "S", (5, 2), 7),
+    ((4, 3, 2, 1), "A", (5, 2), 7),
 )
 
 
 def table_i_rows() -> list[dict]:
     out = []
-    for lam, group, (a, b), _alt, min_p in _TABLE_I:
+    for lam, group, (a, b), min_p in _TABLE_I:
         dim = char0_module_dim(lam) if group == "S" else schur_char0_dim(lam) // 2
         out.append({"lam": lam, "group": group, "a": a, "b": b, "min_p": min_p, "dim": dim})
     return out
 
 
-def _wreath_clauses(query: "RestrictionQuery", a: int, b: int) -> list[str]:
-    lam, p, n = query.label.lam, query.p, query.n
-    kind = _kind(lam, n, p)
-    clauses = []
+def _wreath(query: RestrictionQuery, kind: str, a: int, b: int) -> list[str]:
+    lam, p, group = query.label.lam, query.p, query.group
     if kind == "basic":
-        if a % p:
-            clauses.append("wreath (i): basic with p coprime to the inner block size")
-        return clauses
-    if kind == "second" and (n - 1) % p == 0 and n % 2 == 0:
-        if query.group == "S" and (a == 2 or b == 2):
+        return ["wreath (i): basic with p coprime to the inner block size"] if a % p else []
+    clauses = []
+    if _second_even(query, kind):
+        if group == "S" and (a == 2 or b == 2):
             clauses.append("wreath (ii)(a): second basic on a 2-part wreath subgroup")
-        if query.group == "A" and b == 2:
+        if group == "A" and b == 2:
             clauses.append("wreath (ii)(b): second basic on W_{n/2,2} inside the alternating cover")
-    for row_lam, row_group, (row_a, row_b), _alt, min_p in _TABLE_I:
-        if lam == row_lam and query.group == row_group and (a, b) == (row_a, row_b) and p >= min_p:
-            clauses.append(f"Table I row ({format_partition(lam)}, W({a},{b}), {row_group})")
+    for row_lam, row_group, row_ab, min_p in _TABLE_I:
+        if (lam, group, (a, b)) == (row_lam, row_group, row_ab) and p >= min_p:
+            clauses.append(f"Table I row ({format_partition(lam)}, W({a},{b}), {group})")
     return clauses
-
-
-def classify_wreath(query: "RestrictionQuery") -> RestrictionVerdict:
-    sub = query.subgroup
-    if not isinstance(sub, SubgroupSpec) or sub.kind not in ("wreath", "wreath_alt"):
-        raise ValueError("classify_wreath needs a wreath subgroup")
-    a, b = sub.blocks
-    if query.group == "S" and sub.kind == "wreath_alt":
-        return _index2_verdict(query)
-    return _verdict_from(_wreath_clauses(query, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -208,233 +220,160 @@ def classify_wreath(query: "RestrictionQuery") -> RestrictionVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _index2_verdict(query: "RestrictionQuery") -> RestrictionVerdict:
+def _index2(query: RestrictionQuery, kind: str) -> list[str]:
     """Inside hat-W_{b,2}: the full group, its two transitive index-2
     subgroups (hat-W ∩ hat-A_n among them) are irreducible for the second
     basic module with p | (n-1); everything else and every proper subgroup of
     hat-W_{2,b} is reducible."""
     sub = query.subgroup
-    lam, p, n = query.label.lam, query.p, query.n
-    kind = _kind(lam, n, p)
-    if kind == "basic":
-        return RestrictionVerdict(
-            Outcome.OUT_OF_SCOPE,
-            "basic spin modules on non-maximal imprimitive subgroups are not classified",
-            ("excluded family",),
-        )
+    second = _second_even(query, kind)
+    if sub.kind == "wreath_alt":
+        # hat-W_{b,2} ∩ hat-A_n is one of the two transitive index-2 subgroups
+        if second and sub.blocks[1] == 2:
+            return ["index-2 (ii): W_{n/2,2} meet the alternating cover, inside the symmetric cover"]
+        return []
     clauses = []
-    second = kind == "second" and (n - 1) % p == 0 and n % 2 == 0
-    if isinstance(sub, SubgroupSpec) and sub.kind == "index2_wr_b2":
-        _variant, b = sub.blocks
-        if second and query.group == "S":
-            clauses.append("index-2 (ii): transitive index-2 subgroup of W_{n/2,2}, not S_{b,b}")
-        if query.group == "S" and n == 6 and lam == (3, 2, 1) and p >= 7 and query.label.eps in "+-":
-            clauses.append("Table II row 2 (index-2 subgroup of W_{3,2} meeting S_{3,3} in A_{3,3})")
-    elif isinstance(sub, SubgroupSpec) and sub.kind == "wreath_alt":
-        a, b = sub.blocks
-        if second and query.group == "S" and b == 2:
-            # hat-W_{b,2} ∩ hat-A_n is one of the two transitive index-2 subgroups
-            clauses.append("index-2 (ii): W_{n/2,2} meet the alternating cover, inside the symmetric cover")
-    return _verdict_from(clauses)
+    if second:
+        clauses.append("index-2 (ii): transitive index-2 subgroup of W_{n/2,2}, not S_{b,b}")
+    if _table_ii_fires(query, 2):
+        clauses.append("Table II row 2 (index-2 subgroup of W_{3,2} meeting S_{3,3} in A_{3,3})")
+    return clauses
 
 
 # ---------------------------------------------------------------------------
 # Primitive subgroups: the known finite list
 # ---------------------------------------------------------------------------
 
-# (kind, group, n, name, p-condition, outcome)
-_PRIMITIVE_ROWS = [
-    ("basic", "S", 5, "Z5:4", lambda p: p != 5, Outcome.IRREDUCIBLE),
-    ("basic", "S", 6, "S5", lambda p: True, Outcome.IRREDUCIBLE),
-    ("basic", "S", 6, "A5", lambda p: p != 3, Outcome.IRREDUCIBLE),
-    ("basic", "S", 8, "AGL3(2)", lambda p: True, Outcome.IRREDUCIBLE),
-    ("basic", "S", 10, "S6", lambda p: p not in (3, 5), Outcome.IRREDUCIBLE),
-    ("basic", "S", 10, "M10", lambda p: p not in (3, 5), Outcome.IRREDUCIBLE),
-    ("basic", "S", 10, "AutA6", lambda p: p != 3, Outcome.IRREDUCIBLE),
-    ("basic", "S", 11, "M11", lambda p: p == 11, Outcome.IRREDUCIBLE),
-    ("basic", "S", 12, "M12", lambda p: p != 3, Outcome.IRREDUCIBLE),
-    ("basic", "A", 5, "Z5:2", lambda p: p != 5, Outcome.IRREDUCIBLE),
-    ("basic", "A", 6, "A5", lambda p: True, Outcome.IRREDUCIBLE),
-    ("basic", "A", 7, "L2(7)", lambda p: True, Outcome.IRREDUCIBLE),
-    ("basic", "A", 8, "AGL3(2)", lambda p: True, Outcome.IRREDUCIBLE),
-    ("basic", "A", 9, "L2(8)", lambda p: p != 3, Outcome.IRREDUCIBLE_ONE_SIGN),
-    ("basic", "A", 9, "3^2:Q8", lambda p: p != 3, Outcome.IRREDUCIBLE),
-    ("basic", "A", 10, "M10", lambda p: p != 3, Outcome.IRREDUCIBLE),
-    ("basic", "A", 10, "A6", lambda p: p == 5, Outcome.IRREDUCIBLE),
-    ("basic", "A", 11, "M11", lambda p: p != 3, Outcome.IRREDUCIBLE),
-    ("basic", "A", 12, "M12", lambda p: p != 3, Outcome.IRREDUCIBLE),
-    ("second", "A", 6, "A5", lambda p: p == 3, Outcome.IRREDUCIBLE),
-    ("second", "A", 7, "L2(7)", lambda p: p == 3, Outcome.IRREDUCIBLE),
-    ("second", "A", 8, "AGL3(2)", lambda p: p != 7, Outcome.IRREDUCIBLE),
-    ("second", "A", 12, "M12", lambda p: p not in (3, 11), Outcome.IRREDUCIBLE),
-]
+# (kind, group, n, name) -> p-condition
+_PRIMITIVE_ROWS = {
+    ("basic", "S", 5, "Z5:4"): lambda p: p != 5,
+    ("basic", "S", 6, "S5"): lambda p: True,
+    ("basic", "S", 6, "A5"): lambda p: p != 3,
+    ("basic", "S", 8, "AGL3(2)"): lambda p: True,
+    ("basic", "S", 10, "S6"): lambda p: p not in (3, 5),
+    ("basic", "S", 10, "M10"): lambda p: p not in (3, 5),
+    ("basic", "S", 10, "AutA6"): lambda p: p != 3,
+    ("basic", "S", 11, "M11"): lambda p: p == 11,
+    ("basic", "S", 12, "M12"): lambda p: p != 3,
+    ("basic", "A", 5, "Z5:2"): lambda p: p != 5,
+    ("basic", "A", 6, "A5"): lambda p: True,
+    ("basic", "A", 7, "L2(7)"): lambda p: True,
+    ("basic", "A", 8, "AGL3(2)"): lambda p: True,
+    ("basic", "A", 9, "L2(8)"): lambda p: p != 3,
+    ("basic", "A", 9, "3^2:Q8"): lambda p: p != 3,
+    ("basic", "A", 10, "M10"): lambda p: p != 3,
+    ("basic", "A", 10, "A6"): lambda p: p == 5,
+    ("basic", "A", 11, "M11"): lambda p: p != 3,
+    ("basic", "A", 12, "M12"): lambda p: p != 3,
+    ("second", "A", 6, "A5"): lambda p: p == 3,
+    ("second", "A", 7, "L2(7)"): lambda p: p == 3,
+    ("second", "A", 8, "AGL3(2)"): lambda p: p != 7,
+    ("second", "A", 12, "M12"): lambda p: p not in (3, 11),
+}
 
-_PRIMITIVE_OTHER_ROWS = [
-    # neither basic nor second basic: only two rows survive
-    ("S", 5, "Z5:4", (3, 2)),
-    ("S", 6, "S5", (3, 2, 1)),
-]
+# The one row that holds for only one of the two sign choices.
+_ONE_SIGN = "primitive list (basic, L2(8) < S_9)"
+
+# Neither basic nor second basic, for p > 5: only two rows survive.
+_PRIMITIVE_OTHER_ROWS = {("S", 5, "Z5:4", (3, 2)), ("S", 6, "S5", (3, 2, 1))}
 
 
-def classify_primitive(query: "RestrictionQuery") -> RestrictionVerdict:
-    sub = query.subgroup
-    if not isinstance(sub, PrimitiveCase):
-        raise ValueError("classify_primitive needs a PrimitiveCase atom")
-    lam, p, n = query.label.lam, query.p, query.n
-    kind = _kind(lam, n, p)
-    clauses = []
-    outcome = Outcome.IRREDUCIBLE
-    for row_kind, group, row_n, name, cond, row_outcome in _PRIMITIVE_ROWS:
-        if (
-            kind == row_kind
-            and query.group == group
-            and n == row_n
-            and sub.name == name
-            and cond(p)
-        ):
-            clauses.append(f"primitive list ({row_kind}, {name} < S_{row_n})")
-            outcome = row_outcome
-    if kind == "other":
-        for group, row_n, name, row_lam in _PRIMITIVE_OTHER_ROWS:
-            if query.group == group and n == row_n and sub.name == name and p > 5 and lam == row_lam:
-                clauses.append(f"primitive list (non-basic, {name} < S_{row_n})")
-    if not clauses:
-        return RestrictionVerdict(Outcome.REDUCIBLE, "", ())
-    if len(clauses) > 1:
-        raise RuntimeError(f"clause overlap for {query}: {clauses}")
-    return RestrictionVerdict(outcome, clauses[0], (clauses[0],))
+def _primitive(query: RestrictionQuery, kind: str) -> list[str]:
+    name, group, n, p = query.subgroup.name, query.group, query.n, query.p
+    cond = _PRIMITIVE_ROWS.get((kind, group, n, name))
+    if cond is not None and cond(p):
+        return [f"primitive list ({kind}, {name} < S_{n})"]
+    if kind == "other" and p > 5 and (group, n, name, query.label.lam) in _PRIMITIVE_OTHER_ROWS:
+        return [f"primitive list (non-basic, {name} < S_{n})"]
+    return []
 
 
 # ---------------------------------------------------------------------------
 # Table II
 # ---------------------------------------------------------------------------
 
-_TABLE_II = {
-    1: ("S", 6, (3, 2, 1), lambda p: p >= 7, "Z5:4 inside S_{5,1}"),
-    2: ("S", 6, (3, 2, 1), lambda p: p >= 7, "subgroup of W_{3,2} meeting S_{3,3} in A_{3,3}"),
-    3: ("S", 6, (3, 2, 1), lambda p: p >= 5, "W_{2,2} x S_2"),
-    4: ("A", 7, (4, 2, 1), lambda p: p == 3, "A5 primitive inside S_{6,1}"),
-}
+
+def _table_ii_fires(query: RestrictionQuery, row: int) -> bool:
+    group, n, lam, cond, _desc = _TABLE_II[row]
+    fires = (query.group, query.n, query.label.lam) == (group, n, lam) and cond(query.p)
+    return fires and query.label.eps in "+-"
 
 
-def _classify_table2(query: "RestrictionQuery") -> RestrictionVerdict:
-    sub = query.subgroup
-    row = _TABLE_II.get(sub.row)
-    if row is None:
-        raise ValueError(f"unknown Table II row {sub.row}")
-    group, n, lam, cond, desc = row
-    clauses = []
-    if (
-        query.group == group
-        and query.n == n
-        and query.label.lam == lam
-        and cond(query.p)
-        and query.label.eps in "+-"
-    ):
-        clauses.append(f"Table II row {sub.row} ({desc})")
-    return _verdict_from(clauses)
+def _table_ii(query: RestrictionQuery, kind: str) -> list[str]:
+    row = query.subgroup.row
+    return [f"Table II row {row} ({_TABLE_II[row][4]})"] if _table_ii_fires(query, row) else []
 
 
 # ---------------------------------------------------------------------------
 # Dispatcher
 # ---------------------------------------------------------------------------
 
+_CLIFFORD = "index-2 Clifford theory: signed label stays irreducible"
+_SIXFOLD = "exceptional 6-fold covers at n = 6, 7 are settled elsewhere"
+_NOT_CLASSIFIED = "basic spin modules on non-maximal imprimitive subgroups are not classified"
+# General facts and out-of-scope reasons rather than clauses of the
+# classification: their verdicts cite nothing.
+_UNCITED = (_WHOLE, _CLIFFORD, _SIXFOLD, _NOT_CLASSIFIED)
 
-def _verdict_from(clauses: list[str]) -> RestrictionVerdict:
+
+def _clifford(query: RestrictionQuery, kind: str) -> list[str]:
+    """hat-A_n inside the symmetric cover."""
+    return [_CLIFFORD] if query.label.eps in "+-" else []
+
+
+def _verdict_from(clauses: list[str], outcome: Outcome = Outcome.IRREDUCIBLE) -> RestrictionVerdict:
+    """Reducible when no clause fires, `outcome` with the one clause that
+    fires, and an overlap error when more than one does."""
     if not clauses:
         return RestrictionVerdict(Outcome.REDUCIBLE, "", ())
     if len(clauses) > 1:
         raise RuntimeError(f"clause overlap: {clauses}")
-    return RestrictionVerdict(Outcome.IRREDUCIBLE, clauses[0], (clauses[0],))
+    clause = clauses[0]
+    return RestrictionVerdict(outcome, clause, () if clause in _UNCITED else (clause,))
 
 
-def _out_of_scope(reason: str) -> RestrictionVerdict:
-    return RestrictionVerdict(Outcome.OUT_OF_SCOPE, reason, ())
+def _family(query: RestrictionQuery):
+    """The clause family of the query's subgroup, its extra arguments, and
+    whether the subgroup is non-maximal imprimitive; a ValueError for a
+    subgroup that the query's cover does not classify."""
+    sub, group = query.subgroup, query.group
+    if isinstance(sub, PrimitiveCase):
+        return _primitive, (), False
+    if isinstance(sub, TableIICase):
+        return _table_ii, (), True
+    if not isinstance(sub, SubgroupSpec):
+        raise ValueError(f"unsupported subgroup {sub!r}")
+    kind, blocks = sub.kind, sub.blocks
+    if kind == "full_sym" and group != "S":
+        raise ValueError("full symmetric subgroup lives in the symmetric cover")
+    if kind == "index2_wr_b2" and group != "S":
+        raise ValueError("index-2 wreath subgroups are classified inside the symmetric cover")
+    if group == "A":
+        # inside the alternating cover, H ∩ A_n is classified as H
+        kind = {"full_alt": "full_sym", "alt_young": "young", "wreath_alt": "wreath"}.get(kind, kind)
+    if kind == "full_sym":
+        return _young, ((query.n,),), False
+    if kind == "full_alt":
+        return _clifford, (), False
+    if kind == "young":
+        return _young, (blocks,), len(blocks) > 2
+    if kind == "alt_young":
+        return _alt_young, (blocks,), True
+    if kind == "wreath":
+        return _wreath, blocks, False
+    if kind in ("wreath_alt", "index2_wr_b2"):
+        return _index2, (), True
+    raise ValueError(f"unsupported subgroup kind {kind}")
 
 
 def classify(query: RestrictionQuery) -> RestrictionVerdict:
     """Decide the query; exactly one classification clause may fire."""
     if query.sixfold_cover:
-        return _out_of_scope("exceptional 6-fold covers at n = 6, 7 are settled elsewhere")
-    sub = query.subgroup
-    lam, p, n = query.label.lam, query.p, query.n
-    kind = _kind(lam, n, p)
-    eps = query.label.eps
-
-    if isinstance(sub, PrimitiveCase):
-        return classify_primitive(query)
-    if isinstance(sub, TableIICase):
-        if kind == "basic":
-            return _out_of_scope(
-                "basic spin modules on non-maximal imprimitive subgroups are not classified"
-            )
-        return _classify_table2(query)
-    if not isinstance(sub, SubgroupSpec):
-        raise ValueError(f"unsupported subgroup {sub!r}")
-    if sub.n != n:
-        raise ValueError("subgroup degree does not match query")
-
-    if sub.kind == "full_sym":
-        if query.group != "S":
-            raise ValueError("full symmetric subgroup lives in the symmetric cover")
-        return RestrictionVerdict(Outcome.IRREDUCIBLE, "restriction to the whole group", ())
-    if sub.kind == "full_alt":
-        if query.group == "A":
-            return RestrictionVerdict(Outcome.IRREDUCIBLE, "restriction to the whole group", ())
-        if eps in "+-":
-            return RestrictionVerdict(
-                Outcome.IRREDUCIBLE, "index-2 Clifford theory: signed label stays irreducible", ()
-            )
-        return RestrictionVerdict(Outcome.REDUCIBLE, "", ())
-
-    if sub.kind == "young":
-        blocks = sub.blocks
-        if len(blocks) == 1:
-            return RestrictionVerdict(Outcome.IRREDUCIBLE, "restriction to the whole group", ())
-        if len(blocks) == 2:
-            return classify_intransitive(query)
-        if kind == "basic":
-            return _out_of_scope(
-                "basic spin modules on non-maximal imprimitive subgroups are not classified"
-            )
-        if sorted(blocks) == [1, 1, n - 2]:
-            clauses = []
-            if js_class(lam, p) == 0 and eps in "+-":
-                clauses.append("clause (iv): signed JS(0) label on S_{n-2,1,1}")
-            return _verdict_from(clauses)
-        return RestrictionVerdict(Outcome.REDUCIBLE, "", ())
-
-    if sub.kind == "alt_young":
-        if query.group == "A":
-            # A_{mu} = S_{mu} meet A_n is the intransitive case for the
-            # alternating cover
-            proxy = RestrictionQuery(
-                query.group, n, p, query.label, SubgroupSpec("young", n, sub.blocks)
-            )
-            return classify(proxy)
-        if kind == "basic":
-            return _out_of_scope(
-                "basic spin modules on non-maximal imprimitive subgroups are not classified"
-            )
-        blocks = sorted(sub.blocks)
-        clauses = []
-        if js_class(lam, p) == 0 and eps in "+-":
-            if blocks == [1, n - 1]:
-                clauses.append("clause (ii): signed JS(0) label on A_{n-1,1} in the symmetric cover")
-            if blocks == [2, n - 2]:
-                clauses.append("clause (v): signed JS(0) label on A_{n-2,2} in the symmetric cover")
-        return _verdict_from(clauses)
-
-    if sub.kind in ("wreath", "wreath_alt"):
-        if kind == "basic" and query.group == "S" and sub.kind == "wreath_alt":
-            return _out_of_scope(
-                "basic spin modules on non-maximal imprimitive subgroups are not classified"
-            )
-        return classify_wreath(query)
-
-    if sub.kind == "index2_wr_b2":
-        if query.group != "S":
-            raise ValueError("index-2 wreath subgroups are classified inside the symmetric cover")
-        return _index2_verdict(query)
-
-    raise ValueError(f"unsupported subgroup kind {sub.kind}")
+        return _verdict_from([_SIXFOLD], Outcome.OUT_OF_SCOPE)
+    family, args, non_maximal = _family(query)
+    kind = _kind(query.label.lam, query.n, query.p)
+    if kind == "basic" and non_maximal:
+        return _verdict_from([_NOT_CLASSIFIED], Outcome.OUT_OF_SCOPE)
+    clauses = family(query, kind, *args)
+    one_sign = clauses == [_ONE_SIGN]
+    return _verdict_from(clauses, Outcome.IRREDUCIBLE_ONE_SIGN if one_sign else Outcome.IRREDUCIBLE)

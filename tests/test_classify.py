@@ -7,13 +7,12 @@ from spinrest.classify import (
     RestrictionQuery,
     TableIICase,
     classify,
-    classify_primitive,
     table_i_rows,
 )
-from spinrest.labels import ModuleLabel, alpha_n, beta_n
+from spinrest.labels import ModuleLabel, alpha_n, beta_n, labels_for
 from spinrest.partitions import a_p
 from spinrest.residues import js_class
-from spinrest.specht import alt_young, index2_wr_b2, wreath, wreath_alt, young
+from spinrest.specht import SubgroupSpec, alt_young, index2_wr_b2, wreath, wreath_alt, young
 
 
 def _q(group, n, p, lam, eps, sub, **kw):
@@ -95,10 +94,7 @@ def test_index2_family():
 
 def test_primitive_rows():
     a11 = alpha_n(11, 11)
-    assert (
-        classify_primitive(_q("S", 11, 11, a11, "+", PrimitiveCase("M11", 11))).outcome
-        == Outcome.IRREDUCIBLE
-    )
+    assert _outcome("S", 11, 11, a11, "+", PrimitiveCase("M11", 11)) == Outcome.IRREDUCIBLE
     a9 = alpha_n(9, 5)
     assert (
         _outcome("A", 9, 5, a9, "0" if a_p(a9, 5) else "+", PrimitiveCase("L2(8)", 9))
@@ -157,8 +153,6 @@ def test_clause_b_iv_and_v():
 
 def test_full_group_restrictions():
     assert _outcome("S", 6, 7, (3, 2, 1), "+", young(6, (6,))) == Outcome.IRREDUCIBLE
-    from spinrest.specht import SubgroupSpec
-
     assert _outcome("S", 6, 7, (3, 2, 1), "+", SubgroupSpec("full_alt", 6)) == Outcome.IRREDUCIBLE
     assert _outcome("S", 10, 7, (4, 3, 2, 1), "0", SubgroupSpec("full_alt", 10)) == Outcome.REDUCIBLE
 
@@ -168,3 +162,78 @@ def test_query_validation():
         classify(_q("S", 6, 3, (4, 2), "0", young(7, (6, 1))))  # degree mismatch
     with pytest.raises(ValueError):
         RestrictionQuery("S", 6, 3, ModuleLabel("A", (4, 2), "+", 3), young(6, (5, 1)))
+
+
+def test_subgroup_degree_is_checked_on_construction():
+    with pytest.raises(ValueError, match="prim:M12<S12 acts on 12 points, but n = 6"):
+        RestrictionQuery("S", 6, 7, ModuleLabel("S", (6,), "+", 7), PrimitiveCase("M12", 12))
+    with pytest.raises(ValueError, match="acts on 7 points, but n = 6"):
+        _q("S", 6, 3, (4, 2), "0", young(7, (6, 1)), sixfold_cover=True)
+
+
+def test_unknown_table_ii_row_is_rejected():
+    for row in (0, 5, 9):
+        with pytest.raises(ValueError, match=r"tab2:row\d is not a Table II row \(rows: 1, 2, 3, 4\)"):
+            TableIICase(row)
+
+
+def test_out_of_scope_verdicts_cite_nothing():
+    a10, a6 = alpha_n(10, 3), alpha_n(6, 3)
+    for group, n, lam, sub in (
+        ("S", 10, a10, alt_young(10, (8, 2))),
+        ("S", 10, a10, young(10, (8, 1, 1))),
+        ("S", 10, a10, wreath_alt(5, 2)),
+        ("S", 10, a10, index2_wr_b2(1, 5)),
+        ("S", 6, a6, TableIICase(3)),
+    ):
+        for label in labels_for(lam, 3, group):
+            verdict = classify(RestrictionQuery(group, n, 3, label, sub))
+            assert verdict.outcome == Outcome.OUT_OF_SCOPE and verdict.citations == ()
+
+
+_B10 = beta_n(10, 3)
+_CLAUSES = [
+    ("S", 8, 3, alpha_n(8, 3), "+", young(8, (7, 1)), "intransitive (i): basic with p coprime to both block sizes"),
+    ("S", 12, 3, (5, 4, 2, 1), "0", young(12, (11, 1)), "intransitive (ii)(a): one-step restriction of a JS(0) label"),
+    ("A", 6, 3, (4, 2), "+", young(6, (5, 1)), "intransitive (ii)(b): signed one-step restriction of a JS label"),
+    ("S", 12, 3, (5, 4, 2, 1), "0", young(12, (10, 2)), "intransitive (iii): two-step restriction of a JS(0) label"),
+    ("A", 12, 3, (5, 4, 2, 1), "+", alt_young(12, (11, 1)), "intransitive (ii)(a): one-step restriction of a JS(0) label"),
+    ("S", 10, 3, (4, 3, 2, 1), "+", alt_young(10, (9, 1)), "clause (ii): signed JS(0) label on A_{n-1,1} in the symmetric cover"),
+    ("S", 10, 3, (4, 3, 2, 1), "+", young(10, (8, 1, 1)), "clause (iv): signed JS(0) label on S_{n-2,1,1}"),
+    ("S", 10, 3, (4, 3, 2, 1), "+", alt_young(10, (8, 2)), "clause (v): signed JS(0) label on A_{n-2,2} in the symmetric cover"),
+    ("S", 12, 5, alpha_n(12, 5), "+", wreath(4, 3), "wreath (i): basic with p coprime to the inner block size"),
+    ("S", 10, 3, _B10, "+", wreath(5, 2), "wreath (ii)(a): second basic on a 2-part wreath subgroup"),
+    ("A", 10, 3, _B10, "0", wreath_alt(5, 2), "wreath (ii)(b): second basic on W_{n/2,2} inside the alternating cover"),
+    ("S", 6, 7, (3, 2, 1), "+", wreath(3, 2), "Table I row ((3,2,1), W(3,2), S)"),
+    ("A", 10, 7, (4, 3, 2, 1), "+", wreath_alt(5, 2), "Table I row ((4,3,2,1), W(5,2), A)"),
+    ("S", 10, 3, _B10, "+", index2_wr_b2(1, 5), "index-2 (ii): transitive index-2 subgroup of W_{n/2,2}, not S_{b,b}"),
+    ("S", 10, 3, _B10, "+", wreath_alt(5, 2), "index-2 (ii): W_{n/2,2} meet the alternating cover, inside the symmetric cover"),
+    ("S", 6, 7, (3, 2, 1), "+", TableIICase(1), "Table II row 1 (Z5:4 inside S_{5,1})"),
+    ("S", 6, 7, (3, 2, 1), "-", TableIICase(2), "Table II row 2 (subgroup of W_{3,2} meeting S_{3,3} in A_{3,3})"),
+    ("S", 6, 5, (3, 2, 1), "+", TableIICase(3), "Table II row 3 (W_{2,2} x S_2)"),
+    ("A", 7, 3, (4, 2, 1), "+", TableIICase(4), "Table II row 4 (A5 primitive inside S_{6,1})"),
+    ("S", 6, 7, (3, 2, 1), "+", index2_wr_b2(1, 3), "Table II row 2 (index-2 subgroup of W_{3,2} meeting S_{3,3} in A_{3,3})"),
+    ("S", 11, 11, alpha_n(11, 11), "+", PrimitiveCase("M11", 11), "primitive list (basic, M11 < S_11)"),
+    ("A", 8, 3, beta_n(8, 3), "+", PrimitiveCase("AGL3(2)", 8), "primitive list (second, AGL3(2) < S_8)"),
+    ("S", 6, 7, (3, 2, 1), "+", PrimitiveCase("S5", 6), "primitive list (non-basic, S5 < S_6)"),
+    ("S", 6, 7, (3, 2, 1), "+", young(6, (6,)), "restriction to the whole group"),
+    ("S", 6, 7, (3, 2, 1), "+", SubgroupSpec("full_sym", 6), "restriction to the whole group"),
+    ("A", 6, 7, (3, 2, 1), "0", SubgroupSpec("full_alt", 6), "restriction to the whole group"),
+    ("A", 6, 7, (3, 2, 1), "0", alt_young(6, (6,)), "restriction to the whole group"),
+    ("S", 6, 7, (3, 2, 1), "+", SubgroupSpec("full_alt", 6), "index-2 Clifford theory: signed label stays irreducible"),
+    ("S", 10, 3, alpha_n(10, 3), "+", young(10, (8, 1, 1)), "basic spin modules on non-maximal imprimitive subgroups are not classified"),
+]
+
+
+@pytest.mark.parametrize("group, n, p, lam, eps, sub, clause", _CLAUSES)
+def test_clause_text(group, n, p, lam, eps, sub, clause):
+    """Each clause string the classifier emits, verbatim."""
+    assert classify(_q(group, n, p, lam, eps, sub)).clause == clause
+
+
+def test_one_sign_and_sixfold_clause_text():
+    a9 = alpha_n(9, 5)
+    verdict = classify(_q("A", 9, 5, a9, "0" if a_p(a9, 5) else "+", PrimitiveCase("L2(8)", 9)))
+    assert verdict.clause == "primitive list (basic, L2(8) < S_9)"
+    verdict = classify(_q("S", 6, 7, (3, 2, 1), "+", wreath(3, 2), sixfold_cover=True))
+    assert verdict.clause == "exceptional 6-fold covers at n = 6, 7 are settled elsewhere"

@@ -156,6 +156,14 @@ def test_argument_errors_exit_2():
         assert "not a listed primitive atom of degree 6" in err
 
 
+@pytest.mark.parametrize("label", ["D[(3,3,3,1);+]", "D[(4,3,2,1);+]"])
+def test_unknown_table_ii_row_exits_2(label):
+    """A basic and a non-basic label both refuse an unknown Table II row."""
+    code, out, err = run_cli("classify", "--group", "S", "--n", "10", "--p", "3", "--label", label, "--subgroup", "tab2:row9")
+    assert code == 2 and out == ""
+    assert "tab2:row9 is not a Table II row (rows: 1, 2, 3, 4)" in err
+
+
 @pytest.mark.parametrize(
     "spec, form",
     [("S(3,)", "S(b1,...,bk)"), ("S(2,1", "S(b1,...,bk)"), ("W(5)", "W(a,b)"), ("W(a,b)", "W(a,b)"), ("tab2:x", "tab2:ROW")],
