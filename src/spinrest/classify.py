@@ -97,6 +97,8 @@ class RestrictionQuery:
             raise ValueError("label does not match query group/characteristic")
         if size(self.label.lam) != self.n:
             raise ValueError("label size does not match n")
+        if self.sixfold_cover and self.n not in (6, 7):
+            raise ValueError(f"the exceptional 6-fold covers exist only at n = 6, 7, not n = {self.n}")
         sub = self.subgroup
         if isinstance(sub, (SubgroupSpec, PrimitiveCase)) and sub.n != self.n:
             raise ValueError(f"subgroup {sub} acts on {sub.n} points, but n = {self.n}")
@@ -344,33 +346,27 @@ def _family(query: RestrictionQuery):
     if not isinstance(sub, SubgroupSpec):
         raise ValueError(f"unsupported subgroup {sub!r}")
     kind, blocks = sub.kind, sub.blocks
-    if kind == "full_sym" and group != "S":
-        raise ValueError("full symmetric subgroup lives in the symmetric cover")
     if kind == "index2_wr_b2" and group != "S":
         raise ValueError("index-2 wreath subgroups are classified inside the symmetric cover")
     if group == "A":
         # inside the alternating cover, H ∩ A_n is classified as H
-        kind = {"full_alt": "full_sym", "alt_young": "young", "wreath_alt": "wreath"}.get(kind, kind)
-    if kind == "full_sym":
-        return _young, ((query.n,),), False
-    if kind == "full_alt":
-        return _clifford, (), False
+        kind = {"alt_young": "young", "wreath_alt": "wreath"}.get(kind, kind)
     if kind == "young":
         return _young, (blocks,), len(blocks) > 2
+    if kind == "alt_young" and len(blocks) == 1:
+        return _clifford, (), False  # A_n, maximal in S_n
     if kind == "alt_young":
         return _alt_young, (blocks,), True
     if kind == "wreath":
         return _wreath, blocks, False
-    if kind in ("wreath_alt", "index2_wr_b2"):
-        return _index2, (), True
-    raise ValueError(f"unsupported subgroup kind {kind}")
+    return _index2, (), True  # wreath_alt or index2_wr_b2 in the symmetric cover
 
 
 def classify(query: RestrictionQuery) -> RestrictionVerdict:
     """Decide the query; exactly one classification clause may fire."""
+    family, args, non_maximal = _family(query)
     if query.sixfold_cover:
         return _verdict_from([_SIXFOLD], Outcome.OUT_OF_SCOPE)
-    family, args, non_maximal = _family(query)
     kind = _kind(query.label.lam, query.n, query.p)
     if kind == "basic" and non_maximal:
         return _verdict_from([_NOT_CLASSIFIED], Outcome.OUT_OF_SCOPE)

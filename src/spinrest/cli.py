@@ -8,7 +8,6 @@ key, and verify violations stream as JSON.
 
 import argparse
 import json
-import re
 import sys
 
 from . import labels as lb
@@ -32,11 +31,9 @@ from .specht import (
     SubgroupSpec,
     alt_young,
     dual_specht_invariant_dim,
-    index2_wr_b2,
     orbit_count,
+    parse_spec,
     perm_basis,
-    wreath,
-    wreath_alt,
     young,
     z_invariant_dim,
 )
@@ -54,18 +51,10 @@ def _emit(payload: dict, fmt: str, text_lines) -> None:
             print(line)
 
 
-def _spec_ints(s: str, prefix: str, form: str, count: int | None = None) -> tuple[int, ...]:
-    """The integers of a subgroup spec prefix(x,y,...), or a ValueError that
-    names the spec and the expected form."""
-    body = s[len(prefix) :]
-    if not re.fullmatch(r"\(\d+(,\d+)*\)", body.replace(" ", "")) or count not in (None, body.count(",") + 1):
-        raise ValueError(f"cannot parse subgroup {s!r}: expected {form}")
-    return tuple(int(x) for x in body[1:-1].split(","))
-
-
 def parse_subgroup(text: str, n: int) -> object:
-    """Parse a subgroup spec: S(n-k,k), A(n-1,1), W(a,b), WA(a,b), I2(v,b),
-    prim:NAME, tab2:ROW."""
+    """Parse a subgroup: prim:NAME, tab2:ROW, the aliases Sn (or full) and An
+    for S(n) and A(n), or the spelling str(spec) of a SubgroupSpec, such as
+    S(n-k,k), A(n-1,1), W(a,b), WA(a,b) or I2(v,b)."""
     s = text.strip()
     if s.startswith("prim:"):
         return PrimitiveCase(s[5:], n)
@@ -74,20 +63,9 @@ def parse_subgroup(text: str, n: int) -> object:
         if not row.isdigit():
             raise ValueError(f"cannot parse subgroup {s!r}: expected tab2:ROW")
         return TableIICase(int(row))
-    if s in ("Sn", "full"):
-        return SubgroupSpec("full_sym", n)
-    if s == "An":
-        return SubgroupSpec("full_alt", n)
-    for prefix, builder in (("WA", wreath_alt), ("W", wreath), ("I2", index2_wr_b2)):
-        if s.startswith(prefix + "("):
-            spec = builder(*_spec_ints(s, prefix, f"{prefix}(a,b)", 2))
-            if spec.n != n:
-                raise ValueError(f"subgroup {s} acts on {spec.n} points, but n = {n}")
-            return spec
-    if s.startswith(("S(", "A(")):
-        blocks = _spec_ints(s, s[0], f"{s[0]}(b1,...,bk)")
-        return (young if s[0] == "S" else alt_young)(n, blocks)
-    raise ValueError(f"cannot parse subgroup {text!r}")
+    if s in ("Sn", "full", "An"):  # S_0 is S()
+        return (alt_young if s == "An" else young)(n, (n,) if n else ())
+    return parse_spec(s, n)
 
 
 def cmd_partition(args) -> int:

@@ -243,11 +243,11 @@ def coxeter_generators(spec) -> list[tuple[int, ...]]:
     - for I2(v, b), the even part of S_(b,b) and the swap of the two
       blocks, times (0 1) when v = 2."""
     n, kind = spec.n, spec.kind
-    blocks = {"full_sym": (n,), "full_alt": (n,), "index2_wr_b2": (n // 2,) * 2}.get(kind, spec.blocks)
+    blocks = (n // 2,) * 2 if kind == "index2_wr_b2" else spec.blocks
     starts = [sum(blocks[:i]) for i in range(len(blocks))]
-    if kind in ("young", "full_sym"):
+    if kind == "young":
         return [_from_cycles(n, (i, i + 1)) for s, b in zip(starts, blocks) for i in range(s, s + b - 1)]
-    if kind in ("alt_young", "full_alt", "index2_wr_b2"):
+    if kind in ("alt_young", "index2_wr_b2"):
         gens = [_from_cycles(n, (i, i + 1, i + 2)) for s, b in zip(starts, blocks) for i in range(s, s + b - 2)]
         big = [s for s, b in zip(starts, blocks) if b >= 2]
         gens += [_from_cycles(n, (s1, s1 + 1), (s2, s2 + 1)) for s1, s2 in zip(big, big[1:])]
@@ -256,20 +256,18 @@ def coxeter_generators(spec) -> list[tuple[int, ...]]:
             swap = _from_cycles(n, *((i, i + b) for i in range(b)))
             gens.append(swap if spec.blocks[0] == 1 else _after(_from_cycles(n, (0, 1)), swap))
         return gens
-    if kind in ("wreath", "wreath_alt"):
-        a, b = spec.blocks
-        gens = [_from_cycles(n, (i, i + 1)) for i in range(a - 1)]
-        gens += [_from_cycles(n, *((i, i + a) for i in range(j * a, (j + 1) * a))) for j in range(b - 1)]
-        odd = [g for g in gens if _is_odd(g)]
-        if kind == "wreath" or not odd:
-            return gens
-        t = odd[0]
-        t_inv = tuple(sorted(range(n), key=t.__getitem__))
-        even = []
-        for g in gens:
-            even += [g, _after(t, _after(g, t_inv))] if not _is_odd(g) else [_after(g, t_inv), _after(t, g)]
-        return [g for g in dict.fromkeys(even) if g != tuple(range(n))]
-    return []
+    a, b = spec.blocks  # wreath or wreath_alt
+    gens = [_from_cycles(n, (i, i + 1)) for i in range(a - 1)]
+    gens += [_from_cycles(n, *((i, i + a) for i in range(j * a, (j + 1) * a))) for j in range(b - 1)]
+    odd = [g for g in gens if _is_odd(g)]
+    if kind == "wreath" or not odd:
+        return gens
+    t = odd[0]
+    t_inv = tuple(sorted(range(n), key=t.__getitem__))
+    even = []
+    for g in gens:
+        even += [g, _after(t, _after(g, t_inv))] if not _is_odd(g) else [_after(g, t_inv), _after(t, g)]
+    return [g for g in dict.fromkeys(even) if g != tuple(range(n))]
 
 
 def multinomial_rank(words, shape) -> np.ndarray:

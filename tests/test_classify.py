@@ -9,10 +9,11 @@ from spinrest.classify import (
     classify,
     table_i_rows,
 )
+from spinrest.cli import parse_subgroup
 from spinrest.labels import ModuleLabel, alpha_n, beta_n, labels_for
-from spinrest.partitions import a_p
+from spinrest.partitions import a_p, restricted_p_strict_partitions
 from spinrest.residues import js_class
-from spinrest.specht import SubgroupSpec, alt_young, index2_wr_b2, wreath, wreath_alt, young
+from spinrest.specht import alt_young, index2_wr_b2, wreath, wreath_alt, young
 
 
 def _q(group, n, p, lam, eps, sub, **kw):
@@ -153,8 +154,8 @@ def test_clause_b_iv_and_v():
 
 def test_full_group_restrictions():
     assert _outcome("S", 6, 7, (3, 2, 1), "+", young(6, (6,))) == Outcome.IRREDUCIBLE
-    assert _outcome("S", 6, 7, (3, 2, 1), "+", SubgroupSpec("full_alt", 6)) == Outcome.IRREDUCIBLE
-    assert _outcome("S", 10, 7, (4, 3, 2, 1), "0", SubgroupSpec("full_alt", 10)) == Outcome.REDUCIBLE
+    assert _outcome("S", 6, 7, (3, 2, 1), "+", alt_young(6, (6,))) == Outcome.IRREDUCIBLE
+    assert _outcome("S", 10, 7, (4, 3, 2, 1), "0", alt_young(10, (10,))) == Outcome.REDUCIBLE
 
 
 def test_query_validation():
@@ -217,10 +218,10 @@ _CLAUSES = [
     ("A", 8, 3, beta_n(8, 3), "+", PrimitiveCase("AGL3(2)", 8), "primitive list (second, AGL3(2) < S_8)"),
     ("S", 6, 7, (3, 2, 1), "+", PrimitiveCase("S5", 6), "primitive list (non-basic, S5 < S_6)"),
     ("S", 6, 7, (3, 2, 1), "+", young(6, (6,)), "restriction to the whole group"),
-    ("S", 6, 7, (3, 2, 1), "+", SubgroupSpec("full_sym", 6), "restriction to the whole group"),
-    ("A", 6, 7, (3, 2, 1), "0", SubgroupSpec("full_alt", 6), "restriction to the whole group"),
+    ("S", 6, 7, alpha_n(6, 7), "+", young(6, (6,)), "restriction to the whole group"),
+    ("A", 6, 7, (3, 2, 1), "0", young(6, (6,)), "restriction to the whole group"),
     ("A", 6, 7, (3, 2, 1), "0", alt_young(6, (6,)), "restriction to the whole group"),
-    ("S", 6, 7, (3, 2, 1), "+", SubgroupSpec("full_alt", 6), "index-2 Clifford theory: signed label stays irreducible"),
+    ("S", 6, 7, (3, 2, 1), "+", alt_young(6, (6,)), "index-2 Clifford theory: signed label stays irreducible"),
     ("S", 10, 3, alpha_n(10, 3), "+", young(10, (8, 1, 1)), "basic spin modules on non-maximal imprimitive subgroups are not classified"),
 ]
 
@@ -237,3 +238,48 @@ def test_one_sign_and_sixfold_clause_text():
     assert verdict.clause == "primitive list (basic, L2(8) < S_9)"
     verdict = classify(_q("S", 6, 7, (3, 2, 1), "+", wreath(3, 2), sixfold_cover=True))
     assert verdict.clause == "exceptional 6-fold covers at n = 6, 7 are settled elsewhere"
+
+
+def test_sixfold_query_validates_the_subgroup():
+    """A six-fold query is refused for a subgroup that its cover does not
+    classify, as any other query is, not answered OutOfScope."""
+    with pytest.raises(ValueError, match="classified inside the symmetric cover"):
+        classify(_q("A", 6, 7, (3, 2, 1), "0", index2_wr_b2(1, 3), sixfold_cover=True))
+
+
+def test_sixfold_cover_needs_n_6_or_7():
+    """The exceptional 6-fold covers exist only at n = 6 and 7."""
+    assert _outcome("A", 7, 3, (4, 2, 1), "+", young(7, (6, 1)), sixfold_cover=True) == Outcome.OUT_OF_SCOPE
+    with pytest.raises(ValueError, match="only at n = 6, 7, not n = 10"):
+        _q("S", 10, 3, (4, 3, 2, 1), "+", young(10, (9, 1)), sixfold_cover=True)
+
+
+def test_every_spelling_of_a_group_gets_one_verdict():
+    """An and A(n), Sn, full and S(n) name one subgroup, so every
+    classify-sweep label with n = 5..10 at p = 3, 5, 7 gets the same verdict,
+    clause included, from each spelling, in both covers."""
+    for p in (3, 5, 7):
+        for n in range(5, 11):
+            spellings = [("An", f"A({n})"), ("Sn", f"S({n})"), ("full", f"S({n})")]
+            for lam in restricted_p_strict_partitions(n, p):
+                for group in ("S", "A"):
+                    for label in labels_for(lam, p, group):
+                        for alias, canonical in spellings:
+                            verdicts = [
+                                classify(RestrictionQuery(group, n, p, label, parse_subgroup(text, n))).to_json()
+                                for text in (alias, canonical)
+                            ]
+                            assert verdicts[0] == verdicts[1], (str(label), alias)
+
+
+def test_alternating_group_in_the_symmetric_cover_is_maximal():
+    """A(10) is A_n, maximal in S_n: a signed label stays irreducible by
+    Clifford theory, however A_n is spelled, and a basic label is classified
+    rather than refused as non-maximal."""
+    for text in ("A(10)", "An"):
+        verdict = classify(_q("S", 10, 3, (4, 3, 2, 1), "+", parse_subgroup(text, 10)))
+        assert verdict.outcome == Outcome.IRREDUCIBLE
+        assert verdict.clause == "index-2 Clifford theory: signed label stays irreducible"
+    for label in labels_for(alpha_n(10, 3), 3, "S"):
+        verdict = classify(RestrictionQuery("S", 10, 3, label, alt_young(10, (10,))))
+        assert verdict.outcome != Outcome.OUT_OF_SCOPE

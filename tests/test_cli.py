@@ -243,3 +243,35 @@ def test_internal_errors_exit_3(monkeypatch, capsys):
     code = cli.main(argv)
     assert code == 3
     assert capsys.readouterr().err == "internal error: clauses overlap\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--group", "A", "--n", "6", "--p", "7", "--label", "E[(3,2,1);0]", "--subgroup", "I2(1,3)"],
+         "classified inside the symmetric cover"),
+        (["--group", "S", "--n", "10", "--p", "3", "--label", "D[(4,3,2,1);+]", "--subgroup", "W(5,2)"],
+         "only at n = 6, 7, not n = 10"),
+    ],
+)
+def test_sixfold_queries_are_validated(argv, message, capsys):
+    """--sixfold is no way around the checks of any other query."""
+    from spinrest import cli
+
+    assert cli.main(["classify", *argv, "--sixfold"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+def test_aliases_print_the_canonical_spelling(capsys):
+    """An and A(10) are one subgroup: one verdict, one printed spelling."""
+    from spinrest import cli
+
+    outputs = []
+    for sub in ("A(10)", "An"):
+        argv = ["--format", "json", "classify", "--group", "S", "--n", "10", "--p", "3", "--label", "D[(4,3,2,1);+]"]
+        assert cli.main([*argv, "--subgroup", sub]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    payload = json.loads(outputs[0])
+    assert payload["query"]["subgroup"] == "A(10)" and payload["outcome"] == "Irreducible"

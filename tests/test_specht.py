@@ -1,3 +1,4 @@
+import re
 from math import comb, factorial, prod
 
 import numpy as np
@@ -33,6 +34,7 @@ from spinrest.specht import (
     hook_dimension,
     index2_wr_b2,
     orbit_count,
+    parse_spec,
     perm_basis,
     perm_sign,
     polytabloid_matrix,
@@ -124,15 +126,16 @@ def _compositions(n: int):
 
 def _specs_of_degree(n: int) -> list:
     """Every subgroup spec of degree n: Young and alternating-Young on every
-    composition, every wreath product and its even part, both index-2
-    variants, and the full, alternating and trivial groups."""
+    composition, among them the whole group S(n), A(n) and the trivial group
+    S(1,...,1), every wreath product and its even part, and both index-2
+    variants."""
     specs = [f(n, c) for c in _compositions(n) for f in (young, alt_young)]
     for a in range(2, n // 2 + 1):
         if n % a == 0:
             specs += [wreath(a, n // a), wreath_alt(a, n // a)]
     if n % 2 == 0 and n >= 4:
         specs += [index2_wr_b2(1, n // 2), index2_wr_b2(2, n // 2)]
-    return specs + [SubgroupSpec(kind, n) for kind in ("full_sym", "full_alt", "trivial")]
+    return specs
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -141,6 +144,36 @@ def test_generators_match_coxeter_sets(n):
     sets of the oracle, for every kind of subgroup of degree n."""
     for spec in _specs_of_degree(n):
         assert closure(generators(spec)) == closure(coxeter_generators(spec)), spec
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_spec_survives_printing_and_parsing(n):
+    """str(spec) is the CLI spelling, and parse_spec reads it back."""
+    for spec in _specs_of_degree(n):
+        assert parse_spec(str(spec), n) == spec, str(spec)
+
+
+def test_subgroup_specs_have_five_kinds_and_one_degree_check():
+    """Five kinds, printed without spaces or a trailing comma; the parser
+    names the expected form, and checks the degree of every kind against n."""
+    assert {spec.kind for spec in _specs_of_degree(8)} == {"young", "alt_young", "wreath", "wreath_alt", "index2_wr_b2"}
+    for kind in ("full_sym", "full_alt", "trivial"):
+        with pytest.raises(ValueError, match=f"unknown subgroup kind '{kind}'"):
+            SubgroupSpec(kind, 6)
+    with pytest.raises(ValueError, match=r"W\(2,3\) names no subgroup of S_5"):
+        SubgroupSpec("wreath", 5, (2, 3))
+    assert [str(s) for s in (young(5, (3, 2)), alt_young(10, (10,)), young(0, ()))] == ["S(3,2)", "A(10)", "S()"]
+    assert parse_spec(" S(3, 2) ", 5) == young(5, (3, 2))
+    malformed = (("S(3,0)", "S(b1,...,bk)"), ("W(1,6)", "W(a,b)"), ("I2(3,3)", "I2(v,b)"), ("WA(2,3,1)", "WA(a,b)"))
+    for text, form in malformed:
+        with pytest.raises(ValueError, match=re.escape(f"cannot parse subgroup {text!r}: expected {form}")):
+            parse_spec(text, 6)
+    for text, degree in (("S(3,2)", 5), ("A(7)", 7), ("W(2,5)", 10), ("WA(3,3)", 9), ("I2(1,4)", 8)):
+        with pytest.raises(ValueError, match=re.escape(f"subgroup {text} acts on {degree} points, but n = 6")):
+            parse_spec(text, 6)
+    for text in ("Sn", "X(3,3)", "S", "S6"):
+        with pytest.raises(ValueError, match=re.escape(f"cannot parse subgroup {text!r}")):
+            parse_spec(text, 6)
 
 
 def test_generator_counts_are_bounded():
@@ -152,8 +185,6 @@ def test_generator_counts_are_bounded():
             blocks = tuple(b for b in blocks if b)
             assert len(generators(young(n, blocks))) == sum(min(b - 1, 2) for b in blocks)
             assert len(generators(alt_young(n, blocks))) <= 2 * len(blocks) + len(blocks) - 1
-        assert len(generators(SubgroupSpec("full_sym", n))) <= 2
-        assert len(generators(SubgroupSpec("full_alt", n))) <= 2
     for a in range(2, 7):
         for b in range(2, 7):
             assert len(generators(wreath(a, b))) <= 4
@@ -238,7 +269,7 @@ def test_index_of_on_the_empty_shape():
     assert basis.words.shape == (1, 0)
     assert np.array_equal(basis.index_of(basis.words), [0])
     assert basis.index_of(np.zeros((2, 3, 0), dtype=np.int8)).shape == (2, 3)
-    assert orbit_count(SubgroupSpec("full_sym", 0), basis) == 1
+    assert orbit_count(young(0, ()), basis) == 1
 
 
 def test_long_words_rank_without_overflow():
@@ -428,7 +459,15 @@ def test_dual_specht_counts_the_tabloid_basis_against_memory(monkeypatch):
 
 @pytest.mark.parametrize(
     "shape, spec",
-    [((2, 1, 1, 1, 1, 1, 1, 1), young(9, (3, 3, 3))), ((2, 2, 2, 1, 1, 1), young(9, (9,))), ((3, 3, 2, 1), wreath(3, 3))],
+    [
+        ((2, 1, 1, 1, 1, 1, 1, 1), young(9, (3, 3, 3))),
+        ((2, 2, 2, 1, 1, 1), young(9, (9,))),
+        ((3, 3, 2, 1), wreath(3, 3)),
+        ((6, 4), wreath(2, 5)),
+        ((5, 2, 1), young(8, (4, 4))),
+        ((7, 3), index2_wr_b2(2, 5)),
+        ((8,), wreath_alt(2, 4)),
+    ],
 )
 def test_dual_specht_memory_bound_holds(shape, spec):
     """The bytes the refusal is based on cover what the computation
@@ -460,7 +499,7 @@ def test_orbits_refuse_beyond_physical_memory(monkeypatch):
     basis = perm_basis((3, 3, 2, 1))
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 100}
     monkeypatch.setattr(specht.os, "sysconf", pages.__getitem__)
-    with pytest.raises(ValueError, match=r"the orbits of S\(9,\) needs about .* \(m = 5040 tabloids\)"):
+    with pytest.raises(ValueError, match=r"the orbits of S\(9\) needs about .* \(m = 5040 tabloids\)"):
         orbit_count(young(9, (9,)), basis)
 
 
@@ -499,12 +538,13 @@ def test_specht_perp_stable_under_symmetric_group():
 
 def test_dual_specht_trivial_subgroup_dimension():
     for n in (6, 8):
-        triv = SubgroupSpec("trivial", n)
+        triv = young(n, (1,) * n)
         assert dual_specht_invariant_dim((n - 2, 2), 3, triv) == n * (n - 3) // 2
 
 
 def _every_kind(n: int) -> list:
-    """One subgroup of each kind for even n, both index-2 variants included."""
+    """One subgroup of each kind for even n, both index-2 variants included,
+    and the whole group, A_n and the trivial group."""
     b = n // 2
     return [
         young(n, (n - 2, 2)),
@@ -515,9 +555,9 @@ def _every_kind(n: int) -> list:
         wreath_alt(b, 2),
         index2_wr_b2(1, b),
         index2_wr_b2(2, b),
-        SubgroupSpec("full_sym", n),
-        SubgroupSpec("full_alt", n),
-        SubgroupSpec("trivial", n),
+        young(n, (n,)),
+        alt_young(n, (n,)),
+        young(n, (1,) * n),
     ]
 
 
@@ -527,7 +567,7 @@ def test_dual_specht_matches_quotient_route():
     of 6 at p = 2 and 3, and the shapes of 8 with at most 420 tabloids at
     p = 2 or 5."""
     kinds = {spec.kind for spec in _every_kind(6)}
-    assert kinds == {"young", "alt_young", "wreath", "wreath_alt", "index2_wr_b2", "full_sym", "full_alt", "trivial"}
+    assert kinds == {"young", "alt_young", "wreath", "wreath_alt", "index2_wr_b2"}
     for shape in partitions_by_recursion(6):
         for p in (2, 3):
             for spec in _every_kind(6):
@@ -547,7 +587,7 @@ def test_dual_specht_matches_hand_polytabloids():
     fillings and ranked by textbook Gauss-Jordan, for every shape with
     n <= 5."""
     for n in range(1, 6):
-        specs = [SubgroupSpec("full_sym", n), SubgroupSpec("full_alt", n), SubgroupSpec("trivial", n)]
+        specs = [young(n, (n,)), alt_young(n, (n,)), young(n, (1,) * n)]
         specs += [young(n, (n - 1, 1))] if n > 1 else []
         for shape in partitions_by_recursion(n):
             for p in (2, 3, 5):
@@ -589,7 +629,7 @@ def _z_subgroups(n: int) -> list:
     if n % 2 == 0 and n >= 4:
         return _every_kind(n)
     specs = [young(n, (n - 1, 1)), alt_young(n, (n - 1, 1))] if n >= 2 else []
-    return specs + [SubgroupSpec(kind, n) for kind in ("full_sym", "full_alt", "trivial")]
+    return specs + [young(n, (n,)), alt_young(n, (n,)), young(n, (1,) * n)]
 
 
 def test_z_invariant_dim_matches_hand_orbits():
