@@ -54,7 +54,7 @@ class PrimitiveCase:
             )
 
     def __str__(self) -> str:
-        return f"prim:{self.name}<S{self.n}"
+        return f"prim:{self.name}"
 
 
 # Table II: the non-maximal imprimitive atoms, by row.

@@ -52,15 +52,15 @@ def _emit(payload: dict, fmt: str, text_lines) -> None:
 
 
 def parse_subgroup(text: str, n: int) -> object:
-    """Parse a subgroup: prim:NAME, tab2:ROW, the aliases Sn (or full) and An
-    for S(n) and A(n), or the spelling str(spec) of a SubgroupSpec, such as
-    S(n-k,k), A(n-1,1), W(a,b), WA(a,b) or I2(v,b)."""
+    """Parse a subgroup: prim:NAME, tab2:N (or tab2:rowN, as printed), the
+    aliases Sn (or full) and An for S(n) and A(n), or the spelling str(spec)
+    of a SubgroupSpec, such as S(n-k,k), A(n-1,1), W(a,b), WA(a,b) or I2(v,b)."""
     s = text.strip()
     if s.startswith("prim:"):
         return PrimitiveCase(s[5:], n)
     if s.startswith("tab2:"):
-        row = s[5:].lstrip("row")
-        if not row.isdigit():
+        row = s[5:].removeprefix("row")
+        if not row.isdecimal():
             raise ValueError(f"cannot parse subgroup {s!r}: expected tab2:ROW")
         return TableIICase(int(row))
     if s in ("Sn", "full", "An"):  # S_0 is S()

@@ -39,10 +39,22 @@ def test_criterion_01_orbit_counts_wide_grid():
     assert result["checks"] == 102
 
 
+def test_run_suite_reports_each_failed_check(monkeypatch):
+    """With orbit counting broken, every li check fails and run_suite
+    reports it with its case, got and want."""
+    from spinrest import suites
+
+    monkeypatch.setattr(suites, "orbit_count", lambda spec, basis: 0)
+    result = run_suite("li")
+    assert result["checks"] == 60 and len(result["violations"]) == 60
+    assert result["violations"][0] == {"b": 5, "k": 0, "subgroup": "W(2,5)", "got": 0, "want": 1}
+
+
 def test_criterion_02_special_shapes():
     t = time.time()
     result = run_suite("special-inv")
     _report(2, "15 special tabloid orbit counts at b = 6 and the b = 5 drops", t, result["violations"])
+    assert result["checks"] == 30
 
 
 def test_criterion_03_dual_specht_vector():
@@ -84,6 +96,7 @@ def test_criterion_06_wilson_ranks():
     t = time.time()
     result = run_suite("wilson")
     _report(6, "wilson_rank = rank(eta_{k,l}) for k <= l <= 5, 6 <= n <= 12, p in {3,5,7}", t, result["violations"])
+    assert result["checks"] == 339
 
 
 def test_criterion_07_eta_exactness():
@@ -117,27 +130,32 @@ def test_criterion_09_branching_combinatorics():
     result = run_suite("js")
     parity = run_suite("parity")
     _report(9, "crystal operator sweep (epsilon drop, inversion, monotonicity, JS, parity)", t, result["violations"] + parity["violations"])
+    assert (result["checks"], parity["checks"]) == (937, 179)
 
 
 def test_criterion_10_regularization():
     t = time.time()
     result = run_suite("reg")
     _report(10, "regularization sweep (anchor, idempotence, ladders, closed form, coefficients)", t, result["violations"])
+    assert result["checks"] == 7736
 
 
 def test_criterion_11_tables():
     t = time.time()
     result = run_suite("tables")
     _report(11, "Tables III/IV vs kappa formulas and char-0 dims; Table I column (4, 96, 48)", t, result["violations"])
+    assert result["checks"] == 485
 
 
 def test_criterion_12_two_row_sets():
     t = time.time()
     result = run_suite("trp")
     _report(12, "TR_3(6) = RP_3(6); TR in RP; mu anchors for n <= 20", t, result["violations"])
+    assert result["checks"] == 477
 
 
 def test_criterion_13_classification_sweep():
     t = time.time()
     result = run_suite("classify-sweep")
     _report(13, "classification sweep: exclusivity, JS/second-basic consistency, table rows", t, result["violations"])
+    assert result["checks"] == 8281

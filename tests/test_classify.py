@@ -14,6 +14,7 @@ from spinrest.labels import ModuleLabel, alpha_n, beta_n, labels_for
 from spinrest.partitions import a_p, restricted_p_strict_partitions
 from spinrest.residues import js_class
 from spinrest.specht import alt_young, index2_wr_b2, wreath, wreath_alt, young
+from spinrest.suites import _sweep_subgroups
 
 
 def _q(group, n, p, lam, eps, sub, **kw):
@@ -166,7 +167,7 @@ def test_query_validation():
 
 
 def test_subgroup_degree_is_checked_on_construction():
-    with pytest.raises(ValueError, match="prim:M12<S12 acts on 12 points, but n = 6"):
+    with pytest.raises(ValueError, match="prim:M12 acts on 12 points, but n = 6"):
         RestrictionQuery("S", 6, 7, ModuleLabel("S", (6,), "+", 7), PrimitiveCase("M12", 12))
     with pytest.raises(ValueError, match="acts on 7 points, but n = 6"):
         _q("S", 6, 3, (4, 2), "0", young(7, (6, 1)), sixfold_cover=True)
@@ -283,3 +284,15 @@ def test_alternating_group_in_the_symmetric_cover_is_maximal():
     for label in labels_for(alpha_n(10, 3), 3, "S"):
         verdict = classify(RestrictionQuery("S", 10, 3, label, alt_young(10, (10,))))
         assert verdict.outcome != Outcome.OUT_OF_SCOPE
+
+
+def test_every_sweep_subgroup_reads_back_from_its_spelling():
+    """str(sub) is what the JSON "subgroup" field carries, so parse_subgroup
+    reads it back to the same subgroup: every Young, wreath, index-2,
+    primitive and Table II subgroup the classification sweep builds.  The
+    short spelling tab2:N reads to the same row as tab2:rowN."""
+    for n in range(5, 15):
+        for sub in _sweep_subgroups(n):
+            assert parse_subgroup(str(sub), n) == sub, str(sub)
+    for row in (1, 2, 3, 4):
+        assert parse_subgroup(f"tab2:{row}", 6) == TableIICase(row)

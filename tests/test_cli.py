@@ -166,7 +166,15 @@ def test_unknown_table_ii_row_exits_2(label):
 
 @pytest.mark.parametrize(
     "spec, form",
-    [("S(3,)", "S(b1,...,bk)"), ("S(2,1", "S(b1,...,bk)"), ("W(5)", "W(a,b)"), ("W(a,b)", "W(a,b)"), ("tab2:x", "tab2:ROW")],
+    [
+        ("S(3,)", "S(b1,...,bk)"),
+        ("S(2,1", "S(b1,...,bk)"),
+        ("W(5)", "W(a,b)"),
+        ("W(a,b)", "W(a,b)"),
+        ("tab2:x", "tab2:ROW"),
+        ("tab2:wwor3", "tab2:ROW"),
+        ("tab2:rrow3", "tab2:ROW"),
+    ],
 )
 def test_malformed_subgroup_names_the_spec(spec, form):
     """A malformed spec exits 2 with a message that names it and the expected
