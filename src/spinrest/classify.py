@@ -75,10 +75,10 @@ class TableIICase:
     def __post_init__(self):
         if self.row not in _TABLE_II:
             rows = ", ".join(map(str, _TABLE_II))
-            raise ValueError(f"tab2:row{self.row} is not a Table II row (rows: {rows})")
+            raise ValueError(f"{self} is not a Table II row (rows: {rows})")
 
     def __str__(self) -> str:
-        return f"tab2:row{self.row}"
+        return f"tab2:{self.row}"
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,7 @@ def _emit(payload: dict, fmt: str, text_lines) -> None:
 
 
 def parse_subgroup(text: str, n: int) -> object:
-    """Parse a subgroup: prim:NAME, tab2:N (or tab2:rowN, as printed), the
+    """Parse a subgroup: prim:NAME, tab2:N (also read as tab2:rowN), the
     aliases Sn (or full) and An for S(n) and A(n), or the spelling str(spec)
     of a SubgroupSpec, such as S(n-k,k), A(n-1,1), W(a,b), WA(a,b) or I2(v,b)."""
     s = text.strip()
@@ -61,7 +61,7 @@ def parse_subgroup(text: str, n: int) -> object:
     if s.startswith("tab2:"):
         row = s[5:].removeprefix("row")
         if not row.isdecimal():
-            raise ValueError(f"cannot parse subgroup {s!r}: expected tab2:ROW")
+            raise ValueError(f"cannot parse subgroup {s!r}: expected tab2:N")
         return TableIICase(int(row))
     if s in ("Sn", "full", "An"):  # S_0 is S()
         return (alt_young if s == "An" else young)(n, (n,) if n else ())
@@ -152,8 +152,7 @@ def cmd_trp(args) -> int:
 
 
 def cmd_dims(args) -> int:
-    n, p = args.n, args.p
-    which = "basic" if args.which == "basic" else "second"
+    n, p, which = args.n, args.p, args.which
     table = lb.basic_table(n, p) if which == "basic" else lb.second_basic_table(n, p)
     lam = lb.alpha_n(n, p) if which == "basic" else lb.beta_n(n, p)
     payload = {

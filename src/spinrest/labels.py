@@ -14,6 +14,7 @@ from .partitions import (
     format_partition,
     is_restricted_p_strict,
     is_strict,
+    parse_partition,
     size,
 )
 from .residues import eps_vector
@@ -25,6 +26,12 @@ TYPE_Q = "Q"
 def supermodule_type(lam: Partition, p: int) -> str:
     """Type M iff a_p(lam) = 0."""
     return TYPE_M if a_p(lam, p) == 0 else TYPE_Q
+
+
+def _eps_is_zero(lam: Partition, p: int, group: str) -> bool:
+    """The sign rule: eps is '0' iff a_p(lam) = 0 in the S cover, or
+    a_p(lam) = 1 in the A cover."""
+    return a_p(lam, p) == (0 if group == "S" else 1)
 
 
 @dataclass(frozen=True)
@@ -44,11 +51,9 @@ class ModuleLabel:
             raise ValueError(f"eps must be one of 0 + -, got {self.eps}")
         if not is_restricted_p_strict(self.lam, self.p):
             raise ValueError(f"{self.lam} is not restricted {self.p}-strict")
-        ap = a_p(self.lam, self.p)
-        zero_eps = ap == 0 if self.group == "S" else ap == 1
-        if zero_eps != (self.eps == "0"):
+        if _eps_is_zero(self.lam, self.p, self.group) != (self.eps == "0"):
             raise ValueError(
-                f"eps={self.eps} invalid for {self.group}-label of {self.lam} with a_p={ap}"
+                f"eps={self.eps} invalid for {self.group}-label of {self.lam} with a_p={a_p(self.lam, self.p)}"
             )
 
     @property
@@ -69,16 +74,12 @@ def parse_label(text: str, p: int) -> ModuleLabel:
     if letter not in ("D", "E") or not s.endswith("]") or s[1] != "[":
         raise ValueError(f"cannot parse label {text!r}")
     body, eps = s[2:-1].rsplit(";", 1)
-    from .partitions import parse_partition
-
     return ModuleLabel("S" if letter == "D" else "A", parse_partition(body), eps.strip(), p)
 
 
 def labels_for(lam: Partition, p: int, group: str) -> list[ModuleLabel]:
     """All valid labels of lam on the given double cover."""
-    ap = a_p(lam, p)
-    zero = ap == 0 if group == "S" else ap == 1
-    eps = ["0"] if zero else ["+", "-"]
+    eps = ["0"] if _eps_is_zero(lam, p, group) else ["+", "-"]
     return [ModuleLabel(group, lam, e, p) for e in eps]
 
 

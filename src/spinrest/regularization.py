@@ -4,9 +4,11 @@ A node (r, c) sits on the ladder through column c + (r-1)p.  Ladders of
 columns with residue 0 come in fused pairs: the two columns mp and mp+1
 interleave into a single ladder (the unique reading that makes ladders
 partition the quadrant).  Regularization slides each ladder's nodes as far
-left (= down the ladder) as they can go.
+left (= down the ladder) as they can go.  The row of a ladder's j-th node
+from the left is a closed form, so no ladder is ever listed to regularize.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .labels import alpha_n
@@ -21,7 +23,7 @@ from .partitions import (
     is_strict,
     part_counts,
 )
-from .residues import Node, residue_of_column
+from .residues import Node
 
 
 @dataclass(frozen=True)
@@ -34,9 +36,17 @@ def ladder_index(node: Node, p: int) -> int:
     """Canonical ladder id of a node; fused residue-0 ladders use id mp+1."""
     r, c = node
     s = c + (r - 1) * p
-    if residue_of_column(s, p) == 0 and s % p == 0:
-        return s + 1
-    return s
+    return s + (s % p == 0)
+
+
+def _ladder_node(index: int, j: int, p: int) -> Node:
+    """The j-th node, counting from 0 by ascending column, of the ladder with
+    canonical id `index`.  With m = index // p it lies in row m + 1 - ceil(j/2)
+    on a fused ladder (index = mp + 1: columns 1, p, p + 1, 2p, 2p + 1, ...)
+    and in row m + 1 - j otherwise; its column is then fixed by the ladder."""
+    m, fused = index // p, index % p == 1
+    r = m + 1 - ((j + 1) // 2 if fused else j)
+    return r, index - (r - 1) * p - (j % 2 if fused else 0)
 
 
 def ladder(s: int, p: int, bound: int | None = None) -> Ladder:
@@ -45,29 +55,16 @@ def ladder(s: int, p: int, bound: int | None = None) -> Ladder:
     check_odd_prime(p)
     if s < 1:
         raise ValueError("s must be >= 1")
-    if residue_of_column(s, p) == 0:
-        m = s // p  # s = mp or mp + 1
-        nodes = [(r, m * p - (r - 1) * p) for r in range(1, m + 1)]
-        nodes += [(r, m * p + 1 - (r - 1) * p) for r in range(1, m + 2)]
-        canonical = m * p + 1
-    else:
-        top = -(-s // p)  # ceil(s / p)
-        nodes = [(r, s - (r - 1) * p) for r in range(1, top + 1)]
-        canonical = s
-    if bound is not None:
-        nodes = [nd for nd in nodes if nd[0] <= bound]
-    nodes.sort(key=lambda nd: nd[1])
-    return Ladder(canonical, tuple(nodes))
+    index = ladder_index((1, s), p)
+    m = index // p
+    size = m + 1 + (m if index % p == 1 else 0)
+    nodes = (_ladder_node(index, j, p) for j in range(size))
+    return Ladder(index, tuple(nd for nd in nodes if bound is None or nd[0] <= bound))
 
 
 def ladder_counts(lam: Partition, p: int) -> dict[int, int]:
     """Node count of lam on each (canonical) ladder."""
-    counts: dict[int, int] = {}
-    for r, row_len in enumerate(lam, start=1):
-        for c in range(1, row_len + 1):
-            idx = ladder_index((r, c), p)
-            counts[idx] = counts.get(idx, 0) + 1
-    return counts
+    return Counter(ladder_index((r, c), p) for r, row_len in enumerate(lam, start=1) for c in range(1, row_len + 1))
 
 
 def regularize(lam: Partition, p: int) -> Partition:
@@ -77,11 +74,10 @@ def regularize(lam: Partition, p: int) -> Partition:
     lam = check_partition(lam)
     if not is_p_strict(lam, p):
         raise ValueError(f"{lam} is not {p}-strict")
-    row_lens: dict[int, int] = {}
-    for idx, count in ladder_counts(lam, p).items():
-        for r, _c in ladder(idx, p).nodes[:count]:
-            row_lens[r] = row_lens.get(r, 0) + 1
-    out = tuple(row_lens.get(r, 0) for r in range(1, max(row_lens, default=0) + 1))
+    row_lens = Counter(
+        _ladder_node(idx, j, p)[0] for idx, count in ladder_counts(lam, p).items() for j in range(count)
+    )
+    out = tuple(row_lens[r] for r in range(1, max(row_lens, default=0) + 1))
     out = check_partition(out)
     if not is_restricted_p_strict(out, p):
         raise RuntimeError(f"regularization of {lam} gave {out}, not restricted {p}-strict")

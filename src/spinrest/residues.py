@@ -16,6 +16,7 @@ from .partitions import (
     a_0,
     a_p,
     check_odd_prime,
+    format_partition,
     is_p_strict,
     is_restricted_p_strict,
     is_strict,
@@ -168,8 +169,6 @@ class ResidueProfile:
         return tuple(d.phi for d in self.data)
 
     def to_json(self) -> dict:
-        from .partitions import format_partition
-
         return {
             "lambda": format_partition(self.lam),
             "p": self.p,

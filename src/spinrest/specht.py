@@ -6,10 +6,12 @@ Permutations are 0-indexed image tuples.  A tabloid of shape
 (l_1, ..., l_r) is one word of row labels: word[x] is the row of entry x,
 with row 1 labelled 0, so label a occurs l_{a+1} times.  A basis lists these
 words in lexicographic word order, and a word's index is found by binary
-search among them, each word read as one n-byte key.  A permutation acts
-on a basis as one index array (image of each tabloid), so orbits,
-polytabloids and the blocks of the dual Specht action are gathers and
-scatters on integer arrays, and matrices are reproducible.
+search among them, each word read as one n-byte key.  Standard tableaux are
+the lattice words among them (no prefix holds more of label a + 1 than of
+label a), kept in word order.  A permutation acts on a basis as one index
+array (image of each tabloid), so orbits, polytabloids and the blocks of
+the dual Specht action are gathers and scatters on integer arrays, and
+matrices are reproducible.
 """
 
 import os
@@ -412,35 +414,22 @@ def hook_dimension(shape: Partition) -> int:
     return factorial(n) // denom
 
 
-def standard_tableaux(shape: Partition) -> list[tuple[tuple[int, ...], ...]]:
-    """All standard tableaux (rows of entries 0..n-1 increasing along rows and
-    columns), in lexicographic order of their row words."""
-    shape = check_partition(shape)
-    n = sum(shape)
-    out = []
-
-    def place(val: int, rows: list[list[int]]):
-        if val == n:
-            out.append(tuple(tuple(r) for r in rows))
-            return
-        for r in range(len(shape)):
-            if len(rows[r]) < shape[r] and (r == 0 or len(rows[r - 1]) > len(rows[r])):
-                rows[r].append(val)
-                place(val + 1, rows)
-                rows[r].pop()
-
-    place(0, [[] for _ in shape])
-    out.sort()
-    if len(out) != hook_dimension(shape):
-        raise RuntimeError(f"standard tableau count mismatch for {shape}")
-    return out
-
-
-def _cell_of_entry(shape: Partition) -> np.ndarray:
-    """cell_of[t, x]: the cell, in row-reading order, that holds entry x of
-    the t-th standard tableau."""
-    cells = np.array([sum(t, ()) for t in standard_tableaux(shape)], dtype=np.intp)
-    return np.argsort(cells, axis=1)
+def _standard_tabloids(basis: PermBasis) -> np.ndarray:
+    """Positions in the basis of the standard tableaux, ascending.  A word is
+    the tabloid of a standard tableau (entry x in row word[x]) iff it is a
+    lattice word: in every prefix, label a occurs at least as often as label
+    a + 1.  One pass over the n positions keeps each word's count of every
+    label read so far, rows x m small integers."""
+    shape = basis.shape
+    counts = np.zeros((len(shape), len(basis)), dtype=np.min_scalar_type(max(shape, default=0)))
+    lattice = np.ones(len(basis), dtype=bool)
+    for label in basis.words.T:
+        for a, count in enumerate(counts):
+            here = label == a
+            if a:  # one more label a needs more labels a - 1 before it
+                lattice &= ~here | (count < counts[a - 1])
+            count += here
+    return np.flatnonzero(lattice)
 
 
 @lru_cache(maxsize=64)
@@ -473,8 +462,10 @@ def _column_table(shape: Partition) -> tuple[np.ndarray, np.ndarray]:
 def polytabloid_matrix(shape: Partition, p: int) -> np.ndarray:
     """The m x d matrix whose columns are the polytabloids of the standard
     tableaux, in the tabloid basis, with entries in [0, p); its column space
-    is the Specht module S^shape over GF(p).  A p that is not prime is
-    refused before the basis is built.
+    is the Specht module S^shape over GF(p).  Column j is the polytabloid of
+    the j-th lattice word of the basis (_standard_tabloids), which has its
+    own tabloid with coefficient 1.  A p that is not prime is refused before
+    the basis is built.
 
     Distinct column permutations of one tableau give distinct tabloids
     (C_t meets R_t trivially), so every entry is set exactly once."""
@@ -482,11 +473,14 @@ def polytabloid_matrix(shape: Partition, p: int) -> np.ndarray:
     shape = check_partition(shape)
     basis = perm_basis(shape)
     labels, signs = _column_table(shape)
-    cell_of = _cell_of_entry(shape)
-    mat = np.zeros((len(basis), len(cell_of)), dtype=np.int64)
-    for lo in range(0, len(cell_of), _TABLEAU_CHUNK):
-        block = cell_of[lo : lo + _TABLEAU_CHUNK]
-        mat[basis.index_of(labels[:, block]), np.arange(lo, lo + len(block))] = signs[:, None] % p
+    standard = _standard_tabloids(basis)
+    mat = np.zeros((len(basis), len(standard)), dtype=np.int64)
+    for lo in range(0, len(standard), _TABLEAU_CHUNK):
+        words = basis.words[standard[lo : lo + _TABLEAU_CHUNK]]
+        # entry x sits in cell (start of row word[x]) + (earlier entries
+        # labelled word[x]): its place in the stable sort of the word
+        cell_of = np.argsort(np.argsort(words, axis=1, kind="stable"), axis=1)
+        mat[basis.index_of(labels[:, cell_of]), np.arange(lo, lo + len(words))] = signs[:, None] % p
     return mat
 
 
@@ -507,6 +501,8 @@ def _dual_specht_bytes(shape: Partition, m: int, d: int, gens: int) -> int:
     """Bytes that bound what dual_specht_invariant_dim allocates, as the sum
     of its stages:
     - perm_basis at its last level (_basis_bytes);
+    - the lattice pass of _standard_tabloids: rows x m label counts and a
+      few m-long boolean masks;
     - _column_table: per column permutation a list of n ints and a tuple in
       itertools.product's pool, then the int8 labels;
     - one chunk of column words ranked by index_of in polytabloid_matrix;
@@ -521,7 +517,8 @@ def _dual_specht_bytes(shape: Partition, m: int, d: int, gens: int) -> int:
     column_group = prod(factorial(sum(1 for part in shape if part > c)) for c in range(max(shape, default=0)))
     columns = column_group * (18 * n + 144 + min(d, _TABLEAU_CHUNK) * (3 * n + 64))
     blocks = gens * d * (3 * d + 6 * min(d, _PANEL))
-    return 64 * 1024 + _basis_bytes(shape, m) + columns + 8 * (m * d + blocks)
+    lattice = m * (len(shape) * np.min_scalar_type(max(shape, default=0)).itemsize + 8)
+    return 64 * 1024 + _basis_bytes(shape, m) + lattice + columns + 8 * (m * d + blocks)
 
 
 def dual_specht_invariant_dim(shape: Partition, p: int, spec: SubgroupSpec) -> int:
@@ -539,8 +536,8 @@ def dual_specht_invariant_dim(shape: Partition, p: int, spec: SubgroupSpec) -> i
     subgroup.
 
     A subgroup of another degree, a p that is not prime, and a shape whose
-    tabloid basis, column table, E and stacked blocks cannot fit in physical
-    memory, are refused before anything is allocated."""
+    tabloid basis, lattice pass, column table, E and stacked blocks cannot fit
+    in physical memory, are refused before anything is allocated."""
     shape = check_partition(shape)
     n = sum(shape)
     if spec.n != n:
@@ -552,8 +549,7 @@ def dual_specht_invariant_dim(shape: Partition, p: int, spec: SubgroupSpec) -> i
     need = _dual_specht_bytes(shape, m, d, len(gens))
     _refuse_beyond_memory(need, f"(S^{shape})^*", f"m = {m} tabloids, dim S = {d}")
     basis = perm_basis(shape)
-    row_of_cell = np.repeat(np.arange(len(shape), dtype=np.int8), shape)
-    standard = basis.index_of(row_of_cell[_cell_of_entry(shape)])
+    standard = _standard_tabloids(basis)
     e = polytabloid_matrix(shape, p)
     blocks = np.empty((len(gens) * d, d), dtype=np.int64)
     for i, g in enumerate(gens):

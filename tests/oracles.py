@@ -47,6 +47,33 @@ def brute_residue(s: int, p: int) -> int:
     return hits.pop()
 
 
+def regularize_by_ladders(lam: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """lam^Reg by the definition: node (r, c) lies on the ladder of column
+    s = c + (r - 1)p, except that columns mp and mp + 1 make one fused
+    ladder.  Every quadrant node of each ladder that lam meets is scanned,
+    each ladder's nodes are sorted by column, and each ladder keeps as many
+    of its leftmost nodes as lam has on it."""
+
+    def ladder_of(r: int, c: int):
+        s = c + (r - 1) * p
+        return ("fused", (s + 1) // p) if s % p in (0, 1) else ("plain", s)
+
+    cells = [(r, c) for r, part in enumerate(lam, start=1) for c in range(1, part + 1)]
+    top = max((c + (r - 1) * p for r, c in cells), default=0) + 1
+    ladders = defaultdict(list)
+    for r in range(1, top // p + 2):
+        for c in range(1, top + 1):
+            ladders[ladder_of(r, c)].append((c, r))
+    counts = defaultdict(int)
+    for r, c in cells:
+        counts[ladder_of(r, c)] += 1
+    rows = defaultdict(int)
+    for key, k in counts.items():
+        for _c, r in sorted(ladders[key])[:k]:
+            rows[r] += 1
+    return tuple(rows[r] for r in range(1, max(rows, default=0) + 1))
+
+
 def cells_to_partition(cells: set) -> tuple[int, ...] | None:
     """Row lengths if the cell set is a left-justified Young diagram, else None."""
     if not cells:
@@ -325,10 +352,11 @@ def _inversions(seq) -> int:
 
 @lru_cache(maxsize=None)
 def polytabloids_by_hand(shape: tuple[int, ...]) -> list[dict]:
-    """For each standard tableau of the shape (lex order of its rows), its
-    polytabloid as {tabloid: coefficient}; a tabloid is the tuple of its rows
-    as sorted tuples.  Tableaux come from filtering all fillings, and each
-    column group from all permutations that fix every column setwise."""
+    """For each standard tableau of the shape, in lex order of its row-label
+    words (word[x] = the row of entry x), its polytabloid as {tabloid:
+    coefficient}; a tabloid is the tuple of its rows as sorted tuples.
+    Tableaux come from filtering all fillings, and each column group from all
+    permutations that fix every column setwise."""
     n = sum(shape)
     diagram = [(r, c) for r, part in enumerate(shape) for c in range(part)]
     tableaux = []
@@ -338,7 +366,7 @@ def polytabloids_by_hand(shape: tuple[int, ...]) -> list[dict]:
             at[r, c] < at[r + 1, c] for r, c in diagram if (r + 1, c) in at
         ):
             tableaux.append(tuple(tuple(at[r, c] for c in range(part)) for r, part in enumerate(shape)))
-    tableaux.sort()
+    tableaux.sort(key=lambda t: [r for _x, r in sorted((x, r) for r, row in enumerate(t) for x in row)])
     out = []
     for t in tableaux:
         column_of = {x: c for row in t for c, x in enumerate(row)}

@@ -175,7 +175,7 @@ def test_subgroup_degree_is_checked_on_construction():
 
 def test_unknown_table_ii_row_is_rejected():
     for row in (0, 5, 9):
-        with pytest.raises(ValueError, match=r"tab2:row\d is not a Table II row \(rows: 1, 2, 3, 4\)"):
+        with pytest.raises(ValueError, match=r"tab2:\d is not a Table II row \(rows: 1, 2, 3, 4\)"):
             TableIICase(row)
 
 
@@ -290,9 +290,9 @@ def test_every_sweep_subgroup_reads_back_from_its_spelling():
     """str(sub) is what the JSON "subgroup" field carries, so parse_subgroup
     reads it back to the same subgroup: every Young, wreath, index-2,
     primitive and Table II subgroup the classification sweep builds.  The
-    short spelling tab2:N reads to the same row as tab2:rowN."""
+    input alias tab2:rowN reads to the same row as the printed tab2:N."""
     for n in range(5, 15):
         for sub in _sweep_subgroups(n):
             assert parse_subgroup(str(sub), n) == sub, str(sub)
     for row in (1, 2, 3, 4):
-        assert parse_subgroup(f"tab2:{row}", 6) == TableIICase(row)
+        assert parse_subgroup(f"tab2:row{row}", 6) == TableIICase(row)

@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import regularize_by_ladders
 from spinrest.labels import alpha_n
 from spinrest.partitions import (
     is_restricted_p_strict,
@@ -56,6 +57,15 @@ def test_regularize_fixes_restricted_labels():
                 assert ladder_counts(reg, p) == ladder_counts(lam, p)
                 if is_restricted_p_strict(lam, p):
                     assert reg == lam
+
+
+def test_regularize_matches_ladder_scan():
+    """The closed-form ladder positions against a scan of every quadrant
+    node of each ladder."""
+    for p in (3, 5, 7):
+        for n in range(0, 21):
+            for lam in p_strict_partitions(n, p):
+                assert regularize(lam, p) == regularize_by_ladders(lam, p), (lam, p)
 
 
 def test_closed_form_examples():

@@ -26,6 +26,7 @@ from oracles import (
 from spinrest.gfp import matmul_mod, rank
 from spinrest.specht import (
     SubgroupSpec,
+    _standard_tabloids,
     alt_young,
     dual_specht_invariant_dim,
     eta,
@@ -39,7 +40,6 @@ from spinrest.specht import (
     perm_sign,
     polytabloid_matrix,
     shape_from_tail,
-    standard_tableaux,
     subset_basis,
     wilson_rank,
     wreath,
@@ -362,7 +362,24 @@ def test_hook_dimension():
     assert hook_dimension((4, 2)) == 9
     assert hook_dimension((6, 4, 2)) == 2673
     assert hook_dimension((3, 2, 1)) == 16
-    assert len(standard_tableaux((3, 2))) == 5
+    assert len(_standard_tabloids(perm_basis((3, 2)))) == 5
+
+
+def test_standard_tabloids_are_the_lattice_words():
+    """The lattice words of every basis with n <= 10 number as the hook
+    formula says, and each is the own tabloid of its column of E, with
+    coefficient 1 (n <= 8: the column table of (1^10) alone holds 10!
+    Python lists)."""
+    from spinrest import specht
+
+    for n in range(0, 11):
+        for shape in partitions_by_recursion(n):
+            standard = _standard_tabloids(perm_basis(shape))
+            assert len(standard) == hook_dimension(shape), shape
+            if n <= 8:
+                e = polytabloid_matrix(shape, 7)
+                assert np.all(e[standard, np.arange(len(standard))] == 1), shape
+    specht.perm_basis.cache_clear()
 
 
 def test_polytabloid_matrix_rank_is_standard_count():
