@@ -30,12 +30,9 @@ from .partitions import (
 from .specht import (
     SubgroupSpec,
     alt_young,
-    dual_specht_invariant_dim,
-    orbit_count,
+    invariant_dims,
     parse_spec,
-    perm_basis,
     young,
-    z_invariant_dim,
 )
 from .suites import SUITES, run_suite
 
@@ -193,25 +190,11 @@ def cmd_classify(args) -> int:
 
 def cmd_invariants(args) -> int:
     shape = parse_partition(args.shape)
-    n = size(shape)
-    sub = parse_subgroup(args.subgroup, n)
+    sub = parse_subgroup(args.subgroup, size(shape))
     if not isinstance(sub, SubgroupSpec):
         raise ValueError("invariants needs a concrete subgroup spec")
-    dim_dual = dual_specht_invariant_dim(shape, args.p, sub)  # refuses oversized shapes first
-    zs = {}
-    if len(shape) <= 2:  # z_invariant_dim counts the orbits as well
-        z, dim_m, gap = z_invariant_dim(shape[1] if len(shape) == 2 else 0, n, args.p, sub)
-        zs = {"dim_Z_H": z, "hom_gap": gap}
-    else:
-        dim_m = orbit_count(sub, perm_basis(shape))
-    payload = {
-        "shape": format_partition(shape),
-        "subgroup": str(sub),
-        "p": args.p,
-        "dim_M_H": dim_m,
-        "dim_dualS_H": dim_dual,
-        **zs,
-    }
+    dims = invariant_dims(shape, args.p, sub)
+    payload = {"shape": format_partition(shape), "subgroup": str(sub), "p": args.p, **dims}
     _emit(payload, args.format, [f"{k}: {v}" for k, v in payload.items()])
     return 0
 

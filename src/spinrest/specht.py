@@ -18,7 +18,7 @@ import os
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, permutations, product
+from itertools import accumulate
 from math import comb, factorial, prod
 
 import numpy as np
@@ -56,20 +56,8 @@ def inverse(g: Perm) -> Perm:
 
 
 def perm_sign(g: Perm) -> int:
-    seen = [False] * len(g)
-    sign = 1
-    for i in range(len(g)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = g[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    """(-1) to the number of inversions of g."""
+    return (-1) ** sum(g[i] > g[j] for j in range(len(g)) for i in range(j))
 
 
 # kind -> its CLI prefix and the form of its integers: str(spec) is PREFIX(i1,...,ik).
@@ -402,16 +390,17 @@ def orbit_count(spec: SubgroupSpec, basis: PermBasis) -> int:
 _TABLEAU_CHUNK = 256
 
 
+def _column_heights(shape: Partition) -> list[int]:
+    """The height of each column of the diagram: the conjugate partition."""
+    return [sum(1 for part in shape if part > c) for c in range(max(shape, default=0))]
+
+
 def hook_dimension(shape: Partition) -> int:
     """Number of standard tableaux, by the hook length formula."""
     shape = check_partition(shape)
-    n = sum(shape)
-    conj = [sum(1 for part in shape if part > c) for c in range(shape[0])] if shape else []
-    denom = 1
-    for r, part in enumerate(shape):
-        for c in range(part):
-            denom *= part - c + conj[c] - r - 1
-    return factorial(n) // denom
+    heights = _column_heights(shape)
+    hooks = (part - c + heights[c] - r - 1 for r, part in enumerate(shape) for c in range(part))
+    return factorial(sum(shape)) // prod(hooks)
 
 
 def _standard_tabloids(basis: PermBasis) -> np.ndarray:
@@ -438,23 +427,24 @@ def _column_table(shape: Partition) -> tuple[np.ndarray, np.ndarray]:
     Cells are numbered in row-reading order; labels[pi, i] is the row of the
     cell that pi sends cell i to.  For a tableau with entry T[i] in cell i,
     the tabloid of the column-permuted tableau is the word with T[i]
-    labelled labels[pi, i], and it enters the polytabloid with signs[pi]."""
-    heights = [sum(1 for part in shape if part > c) for c in range(shape[0])] if shape else []
-    cell = {}
-    for r, part in enumerate(shape):
-        for c in range(part):
-            cell[r, c] = len(cell)
-    labels, signs = [], []
-    for perms in product(*(permutations(range(h)) for h in heights)):
-        word = [0] * len(cell)
-        sign = 1
-        for c, perm in enumerate(perms):
-            sign *= perm_sign(perm)
-            for r, target in enumerate(perm):
-                word[cell[r, c]] = target
-        labels.append(word)
-        signs.append(sign)
-    labels, signs = np.array(labels, dtype=np.int8), np.array(signs, dtype=np.int64)
+    labelled labels[pi, i], and it enters the polytabloid with signs[pi].
+
+    A column of height h permutes its cells as the words of perm_basis((1,)*h),
+    in lex order, each with sign (-1) to its number of inversions.  The table
+    is their product over the columns, the first column slowest."""
+    starts = list(accumulate(shape, initial=0))
+    heights = _column_heights(shape)
+    labels = np.empty((prod(factorial(h) for h in heights), sum(shape)), dtype=np.int8)
+    signs = np.ones(len(labels), dtype=np.int64)
+    later = len(labels)
+    for c, h in enumerate(heights):
+        words = perm_basis((1,) * h).words
+        later //= len(words)
+        inversions = sum((words[:, i] > words[:, j] for j in range(h) for i in range(j)), np.zeros(len(words), int))
+        # the table's rows in blocks of (earlier columns, this column, later columns)
+        labels.reshape(-1, len(words), later, labels.shape[1])[..., [starts[r] + c for r in range(h)]] = words[:, None]
+        column_signs = signs.reshape(-1, len(words), later)
+        column_signs *= ((-1) ** inversions)[:, None]
     labels.flags.writeable = signs.flags.writeable = False
     return labels, signs
 
@@ -503,8 +493,9 @@ def _dual_specht_bytes(shape: Partition, m: int, d: int, gens: int) -> int:
     - perm_basis at its last level (_basis_bytes);
     - the lattice pass of _standard_tabloids: rows x m label counts and a
       few m-long boolean masks;
-    - _column_table: per column permutation a list of n ints and a tuple in
-      itertools.product's pool, then the int8 labels;
+    - _column_table's int8 labels and int64 signs, and the words of
+      perm_basis((1,)*h) per column height h, at most n bytes per label row
+      (building them takes less than the two stages above, not live then);
     - one chunk of column words ranked by index_of in polytabloid_matrix;
     - E (m x d) and the stacked blocks, g d x d for g generators;
     - the elimination's float copy of the blocks and one panel product of
@@ -514,11 +505,41 @@ def _dual_specht_bytes(shape: Partition, m: int, d: int, gens: int) -> int:
       shape: tracemalloc peaks exceeded the other terms by at most 13 kB, on
       778 shapes and subgroups with n <= 10, at p = 3 and 65521."""
     n = sum(shape)
-    column_group = prod(factorial(sum(1 for part in shape if part > c)) for c in range(max(shape, default=0)))
-    columns = column_group * (18 * n + 144 + min(d, _TABLEAU_CHUNK) * (3 * n + 64))
+    column_group = prod(factorial(h) for h in _column_heights(shape))
+    columns = column_group * (2 * n + 8 + min(d, _TABLEAU_CHUNK) * (3 * n + 64))
     blocks = gens * d * (3 * d + 6 * min(d, _PANEL))
     lattice = m * (len(shape) * np.min_scalar_type(max(shape, default=0)).itemsize + 8)
     return 64 * 1024 + _basis_bytes(shape, m) + lattice + columns + 8 * (m * d + blocks)
+
+
+def _dual_specht_preflight(shape: Partition, p: int, spec: SubgroupSpec) -> tuple[Partition, list[Perm]]:
+    """The checked shape and the subgroup's generators, after refusing, before
+    anything is allocated, a subgroup of another degree, a p that is not prime
+    and a shape whose _dual_specht_bytes exceed physical memory."""
+    shape = check_partition(shape)
+    n = sum(shape)
+    if spec.n != n:
+        raise ValueError(f"subgroup {spec} has degree {spec.n} and cannot act on the tabloids of {shape}, of degree {n}")
+    _check_prime(p)
+    gens = generators(spec)
+    m, d = _tabloid_count(shape), hook_dimension(shape)
+    need = _dual_specht_bytes(shape, m, d, len(gens))
+    _refuse_beyond_memory(need, f"(S^{shape})^*", f"m = {m} tabloids, dim S = {d}")
+    return shape, gens
+
+
+def _fixed_class_blocks(e: np.ndarray, shape: Partition, gens: list[Perm], p: int) -> np.ndarray:
+    """The d x d blocks (E[g(J)] - E[J])^T mod p of dual_specht_invariant_dim,
+    stacked over the generators."""
+    basis = perm_basis(shape)
+    standard = _standard_tabloids(basis)
+    d = len(standard)
+    blocks = np.empty((len(gens) * d, d), dtype=np.int64)
+    for i, g in enumerate(gens):
+        block = blocks[i * d : (i + 1) * d].T
+        np.subtract(e[basis.act(g, standard)], e[standard], out=block)
+        block %= p
+    return blocks
 
 
 def dual_specht_invariant_dim(shape: Partition, p: int, spec: SubgroupSpec) -> int:
@@ -533,51 +554,46 @@ def dual_specht_invariant_dim(shape: Partition, p: int, spec: SubgroupSpec) -> i
     quotient.  The class of sum_j y_j {t_j} is fixed by g iff
     (E[g(J)] - E[J])^T y = 0: the fixed classes are the kernel of these
     d x d blocks stacked over the generators, at most two per factor of the
-    subgroup.
+    subgroup.  E is freed before the blocks are eliminated.
 
-    A subgroup of another degree, a p that is not prime, and a shape whose
-    tabloid basis, lattice pass, column table, E and stacked blocks cannot fit
-    in physical memory, are refused before anything is allocated."""
-    shape = check_partition(shape)
-    n = sum(shape)
-    if spec.n != n:
-        raise ValueError(f"subgroup {spec} has degree {spec.n} and cannot act on the tabloids of {shape}, of degree {n}")
-    _check_prime(p)
-    gens = generators(spec)
-    m = _tabloid_count(shape)
-    d = hook_dimension(shape)
-    need = _dual_specht_bytes(shape, m, d, len(gens))
-    _refuse_beyond_memory(need, f"(S^{shape})^*", f"m = {m} tabloids, dim S = {d}")
-    basis = perm_basis(shape)
-    standard = _standard_tabloids(basis)
-    e = polytabloid_matrix(shape, p)
-    blocks = np.empty((len(gens) * d, d), dtype=np.int64)
-    for i, g in enumerate(gens):
-        block = blocks[i * d : (i + 1) * d].T
-        np.subtract(e[basis.act(g, standard)], e[standard], out=block)
-        block %= p
-    del e  # not needed while the blocks are eliminated
-    return kernel(blocks, p).dim
+    A subgroup of another degree, a p that is not prime, and a shape beyond
+    physical memory are refused first (_dual_specht_preflight)."""
+    shape, gens = _dual_specht_preflight(shape, p, spec)
+    return kernel(_fixed_class_blocks(polytabloid_matrix(shape, p), shape, gens, p), p).dim
 
 
 def z_invariant_dim(k: int, n: int, p: int, spec: SubgroupSpec) -> tuple[int, int, bool]:
     """(dim Z_k^H, dim M_k^H, gap): Z_k = (S^(n-k,k))^perp; a strict gap means
     a nonzero H-invariant functional survives on the dual Specht quotient.
-
-    The orbit sums are a basis of M_k^H, and sum_O c_O O lies in Z_k iff it
-    pairs to zero with every polytabloid, that is iff sum_O c_O s_O = 0 for
-    s_O the sum of the rows of E at the tabloids of O.  So dim Z_k^H is the
-    number of orbits less the rank of the orbit sums of E's rows."""
+    They are invariant_dims' dim_Z_H, dim_M_H and hom_gap."""
     if 2 * k > n:
         raise ValueError("need k <= n/2")
-    shape = check_partition((n - k, k))
-    e = polytabloid_matrix(shape, p)
+    dims = invariant_dims((n - k, k), p, spec)
+    return dims["dim_Z_H"], dims["dim_M_H"], dims["hom_gap"]
+
+
+def invariant_dims(shape: Partition, p: int, spec: SubgroupSpec) -> dict:
+    """dim_M_H, the number of orbits; dim_dualS_H, as dual_specht_invariant_dim;
+    and on a shape of at most two rows dim_Z_H and hom_gap, Z = (S^shape)^perp
+    (see z_invariant_dim), from one orbit labelling and one E.  Refuses what
+    dual_specht_invariant_dim refuses, first.
+
+    The orbit sums are a basis of M^H, and sum_O c_O O lies in Z iff it pairs
+    to zero with every polytabloid, that is iff sum_O c_O s_O = 0 for s_O the
+    sum of the rows of E at the tabloids of O.  So dim Z^H is the number of
+    orbits less the rank of the orbit sums of E's rows."""
+    shape, gens = _dual_specht_preflight(shape, p, spec)
     roots, orbit = np.unique(_orbit_labels(spec, perm_basis(shape)), return_inverse=True)
-    sums = np.zeros((len(roots), e.shape[1]), dtype=np.int64)
-    np.add.at(sums, orbit, e)
-    dim_m_h = len(roots)
-    dim_z_h = dim_m_h - rank(sums, p)
-    return dim_z_h, dim_m_h, dim_z_h < dim_m_h
+    e = polytabloid_matrix(shape, p)
+    zs = {}
+    if len(shape) <= 2:
+        sums = np.zeros((len(roots), e.shape[1]), dtype=np.int64)
+        np.add.at(sums, orbit, e)
+        dim_z_h = len(roots) - rank(sums, p)
+        zs = {"dim_Z_H": dim_z_h, "hom_gap": dim_z_h < len(roots)}
+    blocks = _fixed_class_blocks(e, shape, gens, p)
+    del e, orbit  # not needed while the blocks are eliminated
+    return {"dim_M_H": len(roots), "dim_dualS_H": kernel(blocks, p).dim, **zs}
 
 
 # ---------------------------------------------------------------------------

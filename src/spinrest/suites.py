@@ -139,8 +139,9 @@ def run_wilson(wide: bool = False):
     for n in range(6, (14 if wide else 12) + 1):
         for l in range(0, min(5, n // 2) + 1):
             for k in range(0, l + 1):
+                incidence = eta(k, l, n)
                 for p in (3, 5, 7):
-                    yield rank(eta(k, l, n), p), wilson_rank(k, l, n, p), {"k": k, "l": l, "n": n, "p": p}
+                    yield rank(incidence, p), wilson_rank(k, l, n, p), {"k": k, "l": l, "n": n, "p": p}
 
 
 @_suite("etas")

@@ -99,6 +99,19 @@ def test_criterion_06_wilson_ranks():
     assert result["checks"] == 339
 
 
+def test_wilson_builds_each_incidence_map_once(monkeypatch):
+    """The wilson suite builds eta(k, l, n) once for its three primes,
+    with its check count and order unchanged."""
+    from spinrest import suites
+
+    built = []
+    monkeypatch.setattr(suites, "eta", lambda *args: built.append(args) or args)
+    monkeypatch.setattr(suites, "rank", lambda incidence, p: 0)
+    cases = [case for _got, _want, case in suites.run_wilson()]
+    assert len(cases) == 339 and len(built) == len(set(built)) == 113
+    assert [(c["k"], c["l"], c["n"]) for c in cases] == [args for args in built for _p in (3, 5, 7)]
+
+
 def test_criterion_07_eta_exactness():
     t = time.time()
     bad = []

@@ -130,6 +130,20 @@ def test_invariants_labels_orbits_once(monkeypatch, capsys):
     }
 
 
+@pytest.mark.parametrize("shape, subgroup", [("(8,2)", "W(2,5)"), ("(3,2,1)", "S(3,3)")])
+def test_invariants_builds_e_once(monkeypatch, capsys, shape, subgroup):
+    """One invariants query builds the polytabloid matrix once, also on a
+    two-row shape, where dim_Z_H and dim_dualS_H both come from it."""
+    from spinrest import cli, specht
+
+    calls = []
+    build = specht.polytabloid_matrix
+    monkeypatch.setattr(specht, "polytabloid_matrix", lambda *args: calls.append(args) or build(*args))
+    assert cli.main(["invariants", "--shape", shape, "--p", "3", "--subgroup", subgroup]) == 0
+    assert len(calls) == 1
+    assert "dim_dualS_H" in capsys.readouterr().out
+
+
 def test_verify_exit_codes():
     code, out, _ = run_cli("verify", "parity")
     assert code == 0 and "0 violations" in out
