@@ -17,11 +17,11 @@ ACM TOMS 2008): elimination subtracts unreduced products and reduces only
 before an entry could leave the range its type holds exactly, and at the
 end.  Products of residue matrices run in the narrowest exact type: float32
 while every inner product stays below 2^24, float64 below 2^53, and object
-integers beyond.  The matrix being eliminated is stored in the type of a
-full panel's product, float32 while 64 (p - 1)^2 < 2^24 (p <= 509), float64
-while it is below 2^53 (p <= 11863279) and int64 beyond, so panel products
-are subtracted in place; the scalar loop works on an int64 copy of its
-panel."""
+integers beyond; a Gram product EᵀE is summed over row blocks of E.  The
+matrix being eliminated is stored in the type of a full panel's product,
+float32 while 64 (p - 1)^2 < 2^24 (p <= 509), float64 while it is below
+2^53 (p <= 11863279) and int64 beyond, so panel products are subtracted in
+place; the scalar loop works on an int64 copy of its panel."""
 
 from dataclasses import dataclass, field
 from math import isqrt
@@ -96,7 +96,7 @@ def _echelon(arr: np.ndarray, p: int, full: bool) -> tuple[np.ndarray, list[int]
     reduced after every `delay` pivots.  The panel products are subtracted
     unreduced from the matrix, stored in the type of a full panel product
     (_exact_type), and `spread` bounds its entries, so that it is reduced
-    before any leaves the range that type holds exactly.
+    before any leaves the range that type holds exactly, and returned in it.
     """
     _check_prime(p)
     store, limit = _exact_type(_PANEL * (p - 1) ** 2)
@@ -147,7 +147,9 @@ def _echelon(arr: np.ndarray, p: int, full: bool) -> tuple[np.ndarray, list[int]
                 start = c0 if full else c1
                 moved = np.nonzero(perm != np.arange(rows - top))[0]
                 a[top + moved, start:] = a[top + perm[moved], start:]
-                x = matmul_mod(_pivot_transform(work[:k, piv], p, full, delay), a[top : top + k, start:], p)
+                u = a[top : top + k, start:].astype(np.int64)  # reduced by //, which numpy vectorizes, unlike np.mod
+                x = _product(_pivot_transform(work[:k, piv], p, full, delay), u - u // p * p, p).astype(np.int64)
+                x -= x // p * p
             # full=True: the other rows, by their pivot-column entries against
             # the RREF rows (the pivot rows are then overwritten); full=False:
             # the rows below, by their multipliers against U.  After the last
@@ -173,12 +175,13 @@ def _echelon(arr: np.ndarray, p: int, full: bool) -> tuple[np.ndarray, list[int]
             pivots += (c0 + piv).tolist()
             top += k
         c0 = c1
-    return a[:top].astype(np.int64) % p, pivots
+    return a[:top], pivots
 
 
 def rref(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form and pivot columns, over GF(p)."""
-    return _echelon(arr, p, True)
+    red, pivots = _echelon(arr, p, True)
+    return red.astype(np.int64) % p, pivots
 
 
 def rank(arr: np.ndarray, p: int) -> int:
@@ -195,22 +198,27 @@ def _reduced(a, p: int) -> np.ndarray:
 
 
 def _product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b for int64 factors with entries in [0, p), exact: in the
-    narrowest float type whose mantissa holds every inner product
+    """a @ b for int64 factors with entries in [0, p), exact: unreduced in
+    the narrowest float type whose mantissa holds every inner product
     (_exact_type), or beyond 2^53 in object arithmetic, reduced mod p to
-    int64."""
+    int64.  A Gram product (a = b.T) sums the exact products of len(b) // w
+    blocks of rows of b, w = max(b.shape[1], _PANEL), each under 2w rows."""
     dtype, _ = _exact_type(a.shape[-1] * (p - 1) ** 2)
-    if dtype is np.int64:
-        return np.mod(a.astype(object) @ b.astype(object), p).astype(np.int64)
-    fb = b.astype(dtype)
-    # a = b.T (a Gram product): one conversion, and BLAS sees the symmetric product
-    fa = fb.T if a.__array_interface__ == b.T.__array_interface__ else a.astype(dtype)
-    return fa @ fb
+    dtype = object if dtype is np.int64 else dtype
+    if a.__array_interface__ == b.T.__array_interface__:
+        out = np.zeros((b.shape[1],) * 2, dtype)
+        for rows in np.array_split(b, max(len(b) // max(b.shape[1], _PANEL), 1)):
+            block = rows.astype(dtype)
+            out += block.T @ block  # BLAS sees the symmetric product
+    else:
+        out = a.astype(dtype) @ b.astype(dtype)
+    return np.mod(out, p).astype(np.int64) if dtype is object else out
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact a @ b mod p, for any modulus p >= 1."""
-    return _product(_reduced(a, p), _reduced(b, p), p).astype(np.int64, copy=False) % p
+    out = _product(_reduced(a, p), _reduced(b, p), p).astype(np.int64, copy=False)
+    return np.mod(out, p, out=out)
 
 
 @dataclass(frozen=True)

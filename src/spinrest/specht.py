@@ -17,13 +17,13 @@ matrices are reproducible.
 import os
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import comb, factorial, prod
 
 import numpy as np
 
-from .gfp import _PANEL, _check_prime, kernel, matmul_mod, rank
+from .gfp import _PANEL, _check_prime, _exact_type, kernel, matmul_mod, rank
 from .partitions import Partition, check_partition
 
 Perm = tuple[int, ...]
@@ -254,11 +254,12 @@ class PermBasis:
     `words` is a read-only (m, n) int8 array: words[t, x] is the row of
     entry x in tabloid t (row 1 is label 0), and the rows are in
     lexicographic word order.  For shape (n - k, k) the entries labelled 1
-    are the k-subset.
+    are the k-subset; `standard` holds the positions of the standard tableaux.
     """
 
     shape: Partition
     words: np.ndarray
+    standard = cached_property(lambda self: _standard_tabloids(self))
 
     @property
     def n(self) -> int:
@@ -418,7 +419,9 @@ def _standard_tabloids(basis: PermBasis) -> np.ndarray:
             if a:  # one more label a needs more labels a - 1 before it
                 lattice &= ~here | (count < counts[a - 1])
             count += here
-    return np.flatnonzero(lattice)
+    standard = np.flatnonzero(lattice)
+    standard.flags.writeable = False
+    return standard
 
 
 @lru_cache(maxsize=64)
@@ -453,7 +456,7 @@ def polytabloid_matrix(shape: Partition, p: int) -> np.ndarray:
     """The m x d matrix whose columns are the polytabloids of the standard
     tableaux, in the tabloid basis, with entries in [0, p); its column space
     is the Specht module S^shape over GF(p).  Column j is the polytabloid of
-    the j-th lattice word of the basis (_standard_tabloids), which has its
+    the j-th lattice word of the basis (PermBasis.standard), which has its
     own tabloid with coefficient 1.  A p that is not prime is refused before
     the basis is built.
 
@@ -463,7 +466,7 @@ def polytabloid_matrix(shape: Partition, p: int) -> np.ndarray:
     shape = check_partition(shape)
     basis = perm_basis(shape)
     labels, signs = _column_table(shape)
-    standard = _standard_tabloids(basis)
+    standard = basis.standard
     mat = np.zeros((len(basis), len(standard)), dtype=np.int64)
     for lo in range(0, len(standard), _TABLEAU_CHUNK):
         words = basis.words[standard[lo : lo + _TABLEAU_CHUNK]]
@@ -476,10 +479,29 @@ def polytabloid_matrix(shape: Partition, p: int) -> np.ndarray:
 
 def gram_irreducibility(shape: Partition, p: int) -> bool:
     """True iff the Gram matrix of the standard polytabloid basis is
-    nonsingular mod p (then S^shape = D^shape is irreducible)."""
+    nonsingular mod p (then S^shape = D^shape is irreducible).  A shape beyond
+    physical memory (_gram_bytes) and a p that is not prime are refused first."""
+    shape = check_partition(shape)
+    m, d = _tabloid_count(shape), hook_dimension(shape)
+    _refuse_beyond_memory(_gram_bytes(shape, m, d, p), f"S^{shape}'s Gram matrix", f"m = {m} tabloids, dim S = {d}")
     e = polytabloid_matrix(shape, p)
     gram = matmul_mod(e.T, e, p)
-    return rank(gram, p) == gram.shape[0]
+    del e  # not needed while G is eliminated
+    return rank(gram, p) == d
+
+
+def _gram_bytes(shape: Partition, m: int, d: int, p: int) -> int:
+    """Bytes that bound what gram_irreducibility allocates: E and its making
+    (_dual_specht_bytes with no generators), and the larger of two stages:
+    two blocks of under 2 max(d, _PANEL) rows of E in the product's exact
+    type, their d x d sum and G in int64; or G, and in the storage type its
+    copy, a panel product and the rows it updates, and six int64 arrays of
+    d x min(d, _PANEL).  An object entry is a pointer and an int < 2^120."""
+    types = (_exact_type(bound)[0] for bound in (m * (p - 1) ** 2, _PANEL * (p - 1) ** 2))
+    f, s = (48 if t is np.int64 else np.dtype(t).itemsize for t in types)
+    product = f * (4 * max(d, _PANEL) + d) + 8 * d
+    elimination = d * (8 + 3 * s) + 48 * min(d, _PANEL)
+    return _dual_specht_bytes(shape, m, d, 0) + d * max(product, elimination)
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +554,7 @@ def _fixed_class_blocks(e: np.ndarray, shape: Partition, gens: list[Perm], p: in
     """The d x d blocks (E[g(J)] - E[J])^T mod p of dual_specht_invariant_dim,
     stacked over the generators."""
     basis = perm_basis(shape)
-    standard = _standard_tabloids(basis)
+    standard = basis.standard
     d = len(standard)
     blocks = np.empty((len(gens) * d, d), dtype=np.int64)
     for i, g in enumerate(gens):

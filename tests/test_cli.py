@@ -144,6 +144,20 @@ def test_invariants_builds_e_once(monkeypatch, capsys, shape, subgroup):
     assert "dim_dualS_H" in capsys.readouterr().out
 
 
+def test_invariants_makes_one_lattice_pass(monkeypatch, capsys):
+    """One invariants query finds the standard tableaux of its tabloid basis
+    once, though both E and the dual-Specht blocks are indexed by them."""
+    from spinrest import cli, specht
+
+    calls = []
+    lattice = specht._standard_tabloids
+    monkeypatch.setattr(specht, "_standard_tabloids", lambda basis: calls.append(basis) or lattice(basis))
+    specht.perm_basis.cache_clear()
+    assert cli.main(["--format", "json", "invariants", "--shape", "(5,3,2)", "--p", "3", "--subgroup", "W(2,5)"]) == 0
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["dim_dualS_H"] == 0
+
+
 def test_verify_exit_codes():
     code, out, _ = run_cli("verify", "parity")
     assert code == 0 and "0 violations" in out

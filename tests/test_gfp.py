@@ -1,3 +1,5 @@
+from math import isqrt
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from oracles import (
 )
 from spinrest import gfp
 from spinrest.gfp import kernel, matmul_mod, rank, rref
+from spinrest.partitions import _is_prime
 from spinrest.specht import eta, from_cycles, subset_basis
 
 # primes for the differential tests; the last one is above 2^31, where
@@ -196,6 +199,29 @@ def test_matmul_mod_tiers_match_object_products(limit):
             assert got.dtype == np.int64 and got.tolist() == want.tolist()
         assert matmul_mod(b.T, b, p).tolist() == ((b.T.astype(object) @ b.astype(object)) % p).tolist()
         assert matmul_mod((b - p).T, b - p, p).tolist() == matmul_mod(b.T, b, p).tolist()
+    # Gram products b.T @ b, which sum rows // max(d, _PANEL) blocks of rows of
+    # b: fewer rows than d, d rows, and one row either side of where one block
+    # becomes two; at the largest prime whose inner products stay in range, and
+    # at a prime where column 0's square sum, an odd number, leaves it
+    for d in (7, 70):
+        block = max(d, gfp._PANEL)
+        for rows in (d - 2, d, 2 * block - 1, 2 * block + 1):
+            q = isqrt((limit - 1) // rows)  # rows * (p - 1)^2 < limit iff p <= q + 1
+            below = next(p for p in range(q + 1, 1, -1) if _is_prime(p))
+            above = next(p for p in range(q + 4, 2 * q + 8) if _is_prime(p))
+            for p in (below, above):
+                b = rng.integers(p - p // 8, p, (rows, d))
+                b[:, 0] = p - 2
+                b[0, 0] -= 1 - rows % 2
+                want = (b.T.astype(object) @ b.astype(object)) % p
+                if p == above:  # the narrower type would round G[0, 0]
+                    assert not np.array_equal(np.mod((b.T.astype(narrow) @ b.astype(narrow)).astype(np.int64), p), want)
+                got = matmul_mod(b.T, b, p)
+                assert got.dtype == np.int64 and got.tolist() == want.tolist()
+    for shape in ((0, 5), (9, 0), (0, 0)):  # no rows, no columns
+        b = np.zeros(shape, dtype=np.int64)
+        got = matmul_mod(b.T, b, 7)
+        assert got.shape == (shape[1], shape[1]) and not got.any()
 
 
 def test_kernel_runs_one_rref(monkeypatch):

@@ -508,6 +508,61 @@ def test_dual_specht_memory_bound_holds(shape, spec):
     assert peak <= bound
 
 
+def test_gram_refuses_shapes_beyond_memory(monkeypatch):
+    """S^(7,5,3) has m = 360360 tabloids and d = 45045, so E alone takes
+    130 GB: with 8 GB of physical memory the Gram criterion is refused,
+    with its estimate, before any basis or E is built."""
+    from spinrest import specht
+
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2_000_000}
+    monkeypatch.setattr(specht.os, "sysconf", pages.__getitem__)
+    monkeypatch.setattr(specht, "perm_basis", _unreachable)
+    monkeypatch.setattr(specht, "polytabloid_matrix", _unreachable)
+    want = r"S\^\(7, 5, 3\)'s Gram matrix needs about [\d,.]+ GB \(m = 360360 tabloids, dim S = 45045\), more than"
+    with pytest.raises(ValueError, match=want + r" the 8\.2 GB"):
+        gram_irreducibility((7, 5, 3), 3)
+
+
+def _traced_gram_peak(shape, p) -> int:
+    """The tracemalloc peak of gram_irreducibility, from cold caches."""
+    import tracemalloc
+
+    from spinrest import specht
+
+    specht.perm_basis.cache_clear()
+    specht._column_table.cache_clear()
+    tracemalloc.start()
+    try:
+        gram_irreducibility(shape, p)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "shape, p",
+    [(shape, p) for shape in [(4, 3, 2, 1), (3, 3, 2, 1), (5, 2, 2), (1,) * 8, (8,), (4, 4)] for p in (3, 65521)]
+    + [((4, 3, 1), 11863279), ((1,) * 5, 11863279)],
+)
+def test_gram_memory_bound_holds(shape, p):
+    """The bytes the Gram refusal is based on cover what gram_irreducibility
+    allocates, as traced by tracemalloc: in float32 and float64 products,
+    and at p = 11863279, where m (p - 1)^2 > 2^53, in object arithmetic."""
+    from spinrest import specht
+
+    m = factorial(sum(shape)) // prod(factorial(part) for part in shape)
+    assert _traced_gram_peak(shape, p) <= specht._gram_bytes(shape, m, hook_dimension(shape), p)
+
+
+@pytest.mark.parametrize("shape", [(4, 3, 2, 1), (5, 3, 1)])
+def test_gram_keeps_one_dense_copy_of_e(shape):
+    """Beside E, the Gram criterion holds only d x d arrays: float32 blocks
+    of E, their sum and G in int64, then G's elimination.  A float copy of
+    the whole of E would take half of E again."""
+    m, d = factorial(sum(shape)) // prod(factorial(part) for part in shape), hook_dimension(shape)
+    assert _traced_gram_peak(shape, 3) <= 8 * m * d + 3 * 8 * d * d + 1_000_000
+
+
 def test_orbits_refuse_beyond_physical_memory(monkeypatch):
     """Orbit labels need two int64 index arrays per generator over the
     tabloids; they are refused when they exceed physical memory."""
