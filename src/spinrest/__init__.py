@@ -4,7 +4,6 @@ restrictions of spin representations of symmetric-group double covers."""
 from .partitions import (
     a_0,
     a_p,
-    dominance_leq,
     format_partition,
     is_p_strict,
     is_restricted_p_strict,
@@ -16,7 +15,6 @@ from .residues import (
     build_profile,
     char0_branching_down,
     char0_branching_up,
-    endo_dim_formula,
     eps_vector,
     js_class,
     residue_counts,
@@ -24,7 +22,7 @@ from .residues import (
     tilde_e,
     tilde_f,
 )
-from .regularization import ladder, leading_coefficient, reg_closed_form, regularize
+from .regularization import leading_coefficient, reg_closed_form, regularize
 from .labels import (
     ModuleLabel,
     alpha_n,

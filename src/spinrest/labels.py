@@ -1,7 +1,9 @@
-"""Spin label bookkeeping: basic/second basic labels, dimension tables,
-two-row composition-factor sets, and the exception-family pattern matchers.
+"""Spin labels: alpha_n / beta_n, dimension/type tables for basic and second
+basic supermodules, module dimensions per cover, char-0 spin dimensions,
+two-row factor sets trp_set / mu_na.
 """
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -17,7 +19,6 @@ from .partitions import (
     parse_partition,
     size,
 )
-from .residues import eps_vector
 
 TYPE_M = "M"
 TYPE_Q = "Q"
@@ -64,41 +65,24 @@ class ModuleLabel:
         return f"{self.letter}[{format_partition(self.lam)};{self.eps}]@p={self.p}"
 
 
+_LABEL = re.compile(r"([DE])\[([^;\]]*);([^;\]]*)\](?:@p=(\d+))?")
+
+
 def parse_label(text: str, p: int) -> ModuleLabel:
     """Parse e.g. 'D[(4,3,2,1);0]' or 'E[(4,2);+]@p=3' (trailing @p wins)."""
-    s = text.strip()
-    if "@p=" in s:
-        s, ptxt = s.split("@p=")
-        p = int(ptxt)
-    letter = s[0]
-    if letter not in ("D", "E") or not s.endswith("]") or s[1] != "[":
-        raise ValueError(f"cannot parse label {text!r}")
-    body, eps = s[2:-1].rsplit(";", 1)
-    return ModuleLabel("S" if letter == "D" else "A", parse_partition(body), eps.strip(), p)
+    match = _LABEL.fullmatch(text.strip())
+    if match is None:
+        raise ValueError(
+            f"cannot parse label {text!r}: expected D[(l1,...,lh);eps] or E[...;eps], optionally @p=P"
+        )
+    letter, body, eps, ptxt = match.groups()
+    return ModuleLabel("S" if letter == "D" else "A", parse_partition(body), eps.strip(), int(ptxt or p))
 
 
 def labels_for(lam: Partition, p: int, group: str) -> list[ModuleLabel]:
     """All valid labels of lam on the given double cover."""
     eps = ["0"] if _eps_is_zero(lam, p, group) else ["+", "-"]
     return [ModuleLabel(group, lam, e, p) for e in eps]
-
-
-@dataclass(frozen=True)
-class ProductLabel:
-    """Outer tensor D(lam) x D(mu): multiplicity 1 + a_p(lam)a_p(mu) copies of
-    D(lam, mu), which has type M iff a_p(lam) = a_p(mu)."""
-
-    left: Partition
-    right: Partition
-    p: int
-
-    @property
-    def multiplicity(self) -> int:
-        return 1 + a_p(self.left, self.p) * a_p(self.right, self.p)
-
-    @property
-    def type(self) -> str:
-        return TYPE_M if a_p(self.left, self.p) == a_p(self.right, self.p) else TYPE_Q
 
 
 def alpha_n(n: int, p: int) -> Partition:
@@ -307,93 +291,3 @@ def mu_na(n: int, a: int, p: int) -> Partition:
     if a < 0 or not in_range:
         raise ValueError(f"a={a} outside the explicit range for n={n}, p={p}")
     return _partition_sum(alpha_n(n - a, p), alpha_n(a, p))
-
-
-# ---------------------------------------------------------------------------
-# Exception-family pattern matchers for the endomorphism / homomorphism
-# reduction criteria.  Exponents a, b are >= 0 with empty blocks allowed;
-# overlaps resolve to the first family in display order.
-# ---------------------------------------------------------------------------
-
-
-def _match_blocks(lam: Partition, *blocks) -> bool:
-    """Match lam against a sequence of blocks: ints are literal parts, and
-    ('rep', x) greedily consumes any number of copies of x."""
-    pos = 0
-    for blk in blocks:
-        if isinstance(blk, tuple) and blk[0] == "rep":
-            x = blk[1]
-            while pos < len(lam) and lam[pos] == x:
-                pos += 1
-        else:
-            if pos >= len(lam) or lam[pos] != blk:
-                return False
-            pos += 1
-    return pos == len(lam)
-
-
-def endo_exception_family(lam: Partition, p: int) -> int | None:
-    """Family id (1..8) for labels where the endomorphism-dimension inequality
-    of the two-step restriction fails, else None."""
-    families = [
-        (1, lambda: _match_blocks(lam, ("rep", 2 * p), 2 * p - 1, p + 1, ("rep", p), p - 1, 1)),
-        (2, lambda: _match_blocks(lam, p + 1, ("rep", p), p - 1)),
-        (3, lambda: _match_blocks(lam, ("rep", 2 * p), 2 * p - 1, p + 1, ("rep", p), p - 1)),
-        (4, lambda: _match_blocks(lam, ("rep", 2 * p), p + 1, ("rep", p), p - 1, 1)),
-        (5, lambda: p > 5 and lam == (p - 2, 2)),
-        (6, lambda: p > 3 and _match_blocks(lam, ("rep", p), p - 1, p - 2, 2, 1)),
-        (7, lambda: p > 3 and _match_blocks(lam, ("rep", p), p - 2, 2, 1)),
-        (8, lambda: p > 3 and _match_blocks(lam, ("rep", p), p - 1, p - 2, 2)),
-    ]
-    for fid, pred in families:
-        if pred():
-            return fid
-    return None
-
-
-def hom_exception_family(lam: Partition, p: int) -> int | None:
-    """Family id (1..6) for labels where the special homomorphism into the
-    endomorphism module through M^(n-2,2) exists, else None."""
-    families = [
-        (1, lambda: _match_blocks(lam, p + 1, ("rep", p), p - 1)),
-        (2, lambda: _match_blocks(lam, ("rep", 2 * p), 2 * p - 1, p + 1, ("rep", p), p - 1)),
-        (3, lambda: lam[:1] == (2 * p,) and _match_blocks(lam, ("rep", 2 * p), p + 1, ("rep", p), p - 1, 1)),
-        (4, lambda: p > 3 and lam[:1] == (p,) and _match_blocks(lam, ("rep", p), p - 2, 2, 1)),
-        (5, lambda: p > 3 and _match_blocks(lam, ("rep", p), p - 1, p - 2, 2)),
-        (6, lambda: p > 5 and lam == (p - 2, 2)),
-    ]
-    for fid, pred in families:
-        if pred():
-            return fid
-    return None
-
-
-def l181224_2_applies(lam: Partition, p: int) -> bool:
-    """True iff lam avoids both exclusion lists of the two-row reduction step
-    (so a reducing homomorphism pair exists for every label of lam)."""
-    n = size(lam)
-    if lam == alpha_n(n, p):
-        return False
-    if _match_blocks(lam, ("rep", 2 * p), 2 * p - 1, p + 1, ("rep", p), p - 1, 1):
-        return False
-    if _match_blocks(lam, p + 1, ("rep", p), p - 1, 1):
-        return False
-    if p > 3:
-        if lam == (p - 2, 2, 1):
-            return False
-        if _match_blocks(lam, ("rep", p), p - 1, p - 2, 2, 1):
-            return False
-    return True
-
-
-def eps_exception_pattern(lam: Partition, p: int) -> bool:
-    """True iff the normal-node profile matches either exceptional bullet:
-    eps_0 <= 1 with a single eps_j = 1 elsewhere, or eps supported at 0 with
-    eps_0 <= 2."""
-    eps = eps_vector(lam, p)
-    others = eps[1:]
-    if eps[0] <= 1 and sum(others) == 1 and max(others) == 1:
-        return True
-    if eps[0] <= 2 and sum(others) == 0:
-        return True
-    return False

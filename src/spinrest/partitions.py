@@ -73,7 +73,11 @@ def parse_partition(text: str) -> Partition:
     s = s.strip().rstrip(",")
     if not s:
         return ()
-    return check_partition(int(x) for x in s.split(","))
+    try:
+        parts = [int(x) for x in s.split(",")]
+    except ValueError:
+        raise ValueError(f"cannot parse partition {text!r}: expected (l1,...,lh)") from None
+    return check_partition(parts)
 
 
 def size(lam: Partition) -> int:
@@ -132,10 +136,6 @@ def partitions_of(n: int, predicate: Callable[[Partition], bool] | None = None) 
             yield lam
 
 
-def strict_partitions(n: int) -> Iterator[Partition]:
-    return partitions_of(n, is_strict)
-
-
 def p_strict_partitions(n: int, p: int) -> Iterator[Partition]:
     return partitions_of(n, lambda lam: is_p_strict(lam, p))
 
@@ -171,16 +171,3 @@ def a_0(lam: Partition) -> int:
     if not is_strict(lam):
         raise ValueError(f"a_0 requires a strict partition, got {lam}")
     return (size(lam) - len(lam)) % 2
-
-
-def dominance_leq(lam: Partition, mu: Partition) -> bool:
-    """True iff lam is dominated by mu (partial sums of lam never exceed mu's)."""
-    if size(lam) != size(mu):
-        raise ValueError("dominance is only defined for partitions of equal size")
-    s_l = s_m = 0
-    for i in range(max(len(lam), len(mu))):
-        s_l += lam[i] if i < len(lam) else 0
-        s_m += mu[i] if i < len(mu) else 0
-        if s_l > s_m:
-            return False
-    return True

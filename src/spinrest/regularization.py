@@ -9,7 +9,6 @@ from the left is a closed form, so no ladder is ever listed to regularize.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .labels import alpha_n
 from .partitions import (
@@ -24,12 +23,6 @@ from .partitions import (
     part_counts,
 )
 from .residues import Node
-
-
-@dataclass(frozen=True)
-class Ladder:
-    index: int
-    nodes: tuple[Node, ...]  # sorted by ascending column
 
 
 def ladder_index(node: Node, p: int) -> int:
@@ -47,19 +40,6 @@ def _ladder_node(index: int, j: int, p: int) -> Node:
     m, fused = index // p, index % p == 1
     r = m + 1 - ((j + 1) // 2 if fused else j)
     return r, index - (r - 1) * p - (j % 2 if fused else 0)
-
-
-def ladder(s: int, p: int, bound: int | None = None) -> Ladder:
-    """The ladder through column s (fused pair for residue 0); rows are
-    truncated at `bound` when given."""
-    check_odd_prime(p)
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    index = ladder_index((1, s), p)
-    m = index // p
-    size = m + 1 + (m if index % p == 1 else 0)
-    nodes = (_ladder_node(index, j, p) for j in range(size))
-    return Ladder(index, tuple(nd for nd in nodes if bound is None or nd[0] <= bound))
 
 
 def ladder_counts(lam: Partition, p: int) -> dict[int, int]:

@@ -14,7 +14,6 @@ from functools import lru_cache
 from .partitions import (
     Partition,
     a_0,
-    a_p,
     check_odd_prime,
     format_partition,
     is_p_strict,
@@ -164,10 +163,6 @@ class ResidueProfile:
     def eps_vector(self) -> tuple[int, ...]:
         return tuple(d.epsilon for d in self.data)
 
-    @property
-    def phi_vector(self) -> tuple[int, ...]:
-        return tuple(d.phi for d in self.data)
-
     def to_json(self) -> dict:
         return {
             "lambda": format_partition(self.lam),
@@ -230,10 +225,6 @@ def epsilon(lam: Partition, p: int, i: int) -> int:
     return build_profile(lam, p)[i].epsilon
 
 
-def phi(lam: Partition, p: int, i: int) -> int:
-    return build_profile(lam, p)[i].phi
-
-
 def eps_vector(lam: Partition, p: int) -> tuple[int, ...]:
     return build_profile(lam, p).eps_vector
 
@@ -278,13 +269,6 @@ def js_class(lam: Partition, p: int) -> int | None:
     if sum(eps) != 1:
         return None
     return eps.index(1)
-
-
-def endo_dim_formula(lam: Partition, p: int) -> int:
-    """(eps_0 + 2 eps_1 + ... + 2 eps_ell) * (1 + a_p): endomorphism dimension
-    of the one-step restriction of D(lam)."""
-    eps = eps_vector(lam, p)
-    return (eps[0] + 2 * sum(eps[1:])) * (1 + a_p(lam, p))
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,30 @@ def test_malformed_subgroup_names_the_spec(spec, form):
     assert f"cannot parse subgroup {spec!r}: expected {form}" in err
 
 
+_LABEL_FORM = "expected D[(l1,...,lh);eps] or E[...;eps], optionally @p=P"
+_CLASSIFY = ("classify", "--group", "S", "--n", "6", "--p", "7", "--subgroup", "W(3,2)", "--label")
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (_CLASSIFY + ("",), f"cannot parse label '': {_LABEL_FORM}"),
+        (_CLASSIFY + ("D[(3,2,1)]",), f"cannot parse label 'D[(3,2,1)]': {_LABEL_FORM}"),
+        (_CLASSIFY + ("D[(3,2,1);+]@p=3@p=5",), f"cannot parse label 'D[(3,2,1);+]@p=3@p=5': {_LABEL_FORM}"),
+        (_CLASSIFY + ("D[(3,2,1);+]@p=x",), f"cannot parse label 'D[(3,2,1);+]@p=x': {_LABEL_FORM}"),
+        (("partition", "info", "--p", "3", "--lambda", "(3,a)"), "cannot parse partition '(3,a)': expected (l1,...,lh)"),
+        (("partition", "info", "--p", "3", "--lambda", "(3,,2)"), "cannot parse partition '(3,,2)': expected (l1,...,lh)"),
+    ],
+    ids=["empty-label", "no-eps", "two-p", "p-not-int", "part-not-int", "empty-part"],
+)
+def test_malformed_label_or_partition_names_the_text(args, message):
+    """A malformed label or partition exits 2 with a message that names it and
+    the expected form, not a traceback or Python's own int() or unpacking text."""
+    code, out, err = run_cli(*args)
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
+
+
 def test_invariants_on_long_words():
     """(64,2) has 66-letter words, past any packed 64-bit key; the values are
     those of the closed-form rank."""

@@ -2,16 +2,11 @@ import pytest
 
 from spinrest.labels import (
     ModuleLabel,
-    ProductLabel,
     alpha_n,
     basic_table,
     beta_n,
     char0_module_dim,
-    endo_exception_family,
-    eps_exception_pattern,
-    hom_exception_family,
     intro_dims,
-    l181224_2_applies,
     labels_for,
     m_n,
     mu_na,
@@ -152,37 +147,6 @@ def test_mu_values_live_in_trp():
                 assert mu in tr, (n, a, p)
 
 
-def test_endo_exception_families():
-    assert endo_exception_family((5, 2), 7) == 5  # (p-2, 2) at p = 7
-    assert endo_exception_family((5, 4, 2, 1), 3) == 1  # a = b = 0 expansion
-    assert endo_exception_family((4, 2), 3) == 2  # (p+1, p-1) at p = 3
-    assert endo_exception_family((4, 3, 2), 3) == 2
-    assert endo_exception_family((3, 2), 5) is None
-
-
-def test_hom_exception_families():
-    assert hom_exception_family((6, 4), 5) == 1  # (p+1, p-1)
-    assert hom_exception_family((5, 4, 3, 2), 5) == 5
-    # family 1 has no characteristic restriction, so it captures (4, 2) at p=3
-    assert hom_exception_family((4, 2), 3) == 1
-    assert hom_exception_family((3, 2, 1), 3) is None
-    assert hom_exception_family((3, 2, 1), 5) is None
-
-
-def test_l181224_2_examples():
-    assert not l181224_2_applies(alpha_n(9, 3), 3)
-    assert not l181224_2_applies((5, 2, 1), 7)  # (p-2, 2, 1)
-    assert l181224_2_applies((4, 2), 3)
-    assert not l181224_2_applies((4, 3, 2, 1), 3)  # (p+1, p^b, p-1, 1) at b=1
-
-
-def test_eps_exception_pattern():
-    assert eps_exception_pattern((3, 2, 1), 3)  # JS(0)
-    assert eps_exception_pattern((4, 2), 3)  # eps = (0, 1)
-    assert eps_exception_pattern((3, 1), 3)  # eps = (2, 0)
-    assert not eps_exception_pattern((4, 1), 3)  # eps = (3, 0)
-
-
 def test_module_label_validation():
     lab = ModuleLabel("S", (4, 3, 2, 1), "0", 7)
     assert str(lab) == "D[(4,3,2,1);0]@p=7"
@@ -198,15 +162,3 @@ def test_labels_for_counts():
     assert len(labels_for((4, 3, 2, 1), 7, "S")) == 1
     assert len(labels_for((4, 3, 2, 1), 7, "A")) == 2
     assert len(labels_for((3, 2, 1), 7, "S")) == 2
-
-
-def test_product_label_rule():
-    for p in (3, 5):
-        for n in range(1, 9):
-            for m in range(1, 17 - n):
-                for lam in restricted_p_strict_partitions(n, p):
-                    for mu in restricted_p_strict_partitions(m, p):
-                        prod = ProductLabel(lam, mu, p)
-                        al, am = a_p(lam, p), a_p(mu, p)
-                        assert prod.multiplicity == 1 + al * am
-                        assert prod.type == ("M" if al == am else "Q")

@@ -8,7 +8,6 @@ from spinrest.partitions import (
     check_odd_prime,
     a_0,
     a_p,
-    dominance_leq,
     format_partition,
     is_p_regular,
     is_p_strict,
@@ -18,7 +17,6 @@ from spinrest.partitions import (
     part_counts,
     partitions_of,
     restricted_p_strict_partitions,
-    strict_partitions,
 )
 
 
@@ -164,7 +162,7 @@ def test_a_0_equals_a_p_for_large_p():
 
     for n in range(1, 21):
         p = next_prime(max(n, 2))
-        for lam in strict_partitions(n):
+        for lam in partitions_of(n, is_strict):
             assert a_0(lam) == a_p(lam, p), (lam, p)
 
 
@@ -176,34 +174,6 @@ def test_a_0_large_p_anchor():
 def test_a_0_rejects_non_strict():
     with pytest.raises(ValueError):
         a_0((2, 2))
-
-
-def test_dominance_examples():
-    assert dominance_leq((2, 2), (3, 1))
-    assert dominance_leq((3, 1), (3, 1))
-    assert not dominance_leq((3, 1), (2, 2))
-    with pytest.raises(ValueError):
-        dominance_leq((2, 1), (2, 2))
-
-
-def test_dominance_is_partial_order():
-    for n in range(1, 13):
-        parts = list(partitions_of(n))
-        for lam in parts:
-            assert dominance_leq(lam, lam)
-        for lam in parts:
-            for mu in parts:
-                if dominance_leq(lam, mu) and dominance_leq(mu, lam):
-                    assert lam == mu
-        # transitivity on a sample triple sweep for the smaller n
-        if n <= 8:
-            for lam in parts:
-                for mu in parts:
-                    if not dominance_leq(lam, mu):
-                        continue
-                    for nu in parts:
-                        if dominance_leq(mu, nu):
-                            assert dominance_leq(lam, nu)
 
 
 def test_serialization_round_trip():

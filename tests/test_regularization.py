@@ -9,7 +9,7 @@ from spinrest.partitions import (
     partitions_of,
 )
 from spinrest.regularization import (
-    ladder,
+    _ladder_node,
     ladder_counts,
     ladder_index,
     leading_coefficient,
@@ -19,28 +19,26 @@ from spinrest.regularization import (
 
 
 def test_ladder_examples():
-    assert ladder(2, 3).nodes == ((1, 2),)
-    assert set(ladder(5, 3).nodes) == {(2, 2), (1, 5)}
-    # fused residue-0 pair: columns mp and mp+1 interleave
-    assert set(ladder(3, 3).nodes) == {(1, 3), (1, 4), (2, 1)}
-    assert ladder(3, 3) == ladder(4, 3)
+    assert _ladder_node(2, 0, 3) == (1, 2)
+    assert {_ladder_node(5, j, 3) for j in range(2)} == {(2, 2), (1, 5)}
+    # fused residue-0 pair: columns mp and mp+1 interleave into ladder mp + 1
+    assert ladder_index((1, 3), 3) == ladder_index((1, 4), 3) == 4
+    assert {_ladder_node(4, j, 3) for j in range(3)} == {(1, 3), (1, 4), (2, 1)}
 
 
 def test_ladders_partition_the_quadrant():
+    """Every node of the quadrant is a node of its own ladder, every node of
+    that ladder maps back to it, and a ladder's nodes are distinct."""
     for p in (3, 5):
-        bound = 12
-        seen = {}
-        for r in range(1, bound + 1):
-            for c in range(1, bound + 1):
+        for r in range(1, 13):
+            for c in range(1, 13):
                 idx = ladder_index((r, c), p)
-                nodes = ladder(idx, p)
-                assert (r, c) in nodes.nodes
-                seen.setdefault(idx, set()).add((r, c))
-        ids = sorted(seen)
-        for a in ids:
-            for b in ids:
-                if a != b:
-                    assert not set(ladder(a, p).nodes) & set(ladder(b, p).nodes)
+                m = idx // p
+                size = m + 1 + (m if idx % p == 1 else 0)
+                nodes = [_ladder_node(idx, j, p) for j in range(size)]
+                assert (r, c) in nodes and min(min(nd) for nd in nodes) >= 1
+                assert all(ladder_index(nd, p) == idx for nd in nodes)
+                assert len(set(nodes)) == size
 
 
 def test_regularize_known_value():

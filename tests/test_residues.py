@@ -4,14 +4,13 @@ import pytest
 
 from oracles import brute_eps_phi, brute_good_cogood, brute_residue, brute_signature
 from spinrest.labels import schur_char0_dim
-from spinrest.partitions import restricted_p_strict_partitions, strict_partitions
+from spinrest.partitions import is_strict, partitions_of, restricted_p_strict_partitions
 from spinrest.residues import (
     addable_nodes,
     build_profile,
     char0_branching_down,
     char0_branching_up,
     down_set,
-    endo_dim_formula,
     eps_vector,
     js_class,
     removable_nodes,
@@ -120,22 +119,6 @@ def test_tilde_round_trip_small():
                         assert tilde_e(nu, p, i) == lam
 
 
-def test_endo_dim_formula():
-    assert endo_dim_formula((4, 2), 3) == 2  # (0 + 2*1) * (1 + 0)
-    assert endo_dim_formula((3, 2, 1), 3) == 1  # JS(0), a_p = 0
-    # a JS label away from residue 0 with a_p = 1 gives 2*1*2 = 4
-    for p in (3, 5):
-        for n in range(2, 14):
-            for lam in restricted_p_strict_partitions(n, p):
-                js = js_class(lam, p)
-                from spinrest.partitions import a_p
-
-                if js == 0 and a_p(lam, p) == 0:
-                    assert endo_dim_formula(lam, p) == 1
-                if js not in (None, 0) and a_p(lam, p) == 1:
-                    assert endo_dim_formula(lam, p) == 4
-
-
 def test_char0_down_examples():
     rp, r = down_set((4, 1))
     assert rp == [(3, 1)] and set(r) == {(3, 1), (4,)}
@@ -154,12 +137,12 @@ def test_char0_up_examples():
 
 def test_char0_adjointness():
     for n in range(1, 15):
-        for lam in strict_partitions(n):
+        for lam in partitions_of(n, is_strict):
             _, r = down_set(lam)
             for mu in r:
                 _, a = up_set(mu)
                 assert lam in a, (lam, mu)
-        for lam in strict_partitions(n - 1):
+        for lam in partitions_of(n - 1, is_strict):
             _, a = up_set(lam)
             for nu in a:
                 _, r = down_set(nu)
@@ -170,7 +153,7 @@ def test_char0_branching_preserves_dimension():
     """Restriction keeps the dimension, induction multiplies it by n + 1;
     ties the multiplicity cases to the characteristic-0 dimension formula."""
     for n in range(1, 13):
-        for lam in strict_partitions(n):
+        for lam in partitions_of(n, is_strict):
             down = char0_branching_down(lam)
             assert sum(m * schur_char0_dim(mu) for mu, m in down.items()) == schur_char0_dim(lam)
             up = char0_branching_up(lam)
