@@ -1,6 +1,8 @@
 """Dense exact linear algebra over the prime field GF(p).
 
-Matrices are numpy int64 arrays with entries reduced to [0, p).  All
+Inputs are integer arrays of any width with entries in (-p, p), such as the
+int8 polytabloid signs, read without a widening copy (an entry outside costs
+one reduced copy); outputs are int64 arrays with entries in [0, p).  All
 elimination goes through one panel-blocked echelon routine: pivots are found
 in a narrow column panel by a scalar loop, and the rest of the matrix is
 updated by one BLAS-backed product per panel.  The scalar loop leaves its
@@ -190,15 +192,18 @@ def rank(arr: np.ndarray, p: int) -> int:
 
 
 def _reduced(a, p: int) -> np.ndarray:
-    """a as int64 in [0, p); copies only when some entry lies outside."""
-    a = np.asarray(a, dtype=np.int64)
-    if a.size and (a.min() < 0 or a.max() >= p):
-        return np.mod(a, p)
+    """a as an integer array with entries in (-p, p), in its own type (int64
+    for any other input); copies, to int64 in [0, p), only when some entry
+    lies outside."""
+    a = np.asarray(a)
+    a = a if a.dtype.kind in "iu" else a.astype(np.int64)
+    if a.size and (a.min() <= -p or a.max() >= p):
+        return np.mod(a, p, dtype=np.int64)
     return a
 
 
 def _product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b for int64 factors with entries in [0, p), exact: unreduced in
+    """a @ b for integer factors with entries in (-p, p), exact: unreduced in
     the narrowest float type whose mantissa holds every inner product
     (_exact_type), or beyond 2^53 in object arithmetic, reduced mod p to
     int64.  A Gram product (a = b.T) sums the exact products of len(b) // w
@@ -258,7 +263,7 @@ def kernel(arr: np.ndarray, p: int) -> Subspace:
     leading 1 at distinct columns that are zero in the others, so read from
     the last free column to the first they are already the RREF.
     """
-    a = np.asarray(arr, dtype=np.int64)
+    a = np.asarray(arr)
     cols = a.shape[1]
     red, pivots = rref(a[:, ::-1], p)
     pivot_set = set(pivots)

@@ -50,6 +50,7 @@ class ModuleLabel:
             raise ValueError(f"group must be 'S' or 'A', got {self.group}")
         if self.eps not in ("0", "+", "-"):
             raise ValueError(f"eps must be one of 0 + -, got {self.eps}")
+        check_odd_prime(self.p)
         if not is_restricted_p_strict(self.lam, self.p):
             raise ValueError(f"{self.lam} is not restricted {self.p}-strict")
         if _eps_is_zero(self.lam, self.p, self.group) != (self.eps == "0"):

@@ -452,29 +452,48 @@ def _column_table(shape: Partition) -> tuple[np.ndarray, np.ndarray]:
     return labels, signs
 
 
-def polytabloid_matrix(shape: Partition, p: int) -> np.ndarray:
-    """The m x d matrix whose columns are the polytabloids of the standard
-    tableaux, in the tabloid basis, with entries in [0, p); its column space
-    is the Specht module S^shape over GF(p).  Column j is the polytabloid of
-    the j-th lattice word of the basis (PermBasis.standard), which has its
-    own tabloid with coefficient 1.  A p that is not prime is refused before
-    the basis is built.
+def polytabloid_matrix(shape: Partition) -> np.ndarray:
+    """The m x d int8 matrix over Z whose columns are the polytabloids of the
+    standard tableaux, in the tabloid basis: every entry is a column
+    permutation's sign, -1 or 1, or 0, the same for every p, and the column
+    space mod p is the Specht module S^shape over GF(p) (James, LNM 682,
+    section 8).  Column j is the polytabloid of the j-th lattice word of the
+    basis (PermBasis.standard), which has its own tabloid with coefficient 1.
 
     Distinct column permutations of one tableau give distinct tabloids
     (C_t meets R_t trivially), so every entry is set exactly once."""
-    _check_prime(p)
     shape = check_partition(shape)
     basis = perm_basis(shape)
     labels, signs = _column_table(shape)
     standard = basis.standard
-    mat = np.zeros((len(basis), len(standard)), dtype=np.int64)
+    mat = np.zeros((len(basis), len(standard)), dtype=np.int8)
     for lo in range(0, len(standard), _TABLEAU_CHUNK):
         words = basis.words[standard[lo : lo + _TABLEAU_CHUNK]]
         # entry x sits in cell (start of row word[x]) + (earlier entries
         # labelled word[x]): its place in the stable sort of the word
         cell_of = np.argsort(np.argsort(words, axis=1, kind="stable"), axis=1)
-        mat[basis.index_of(labels[:, cell_of]), np.arange(lo, lo + len(words))] = signs[:, None] % p
+        mat[basis.index_of(labels[:, cell_of]), np.arange(lo, lo + len(words))] = signs[:, None]
     return mat
+
+
+def _polytabloid_bytes(shape: Partition, m: int, d: int) -> int:
+    """Bytes that bound what polytabloid_matrix allocates, as the sum of its
+    stages:
+    - perm_basis at its last level (_basis_bytes);
+    - the lattice pass of _standard_tabloids: rows x m label counts and a
+      few m-long boolean masks;
+    - _column_table's int8 labels and int64 signs, and the words of
+      perm_basis((1,)*h) per column height h, at most n bytes per label row
+      (building them takes less than the two stages above, not live then);
+    - one chunk of column words ranked by index_of;
+    - E, one byte an entry;
+    - 64 kB of Python objects and temporaries that do not grow with the
+      shape (_dual_specht_bytes)."""
+    n = sum(shape)
+    column_group = prod(factorial(h) for h in _column_heights(shape))
+    columns = column_group * (2 * n + 8 + min(d, _TABLEAU_CHUNK) * (3 * n + 64))
+    lattice = m * (len(shape) * np.min_scalar_type(max(shape, default=0)).itemsize + 8)
+    return 64 * 1024 + _basis_bytes(shape, m) + lattice + columns + m * d
 
 
 def gram_irreducibility(shape: Partition, p: int) -> bool:
@@ -482,9 +501,10 @@ def gram_irreducibility(shape: Partition, p: int) -> bool:
     nonsingular mod p (then S^shape = D^shape is irreducible).  A shape beyond
     physical memory (_gram_bytes) and a p that is not prime are refused first."""
     shape = check_partition(shape)
+    _check_prime(p)
     m, d = _tabloid_count(shape), hook_dimension(shape)
     _refuse_beyond_memory(_gram_bytes(shape, m, d, p), f"S^{shape}'s Gram matrix", f"m = {m} tabloids, dim S = {d}")
-    e = polytabloid_matrix(shape, p)
+    e = polytabloid_matrix(shape)
     gram = matmul_mod(e.T, e, p)
     del e  # not needed while G is eliminated
     return rank(gram, p) == d
@@ -492,16 +512,17 @@ def gram_irreducibility(shape: Partition, p: int) -> bool:
 
 def _gram_bytes(shape: Partition, m: int, d: int, p: int) -> int:
     """Bytes that bound what gram_irreducibility allocates: E and its making
-    (_dual_specht_bytes with no generators), and the larger of two stages:
-    two blocks of under 2 max(d, _PANEL) rows of E in the product's exact
-    type, their d x d sum and G in int64; or G, and in the storage type its
-    copy, a panel product and the rows it updates, and six int64 arrays of
-    d x min(d, _PANEL).  An object entry is a pointer and an int < 2^120."""
+    (_polytabloid_bytes), and the
+    larger of two stages: two blocks of under 2 max(d, _PANEL) rows of E in
+    the product's exact type, their d x d sum and G in int64; or G, and in
+    the storage type its copy, a panel product and the rows it updates, and
+    six int64 arrays of d x min(d, _PANEL).  An object entry is a pointer
+    and an int < 2^120."""
     types = (_exact_type(bound)[0] for bound in (m * (p - 1) ** 2, _PANEL * (p - 1) ** 2))
     f, s = (48 if t is np.int64 else np.dtype(t).itemsize for t in types)
     product = f * (4 * max(d, _PANEL) + d) + 8 * d
     elimination = d * (8 + 3 * s) + 48 * min(d, _PANEL)
-    return _dual_specht_bytes(shape, m, d, 0) + d * max(product, elimination)
+    return _polytabloid_bytes(shape, m, d) + d * max(product, elimination)
 
 
 # ---------------------------------------------------------------------------
@@ -510,28 +531,17 @@ def _gram_bytes(shape: Partition, m: int, d: int, p: int) -> int:
 
 
 def _dual_specht_bytes(shape: Partition, m: int, d: int, gens: int) -> int:
-    """Bytes that bound what dual_specht_invariant_dim allocates, as the sum
-    of its stages:
-    - perm_basis at its last level (_basis_bytes);
-    - the lattice pass of _standard_tabloids: rows x m label counts and a
-      few m-long boolean masks;
-    - _column_table's int8 labels and int64 signs, and the words of
-      perm_basis((1,)*h) per column height h, at most n bytes per label row
-      (building them takes less than the two stages above, not live then);
-    - one chunk of column words ranked by index_of in polytabloid_matrix;
-    - E (m x d) and the stacked blocks, g d x d for g generators;
-    - the elimination's float copy of the blocks and one panel product of
-      their size, and its int64 panel and coefficients, up to six arrays of
-      g d x min(d, _PANEL);
-    - 64 kB of Python objects and temporaries that do not grow with the
-      shape: tracemalloc peaks exceeded the other terms by at most 13 kB, on
-      778 shapes and subgroups with n <= 10, at p = 3 and 65521."""
-    n = sum(shape)
-    column_group = prod(factorial(h) for h in _column_heights(shape))
-    columns = column_group * (2 * n + 8 + min(d, _TABLEAU_CHUNK) * (3 * n + 64))
+    """Bytes that bound what dual_specht_invariant_dim allocates: E and its
+    making (_polytabloid_bytes), the stacked blocks, g d x d int8 for g
+    generators, and the larger of two stages: the elimination's float copy
+    of the blocks, a panel product and the rows it updates, at most 8 bytes
+    an entry, and its int64 panel and coefficients, up to six arrays of
+    g d x min(d, _PANEL); or the kernel's int64 basis, at most d x d, with
+    its reversed copy.  Tracemalloc peaks exceeded the terms that grow with
+    the shape by at most 9 kB, on 2046 shapes and subgroups with n <= 10
+    and at most 400000 tabloids, at p = 3 and 65521."""
     blocks = gens * d * (3 * d + 6 * min(d, _PANEL))
-    lattice = m * (len(shape) * np.min_scalar_type(max(shape, default=0)).itemsize + 8)
-    return 64 * 1024 + _basis_bytes(shape, m) + lattice + columns + 8 * (m * d + blocks)
+    return _polytabloid_bytes(shape, m, d) + gens * d * d + 8 * max(blocks, 2 * d * d)
 
 
 def _dual_specht_preflight(shape: Partition, p: int, spec: SubgroupSpec) -> tuple[Partition, list[Perm]]:
@@ -550,17 +560,15 @@ def _dual_specht_preflight(shape: Partition, p: int, spec: SubgroupSpec) -> tupl
     return shape, gens
 
 
-def _fixed_class_blocks(e: np.ndarray, shape: Partition, gens: list[Perm], p: int) -> np.ndarray:
-    """The d x d blocks (E[g(J)] - E[J])^T mod p of dual_specht_invariant_dim,
-    stacked over the generators."""
+def _fixed_class_blocks(e: np.ndarray, shape: Partition, gens: list[Perm]) -> np.ndarray:
+    """The d x d blocks (E[g(J)] - E[J])^T of dual_specht_invariant_dim,
+    stacked over the generators, over Z: int8 with entries in [-2, 2]."""
     basis = perm_basis(shape)
     standard = basis.standard
     d = len(standard)
-    blocks = np.empty((len(gens) * d, d), dtype=np.int64)
+    blocks = np.empty((len(gens) * d, d), dtype=np.int8)
     for i, g in enumerate(gens):
-        block = blocks[i * d : (i + 1) * d].T
-        np.subtract(e[basis.act(g, standard)], e[standard], out=block)
-        block %= p
+        np.subtract(e[basis.act(g, standard)], e[standard], out=blocks[i * d : (i + 1) * d].T)
     return blocks
 
 
@@ -581,7 +589,7 @@ def dual_specht_invariant_dim(shape: Partition, p: int, spec: SubgroupSpec) -> i
     A subgroup of another degree, a p that is not prime, and a shape beyond
     physical memory are refused first (_dual_specht_preflight)."""
     shape, gens = _dual_specht_preflight(shape, p, spec)
-    return kernel(_fixed_class_blocks(polytabloid_matrix(shape, p), shape, gens, p), p).dim
+    return kernel(_fixed_class_blocks(polytabloid_matrix(shape), shape, gens), p).dim
 
 
 def z_invariant_dim(k: int, n: int, p: int, spec: SubgroupSpec) -> tuple[int, int, bool]:
@@ -606,14 +614,14 @@ def invariant_dims(shape: Partition, p: int, spec: SubgroupSpec) -> dict:
     orbits less the rank of the orbit sums of E's rows."""
     shape, gens = _dual_specht_preflight(shape, p, spec)
     roots, orbit = np.unique(_orbit_labels(spec, perm_basis(shape)), return_inverse=True)
-    e = polytabloid_matrix(shape, p)
+    e = polytabloid_matrix(shape)
     zs = {}
     if len(shape) <= 2:
         sums = np.zeros((len(roots), e.shape[1]), dtype=np.int64)
         np.add.at(sums, orbit, e)
         dim_z_h = len(roots) - rank(sums, p)
         zs = {"dim_Z_H": dim_z_h, "hom_gap": dim_z_h < len(roots)}
-    blocks = _fixed_class_blocks(e, shape, gens, p)
+    blocks = _fixed_class_blocks(e, shape, gens)
     del e, orbit  # not needed while the blocks are eliminated
     return {"dim_M_H": len(roots), "dim_dualS_H": kernel(blocks, p).dim, **zs}
 

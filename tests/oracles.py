@@ -462,7 +462,7 @@ def specht_perp(shape, p: int):
     """(S^shape)^perp in M^shape under the standard tabloid pairing: the
     kernel of the transposed polytabloid matrix, a dense (m - d) x m basis.
     For two-row shapes this is the radical Z_k with M_k / Z_k = S_k^*."""
-    return kernel(polytabloid_matrix(shape, p).T, p)
+    return kernel(polytabloid_matrix(shape).T, p)
 
 
 def fixed_space(mats, dim: int, p: int):

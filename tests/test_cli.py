@@ -264,6 +264,24 @@ def test_composite_p_exits_2_before_any_work():
         assert f"p must be prime, got {p}" in err and "RuntimeWarning" not in err
 
 
+@pytest.mark.parametrize(
+    "p, label",
+    [("0", "D[(3,2,1);+]"), ("1", "D[(3,2,1);+]"), ("2", "D[(3,2,1);+]"), ("-3", "D[(3,2,1);+]")]
+    + [("7", f"D[(3,2,1);+]@p={p}") for p in ("0", "1", "2")],
+)
+def test_classify_checks_p_before_the_label(capsys, p, label):
+    """p, from --p or from the label's own @p=P, must be an odd prime before
+    the label's partition is tested against it: p = 0 used to answer that
+    (3,2,1) is not restricted 0-strict, and p = 2 that eps=+ is invalid."""
+    from spinrest import cli
+
+    argv = ["classify", "--group", "S", "--n", "6", "--p", p, "--label", label, "--subgroup", "W(3,2)"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    want = label.partition("@p=")[2] or p
+    assert out == "" and f"p must be an odd prime >= 3, got {want}" in err
+
+
 def test_invariants_empty_shape():
     """M^() has one tabloid and S^() is the trivial module."""
     for shape in ("()", "(0)"):

@@ -224,6 +224,33 @@ def test_matmul_mod_tiers_match_object_products(limit):
         assert got.shape == (shape[1], shape[1]) and not got.any()
 
 
+@pytest.mark.parametrize("p", [2, 3, 7, 65521])
+def test_narrow_signed_input_matches_reduced_int64(p):
+    """rank, rref, kernel and matmul_mod read an int8 array with signed
+    entries in [-2, 2] without widening it, and give what they give on the
+    same array as int64 reduced mod p; at p = 2 the entries +-2 lie outside
+    (-p, p) and are reduced.  Contiguous arrays and views (kernel's reversed
+    columns, strided slices, a transpose) alike, past one panel and below,
+    with a rank deficit; the input is left as it was."""
+    rng = np.random.default_rng(p)
+    for rows, cols in ((140, 90), (70, 140), (12, 9)):
+        narrow = rng.integers(-2, 3, (rows, cols)).astype(np.int8)
+        narrow[2 * rows // 3 :] = -narrow[: rows - 2 * rows // 3]
+        before = narrow.copy()
+        for view in (narrow, narrow[:, ::-1], narrow[::2, 1::3], narrow.T):
+            wide = view.astype(np.int64) % p
+            assert rank(view, p) == rank(wide, p)
+            (red, pivots), (want_red, want_pivots) = rref(view, p), rref(wide, p)
+            assert pivots == want_pivots and red.dtype == np.int64 and np.array_equal(red, want_red)
+            ker = kernel(view, p)
+            assert ker == kernel(wide, p) and ker.basis.dtype == np.int64
+            for a, b in ((view.T, view), (view, wide.T), (view, view.T)):
+                got = matmul_mod(a, b, p)
+                want = matmul_mod(a.astype(np.int64) % p, b.astype(np.int64) % p, p)
+                assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert np.array_equal(narrow, before)
+
+
 def test_kernel_runs_one_rref(monkeypatch):
     calls = []
 

@@ -376,7 +376,7 @@ def test_standard_tabloids_are_the_lattice_words():
             standard = _standard_tabloids(perm_basis(shape))
             assert len(standard) == hook_dimension(shape), shape
             if n <= 9:
-                e = polytabloid_matrix(shape, 7)
+                e = polytabloid_matrix(shape)
                 assert np.all(e[standard, np.arange(len(standard))] == 1), shape
     specht.perm_basis.cache_clear()
 
@@ -384,7 +384,7 @@ def test_standard_tabloids_are_the_lattice_words():
 def test_polytabloid_matrix_rank_is_standard_count():
     """Standard polytabloids stay independent over GF(p)."""
     for shape, p in (((4, 2), 3), ((5, 1), 3), ((4, 4), 5), ((3, 2, 1), 3)):
-        e = polytabloid_matrix(shape, p)
+        e = polytabloid_matrix(shape)
         assert e.shape == (len(perm_basis(shape)), hook_dimension(shape))
         assert rank(e, p) == hook_dimension(shape)
 
@@ -402,7 +402,21 @@ def test_polytabloid_matrix_matches_brute_force():
                         for x in row:
                             word[x] = r
                     want[index[tuple(word)], j] = coeff % 7
-            assert np.array_equal(polytabloid_matrix(shape, 7), want), shape
+            assert np.array_equal(polytabloid_matrix(shape) % 7, want), shape
+
+
+def test_polytabloid_matrix_is_int8_signs():
+    """E is one integer matrix for every p: int8, with entries -1, 0 and 1,
+    and each column has one nonzero entry per element of the column group."""
+    from spinrest import specht
+
+    for n in range(0, 8):
+        for shape in partitions_by_recursion(n):
+            e = polytabloid_matrix(shape)
+            assert e.dtype == np.int8, shape
+            assert set(np.unique(e).tolist()) <= {-1, 0, 1}, shape
+            column_group = prod(factorial(h) for h in specht._column_heights(shape))
+            assert np.all(np.count_nonzero(e, axis=0) == column_group), shape
 
 
 def test_column_table_is_cached_read_only():
@@ -444,9 +458,10 @@ def _unreachable(*args, **kwargs):
 
 def test_dual_specht_refuses_beyond_physical_memory(monkeypatch):
     """With 0.5 GB of physical memory, (6,4,2) under W(2,6) (E and three
-    2673 x 2673 blocks, one per generator, about 0.8 GB) is refused before
-    any basis or matrix is built, and (5,3,2) under W(2,5) (about 26 MB)
-    still runs."""
+    2673 x 2673 int8 blocks, one per generator, and the blocks' float copy,
+    panel product and updated rows, about 0.6 GB) is refused before any
+    basis or matrix is built, and (5,3,2) under W(2,5) (about 22 MB) still
+    runs."""
     from spinrest import specht
 
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 122_000}
@@ -454,7 +469,7 @@ def test_dual_specht_refuses_beyond_physical_memory(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(specht, "perm_basis", _unreachable)
         patch.setattr(specht, "polytabloid_matrix", _unreachable)
-        with pytest.raises(ValueError, match=r"needs about 0\.8 GB \(m = 13860 tabloids, dim S = 2673\)"):
+        with pytest.raises(ValueError, match=r"needs about 0\.6 GB \(m = 13860 tabloids, dim S = 2673\)"):
             dual_specht_invariant_dim((6, 4, 2), 3, wreath(2, 6))
     assert dual_specht_invariant_dim((5, 3, 2), 3, wreath(2, 5)) == 0
 
@@ -484,6 +499,7 @@ def test_dual_specht_counts_the_tabloid_basis_against_memory(monkeypatch):
         ((7, 3), index2_wr_b2(2, 5)),
         ((8,), wreath_alt(2, 4)),
         ((1,) * 9, alt_young(9, (9,))),
+        ((6, 3, 1), young(10, (1,) * 10)),
     ],
 )
 def test_dual_specht_memory_bound_holds(shape, spec):
@@ -556,11 +572,12 @@ def test_gram_memory_bound_holds(shape, p):
 
 @pytest.mark.parametrize("shape", [(4, 3, 2, 1), (5, 3, 1)])
 def test_gram_keeps_one_dense_copy_of_e(shape):
-    """Beside E, the Gram criterion holds only d x d arrays: float32 blocks
-    of E, their sum and G in int64, then G's elimination.  A float copy of
-    the whole of E would take half of E again."""
+    """Beside E, one byte per entry, the Gram criterion holds only d x d
+    arrays: float32 blocks of E, their sum and G in int64, then G's
+    elimination.  An int64 copy of E, or a float copy of the whole of it,
+    would take four to eight times E again."""
     m, d = factorial(sum(shape)) // prod(factorial(part) for part in shape), hook_dimension(shape)
-    assert _traced_gram_peak(shape, 3) <= 8 * m * d + 3 * 8 * d * d + 1_000_000
+    assert _traced_gram_peak(shape, 3) <= m * d + 3 * 8 * d * d + 1_000_000
 
 
 def test_orbits_refuse_beyond_physical_memory(monkeypatch):
@@ -587,7 +604,7 @@ def test_dual_specht_checks_the_degree_first(monkeypatch):
 @pytest.mark.parametrize("p", [0, 1, 4, 9])
 def test_composite_p_is_refused_before_any_work(monkeypatch, p):
     """dual_specht_invariant_dim refuses p next to the degree check, before
-    the memory preflight and the tabloid basis; polytabloid_matrix refuses
+    the memory preflight and the tabloid basis; gram_irreducibility refuses
     it first of all."""
     from spinrest import specht
 
@@ -596,7 +613,7 @@ def test_composite_p_is_refused_before_any_work(monkeypatch, p):
     with pytest.raises(ValueError, match=f"p must be prime, got {p}"):
         dual_specht_invariant_dim((3, 2), p, young(5, (3, 2)))
     with pytest.raises(ValueError, match=f"p must be prime, got {p}"):
-        polytabloid_matrix((3, 2), p)
+        gram_irreducibility((3, 2), p)
 
 
 def test_specht_perp_stable_under_symmetric_group():
@@ -652,6 +669,25 @@ def test_dual_specht_matches_quotient_route():
             p = (2, 5)[i % 2]
             want = dual_specht_invariant_dim_by_quotients(shape, p, spec)
             assert dual_specht_invariant_dim(shape, p, spec) == want, (shape, p, str(spec))
+
+
+def test_dual_specht_mod_2_matches_quotient_route():
+    """At p = 2 the int8 blocks E[g(J)] - E[J] hold entries +-2, outside
+    (-p, p), which elimination must reduce to 0: dual_specht_invariant_dim
+    agrees with the quotient route of tests/oracles.py on every shape of 7
+    with at most 420 tabloids, under the subgroups of _z_subgroups(7)."""
+    from spinrest import specht
+
+    twos = 0
+    for shape in partitions_by_recursion(7):
+        if len(perm_basis(shape)) > 420:
+            continue
+        for spec in _z_subgroups(7):
+            blocks = specht._fixed_class_blocks(polytabloid_matrix(shape), shape, generators(spec))
+            twos += int(np.count_nonzero(np.abs(blocks) == 2))
+            want = dual_specht_invariant_dim_by_quotients(shape, 2, spec)
+            assert dual_specht_invariant_dim(shape, 2, spec) == want, (shape, str(spec))
+    assert twos
 
 
 def test_dual_specht_matches_hand_polytabloids():
@@ -727,7 +763,7 @@ def test_gram_criterion_matches_carter():
                 regular = all(shape.count(part) < p for part in shape)
                 assert gram_irreducibility(shape, p) == (regular and carter_irreducible(shape, p)), (shape, p)
                 if not regular:
-                    e = polytabloid_matrix(shape, p)
+                    e = polytabloid_matrix(shape)
                     assert not matmul_mod(e.T, e, p).any(), (shape, p)
 
 
@@ -760,7 +796,7 @@ def test_filtration_bookkeeping():
         for p in (3, 5):
             total = 0
             for j in range(0, 5):
-                rank_j = rank(polytabloid_matrix((n - j, j) if j else (n,), p), p)
+                rank_j = rank(polytabloid_matrix((n - j, j) if j else (n,)), p)
                 assert rank_j == comb(n, j) - (comb(n, j - 1) if j else 0)
                 total += rank_j
             assert total == comb(n, 4)
