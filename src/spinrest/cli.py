@@ -7,6 +7,7 @@ key, and verify violations stream as JSON.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -212,6 +213,7 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache  # main runs many queries in one process; parsing leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="spinrest", description=__doc__)
     parser.add_argument("--format", choices=("text", "json"), default="text")

@@ -23,7 +23,7 @@ from math import comb, factorial, prod
 
 import numpy as np
 
-from .gfp import _PANEL, _check_prime, _exact_type, kernel, matmul_mod, rank
+from .gfp import _PANEL, _check_prime, _exact_type, _gram_product_bytes, kernel, matmul_mod, rank
 from .partitions import Partition, check_partition
 
 Perm = tuple[int, ...]
@@ -512,17 +512,16 @@ def gram_irreducibility(shape: Partition, p: int) -> bool:
 
 def _gram_bytes(shape: Partition, m: int, d: int, p: int) -> int:
     """Bytes that bound what gram_irreducibility allocates: E and its making
-    (_polytabloid_bytes), and the
-    larger of two stages: two blocks of under 2 max(d, _PANEL) rows of E in
-    the product's exact type, their d x d sum and G in int64; or G, and in
-    the storage type its copy, a panel product and the rows it updates, and
-    six int64 arrays of d x min(d, _PANEL).  An object entry is a pointer
-    and an int < 2^120."""
-    types = (_exact_type(bound)[0] for bound in (m * (p - 1) ** 2, _PANEL * (p - 1) ** 2))
-    f, s = (48 if t is np.int64 else np.dtype(t).itemsize for t in types)
-    product = f * (4 * max(d, _PANEL) + d) + 8 * d
-    elimination = d * (8 + 3 * s) + 48 * min(d, _PANEL)
-    return _polytabloid_bytes(shape, m, d) + d * max(product, elimination)
+    (_polytabloid_bytes), and the larger of two stages: the product EᵀE mod
+    p (gfp._gram_product_bytes; each column of E has |C_t| nonzeros), or G,
+    and in the storage type its copy, a panel product and the rows it
+    updates, and six int64 arrays of d x min(d, _PANEL).  An object entry is
+    a pointer and an int < 2^120."""
+    group = prod(factorial(h) for h in _column_heights(shape))  # nonzeros in a column of E
+    storage = _exact_type(_PANEL * (p - 1) ** 2)[0]
+    s = 48 if storage is np.int64 else np.dtype(storage).itemsize
+    elimination = d * d * (8 + 3 * s) + 48 * d * min(d, _PANEL)
+    return _polytabloid_bytes(shape, m, d) + max(_gram_product_bytes(m, d, group, p), elimination)
 
 
 # ---------------------------------------------------------------------------
@@ -530,18 +529,20 @@ def _gram_bytes(shape: Partition, m: int, d: int, p: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _dual_specht_bytes(shape: Partition, m: int, d: int, gens: int) -> int:
-    """Bytes that bound what dual_specht_invariant_dim allocates: E and its
-    making (_polytabloid_bytes), the stacked blocks, g d x d int8 for g
-    generators, and the larger of two stages: the elimination's float copy
-    of the blocks, a panel product and the rows it updates, at most 8 bytes
-    an entry, and its int64 panel and coefficients, up to six arrays of
+def _dual_specht_bytes(shape: Partition, m: int, d: int, gens: int, p: int) -> int:
+    """Bytes that bound what dual_specht_invariant_dim allocates at p: E and
+    its making (_polytabloid_bytes), the stacked blocks, g d x d int8 for g
+    generators, and the larger of two stages: the elimination's copy of the
+    blocks, a panel product and the rows it updates, in its storage type
+    (float32 for p <= 509, else 8 bytes an entry), and its int64 panel and
+    coefficients, up to six arrays of
     g d x min(d, _PANEL); or the kernel's int64 basis, at most d x d, with
     its reversed copy.  Tracemalloc peaks exceeded the terms that grow with
-    the shape by at most 9 kB, on 2046 shapes and subgroups with n <= 10
+    the shape by at most 9.5 kB, on 1894 shapes and subgroups with n <= 10
     and at most 400000 tabloids, at p = 3 and 65521."""
-    blocks = gens * d * (3 * d + 6 * min(d, _PANEL))
-    return _polytabloid_bytes(shape, m, d) + gens * d * d + 8 * max(blocks, 2 * d * d)
+    s = np.dtype(_exact_type(_PANEL * (p - 1) ** 2)[0]).itemsize
+    blocks = gens * d * (3 * s * d + 48 * min(d, _PANEL))
+    return _polytabloid_bytes(shape, m, d) + gens * d * d + max(blocks, 16 * d * d)
 
 
 def _dual_specht_preflight(shape: Partition, p: int, spec: SubgroupSpec) -> tuple[Partition, list[Perm]]:
@@ -555,7 +556,7 @@ def _dual_specht_preflight(shape: Partition, p: int, spec: SubgroupSpec) -> tupl
     _check_prime(p)
     gens = generators(spec)
     m, d = _tabloid_count(shape), hook_dimension(shape)
-    need = _dual_specht_bytes(shape, m, d, len(gens))
+    need = _dual_specht_bytes(shape, m, d, len(gens), p)
     _refuse_beyond_memory(need, f"(S^{shape})^*", f"m = {m} tabloids, dim S = {d}")
     return shape, gens
 

@@ -353,3 +353,31 @@ def test_aliases_print_the_canonical_spelling(capsys):
     assert outputs[0] == outputs[1]
     payload = json.loads(outputs[0])
     assert payload["query"]["subgroup"] == "A(10)" and payload["outcome"] == "Irreducible"
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    """Queries in one process share one parser: two main calls build it
+    once, and print what the same queries print in processes of their own."""
+    import argparse
+
+    from spinrest import cli
+
+    queries = [
+        ["--format", "json", "classify", "--group", "S", "--n", "6", "--p", "7", "--label", "D[(3,2,1);+]",
+         "--subgroup", "W(3,2)"],
+        ["dims", "--n", "9", "--p", "5", "--which", "second"],
+    ]
+    fresh = [run_cli(*argv)[1] for argv in queries]  # one process, so one parser, each
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    for argv, want in zip(queries, fresh):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == want
+    assert built.count("spinrest") == 1

@@ -224,6 +224,65 @@ def test_matmul_mod_tiers_match_object_products(limit):
         assert got.shape == (shape[1], shape[1]) and not got.any()
 
 
+def _split_rows(rng, heavy, d, p):
+    """Rows of d signed entries in (-p, p): where heavy, more than
+    d / _KAPPA nonzeros, which gfp's Gram product sums by BLAS, and else 1
+    to d // _KAPPA, which it sums as pairs.  Column 0 is +-(p - 2) in every
+    row but row 0, where it is +-(p - 2 - (1 - rows % 2)), so that G[0, 0]
+    is an odd number near rows (p - 1)^2."""
+    b = np.zeros((len(heavy), d), dtype=np.int64)
+    light = d // gfp._KAPPA
+    for r, dense in enumerate(heavy):
+        n = int(rng.integers(light + 1, d + 1)) if dense else int(rng.integers(1, light + 1))
+        cols = np.concatenate([[0], 1 + rng.choice(d - 1, n - 1, replace=False)])
+        b[r, cols] = rng.integers(1, p, n) * rng.choice([-1, 1], n)
+    b[:, 0] = (p - 2) * rng.choice([-1, 1], len(b))
+    b[0, 0] -= np.sign(b[0, 0]) * (1 - len(b) % 2)
+    return b
+
+
+@pytest.mark.parametrize("limit", [2**24, 2**53])
+def test_gram_sparse_rows_match_object_products(limit, monkeypatch):
+    """Gram products b.T @ b whose rows lie on both sides of the split, or
+    on one, against object arithmetic: at the largest prime whose inner
+    products the narrower type holds exactly, and at the next, where a sum
+    in it would round G[0, 0] (float32 to float64, and float64 to object
+    arithmetic, where every row is summed in blocks).  The entries are signed
+    and read as they are; unreduced entries give one reduced copy of each
+    factor, and a plain product.  With one pair and one cell a batch, every
+    column is a batch of its own, and b is read a row at a time."""
+    pairs = []
+    add = gfp._add_pairs
+    monkeypatch.setattr(gfp, "_add_pairs", lambda *args: pairs.append(args[-2:]) or add(*args))
+    rng = np.random.default_rng(limit % 991)
+    rows, d = 201, 3 * gfp._KAPPA
+    narrow = np.float32 if limit == 2**24 else np.float64
+    q = isqrt((limit - 1) // rows)  # rows * (p - 1)^2 < limit iff p <= q + 1
+    below = next(p for p in range(q + 1, 1, -1) if _is_prime(p))
+    above = next(p for p in range(q + 2, 2 * q + 8) if _is_prime(p))
+    for p in (below, above):
+        for heavy in (rng.random(rows) < 0.3, np.ones(rows, bool), np.zeros(rows, bool)):
+            b = _split_rows(rng, heavy, d, p)
+            want = ((b.T.astype(object) @ b.astype(object)) % p).tolist()
+            if p == above:
+                assert np.mod((b.T.astype(narrow) @ b.astype(narrow)).astype(np.int64), p).tolist() != want
+            unreduced = b + p * rng.integers(-3, 4, b.shape)
+            assert matmul_mod(unreduced.T, unreduced, p).tolist() == want
+            for batch in (gfp._BATCH, 1):
+                monkeypatch.setattr(gfp, "_BATCH", batch)
+                pairs.clear()
+                got = matmul_mod(b.T, b, p)
+                assert got.dtype == np.int64 and got.tolist() == want
+                sparse = not heavy.all() and (p == below or limit == 2**24)
+                assert bool(pairs) == sparse
+                if sparse and batch == 1:
+                    assert pairs == [(c, c + 1) for c in range(d)]
+    for shape in ((0, d), (rows, 0), (0, 0)):  # no rows, no columns
+        b = np.zeros(shape, dtype=np.int8)
+        got = matmul_mod(b.T, b, 3)
+        assert got.shape == (shape[1], shape[1]) and not got.any()
+
+
 @pytest.mark.parametrize("p", [2, 3, 7, 65521])
 def test_narrow_signed_input_matches_reduced_int64(p):
     """rank, rref, kernel and matmul_mod read an int8 array with signed

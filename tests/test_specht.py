@@ -457,11 +457,12 @@ def _unreachable(*args, **kwargs):
 
 
 def test_dual_specht_refuses_beyond_physical_memory(monkeypatch):
-    """With 0.5 GB of physical memory, (6,4,2) under W(2,6) (E and three
-    2673 x 2673 int8 blocks, one per generator, and the blocks' float copy,
-    panel product and updated rows, about 0.6 GB) is refused before any
-    basis or matrix is built, and (5,3,2) under W(2,5) (about 22 MB) still
-    runs."""
+    """With 0.5 GB of physical memory, (6,4,2) under W(2,6) mod 65521 (E and
+    three 2673 x 2673 int8 blocks, one per generator, and the blocks' float64
+    copy, panel product and updated rows, about 0.6 GB) is refused before
+    any basis or matrix is built, and (5,3,2) under W(2,5) mod 3 (about
+    22 MB) still runs.  Mod 3 the elimination stores float32, and (6,4,2)
+    needs about 0.35 GB."""
     from spinrest import specht
 
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 122_000}
@@ -470,7 +471,7 @@ def test_dual_specht_refuses_beyond_physical_memory(monkeypatch):
         patch.setattr(specht, "perm_basis", _unreachable)
         patch.setattr(specht, "polytabloid_matrix", _unreachable)
         with pytest.raises(ValueError, match=r"needs about 0\.6 GB \(m = 13860 tabloids, dim S = 2673\)"):
-            dual_specht_invariant_dim((6, 4, 2), 3, wreath(2, 6))
+            dual_specht_invariant_dim((6, 4, 2), 65521, wreath(2, 6))
     assert dual_specht_invariant_dim((5, 3, 2), 3, wreath(2, 5)) == 0
 
 
@@ -505,23 +506,25 @@ def test_dual_specht_counts_the_tabloid_basis_against_memory(monkeypatch):
 def test_dual_specht_memory_bound_holds(shape, spec):
     """The bytes the refusal is based on cover what the computation
     allocates, tabloid basis and column table included, as traced by
-    tracemalloc."""
+    tracemalloc: at p = 3, where the elimination stores float32, and at
+    p = 65521, where it stores float64."""
     import tracemalloc
 
     from spinrest import specht
 
     n = sum(shape)
     m = factorial(n) // np.prod([factorial(part) for part in shape])
-    bound = specht._dual_specht_bytes(shape, m, hook_dimension(shape), len(generators(spec)))
-    specht.perm_basis.cache_clear()
-    specht._column_table.cache_clear()
-    tracemalloc.start()
-    try:
-        dual_specht_invariant_dim(shape, 3, spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= bound
+    for p in (3, 65521):
+        bound = specht._dual_specht_bytes(shape, m, hook_dimension(shape), len(generators(spec)), p)
+        specht.perm_basis.cache_clear()
+        specht._column_table.cache_clear()
+        tracemalloc.start()
+        try:
+            dual_specht_invariant_dim(shape, p, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, p
 
 
 def test_gram_refuses_shapes_beyond_memory(monkeypatch):
