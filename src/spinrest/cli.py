@@ -19,6 +19,7 @@ from . import residues as rs
 from .partitions import (
     a_0,
     a_p,
+    check_odd_prime,
     format_partition,
     is_p_regular,
     is_p_strict,
@@ -68,7 +69,7 @@ def parse_subgroup(text: str, n: int) -> object:
 
 def cmd_partition(args) -> int:
     lam = parse_partition(args.lam)
-    p = args.p
+    p = check_odd_prime(args.p)
     h, h_p, h_pp = part_counts(lam, p)
     info = {
         "lambda": format_partition(lam),

@@ -1,7 +1,7 @@
 """Dense exact linear algebra over the prime field GF(p).
 
 Inputs are integer arrays of any width with entries in (-p, p), such as the
-int8 polytabloid signs, read without a widening copy (an entry outside costs
+int8 dual-Specht blocks, read without a widening copy (an entry outside costs
 one reduced copy); outputs are int64 arrays with entries in [0, p).  All
 elimination goes through one panel-blocked echelon routine: pivots are found
 in a narrow column panel by a scalar loop, and the rest of the matrix is
@@ -19,14 +19,15 @@ ACM TOMS 2008): elimination subtracts unreduced products and reduces only
 before an entry could leave the range its type holds exactly, and at the
 end.  Products of residue matrices run in the narrowest exact type: float32
 while every inner product stays below 2^24, float64 below 2^53, and object
-integers beyond.  A Gram product EᵀE in a float type skips E's zeros, row
-by row as in Gustavson's sparse product (ACM TOMS 1978): a row with few
-nonzeros adds its pair products e_ri e_rj to the sum by bincount, and the
-other rows are summed over row blocks by BLAS.  The matrix being eliminated
-is stored in the type of a full panel's product, float32 while
-64 (p - 1)^2 < 2^24 (p <= 509), float64 while it is below 2^53
-(p <= 11863279) and int64 beyond, so panel products are subtracted in
-place; the scalar loop works on an int64 copy of its panel."""
+integers beyond; BLAS sees a Gram product b.T @ b as symmetric.
+_column_gram forms EᵀE from E's column structure row by row, as in
+Gustavson's sparse product (ACM TOMS 1978): a row with few nonzeros adds
+its pair products e_ri e_rj by bincount, and only the other rows are made
+dense, for BLAS.  The matrix being eliminated is stored in the type of a
+full panel's product, float32 while 64 (p - 1)^2 < 2^24 (p <= 509),
+float64 while it is below 2^53 (p <= 11863279) and int64 beyond, so panel
+products are subtracted in place; the scalar loop works on an int64 copy
+of its panel."""
 
 from dataclasses import dataclass, field
 from math import isqrt
@@ -211,74 +212,64 @@ def _product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b for integer factors with entries in (-p, p), exact: unreduced in
     the narrowest float type whose mantissa holds every inner product
     (_exact_type), or beyond 2^53 in object arithmetic, reduced mod p to
-    int64.  A Gram product (a = b.T) in a float type is _gram's; in object
-    arithmetic it sums the exact products of blocks of rows of b, as _gram
-    does for its dense rows."""
+    int64.  A Gram product (a = b.T) is _dense_gram's."""
     dtype, _ = _exact_type(a.shape[-1] * (p - 1) ** 2)
     dtype = object if dtype is np.int64 else dtype
-    if a.__array_interface__ != b.T.__array_interface__:
-        out = a.astype(dtype) @ b.astype(dtype)
-    elif dtype is object:
-        out = np.zeros((b.shape[1],) * 2, dtype)
-        _dense_gram(out, b, np.arange(len(b)))
-    else:
-        out = _gram(b, dtype)
+    gram = a.__array_interface__ == b.T.__array_interface__
+    out = _dense_gram(b, dtype) if gram else a.astype(dtype) @ b.astype(dtype)
     return np.mod(out, p).astype(np.int64) if dtype is object else out
 
 
 # A row of b with c nonzeros adds about c^2 / 2 pair products to the upper
-# triangle of b.T @ b.  Summed one at a time (_gram's sparse side), a pair
-# costs about _KAPPA^2 of the multiply-adds that a symmetric BLAS product
-# spends on the row's d^2 / 2 cells, so a row goes to BLAS when
-# c * _KAPPA > d.  Measured on S^(6,4,2)'s polytabloid matrix, where the
-# split sends 1267 of 13860 rows to BLAS.
+# triangle of b.T @ b.  Summed one at a time (_column_gram's sparse side), a
+# pair costs about _KAPPA^2 of the multiply-adds that a symmetric BLAS product
+# spends on the row's d^2 / 2 cells, so a row goes to BLAS when c * _KAPPA > d.
+# Measured on S^(6,4,2)'s E, where the split sends 1267 of 13860 rows to BLAS.
 _KAPPA = 40
-# Entries handled at once: of b as _gram reads it, of the pairs and the
-# output cells of one of its bincounts, and of a product matmul_mod reduces.
+# Entries handled at once: of the pairs and the output cells of one of
+# _column_gram's bincounts, and of a product matmul_mod reduces.
 _BATCH = 1 << 19
 
 
-def _dense_gram(out: np.ndarray, b: np.ndarray, rows: np.ndarray) -> None:
-    """Add the exact product b[rows].T @ b[rows] to out, over blocks of
-    under 2w of the rows, w = max(d, _PANEL)."""
-    for part in np.array_split(rows, max(len(rows) // max(b.shape[1], _PANEL), 1)):
-        block = b[part].astype(out.dtype)
-        out += block.T @ block  # BLAS sees the symmetric product
+def _dense_gram(b: np.ndarray, dtype: type) -> np.ndarray:
+    """The exact b.T @ b in dtype, summed over blocks of under 2 max(d, _PANEL)
+    rows of b, whose symmetric products BLAS sees."""
+    out = np.zeros((b.shape[1],) * 2, dtype)
+    for block in np.array_split(b, max(len(b) // max(b.shape[1], _PANEL), 1)):
+        block = block.astype(dtype)
+        out += block.T @ block
+    return out
 
 
-def _gram(b: np.ndarray, dtype: type) -> np.ndarray:
-    """b.T @ b in the float type dtype, for an integer b whose inner products
-    it holds exactly, skipping b's zeros on the rows that are mostly zero
-    (Gustavson, ACM TOMS 4(3), 1978).
+def _column_gram(index: np.ndarray, values, p: int) -> np.ndarray:
+    """b.T @ b mod p, as int64, for the integer matrix b given by its column
+    structure: column j holds values[..., k] (broadcast to index's d x c
+    shape) in row index[j, k], each row at most once, and zeros elsewhere;
+    entries lie in (-p, p), and entries 0 are skipped.
 
-    A row of c nonzeros is dense if c * _KAPPA > d.  b is read _BATCH // d
-    rows at a time, and of the sparse rows only the column index, value and
-    partner count of each nonzero are kept.  A sparse row adds each pair
-    product b_ri b_rj, i <= j, to cell (i, j), by one float64 bincount per
-    batch of columns i (_add_pairs), and the upper triangle is mirrored.
-    Then the dense rows are added by BLAS (_dense_gram), as every row is
-    when none is sparse.  Every partial
-    sum is a sum over some rows of b, so it stays below the bound that chose
-    dtype and is exact."""
-    m, d = b.shape
-    out = np.zeros((d, d), dtype)
-    step = max(_BATCH // max(d, 1), 1)
-    none = np.empty(0, np.intp)
-    dense, cols, vals, reps = [none], [none], [np.empty(0, b.dtype)], [none]
-    for lo in range(0, m, step):
-        rows = b[lo : lo + step]
-        r, c = np.divmod(np.flatnonzero(rows != 0), d)  # nonzero is fastest on booleans
-        count = np.bincount(r, minlength=len(rows))
-        light = count * _KAPPA <= d
-        dense.append(lo + np.flatnonzero(~light))
-        keep = light[r]
-        r, c = r[keep], c[keep]
-        cols.append(c)
-        vals.append(rows[r, c])
-        reps.append(np.cumsum(count * light)[r] - np.arange(len(c)))  # partners j >= i in the row
-    dense = np.concatenate(dense)
-    col, val, rep = np.concatenate(cols), np.concatenate(vals), np.concatenate(reps)
-    del cols, vals, reps
+    The nonzeros are sorted by row, then by column (Gustavson, ACM TOMS
+    4(3), 1978).  A row of r nonzeros is dense if r * _KAPPA > d; only the
+    dense rows are formed, as h, for matmul_mod(h.T, h, p).  Every other row
+    adds its pair products b_ri b_rj, i <= j, by one float64 bincount per
+    batch of columns i (_add_pairs), exact while c v^2 < 2^53 for v the
+    largest |value| (else every row is dense); as the dense rows' sum is
+    symmetric, the upper triangle is then mirrored."""
+    d, c = index.shape
+    flat = np.broadcast_to(values, index.shape).ravel()
+    order = np.argsort(index, axis=None, kind="stable")  # by row, then by column
+    order = order[flat[order] != 0]
+    row, col, val = index.ravel()[order], order // max(c, 1), flat[order]
+    del order, flat
+    count = np.bincount(row)
+    dense = (count * _KAPPA > d) | (c * int(np.abs(val).max(initial=0)) ** 2 >= 2**53)
+    heavy = dense[row]
+    h = np.zeros((np.count_nonzero(dense), d), val.dtype)
+    h[(np.cumsum(dense) - 1)[row[heavy]], col[heavy]] = val[heavy]
+    rep = np.cumsum(count)[row] - np.arange(len(row))  # partners j >= i in the row
+    del row, count, dense
+    col, val, rep = col[~heavy], val[~heavy], rep[~heavy]
+    out = matmul_mod(h.T, h, p)
+    del h, heavy
     if len(col):
         per_col = np.bincount(col, weights=rep, minlength=d).tolist()
         batch = min(_BATCH, d * d // 8)  # at about 40 bytes a pair, within 5 d x d float32 arrays
@@ -291,17 +282,16 @@ def _gram(b: np.ndarray, dtype: type) -> np.ndarray:
         _add_pairs(out, col, val, rep, c0, d)
         for i in range(0, d, _PANEL):
             j = i + _PANEL
-            out[i:j, i:j] += np.triu(out[i:j, i:j], 1).T
+            out[i:j, i:j] = np.triu(out[i:j, i:j]) + np.triu(out[i:j, i:j], 1).T
             out[j:, i:j] = out[i:j, j:].T
-    del col, val, rep
-    _dense_gram(out, b, dense)
+        _mod(out, p)
     return out
 
 
 def _add_pairs(out: np.ndarray, col: np.ndarray, val: np.ndarray, rep: np.ndarray, c0: int, c1: int) -> None:
-    """Add to out[c0:c1, c0:] the products of each nonzero k in columns
-    [c0, c1) with the rep[k] nonzeros from k on in its row, all in one row of
-    b and in column order: the pairs i <= j."""
+    """Add to the int64 out[c0:c1, c0:] the products of each nonzero k in
+    columns [c0, c1) with the rep[k] nonzeros from k on in its row, all in
+    one row of b and in column order: the pairs i <= j."""
     k = np.flatnonzero((col >= c0) & (col < c1))
     n = rep[k]
     partner = np.repeat(k - np.cumsum(n) + n, n)
@@ -311,35 +301,31 @@ def _add_pairs(out: np.ndarray, col: np.ndarray, val: np.ndarray, rep: np.ndarra
     width = out.shape[1] - c0
     flat = np.repeat((col[k] - c0) * width - c0, n)
     flat += col[partner]
-    out[c0:c1, c0:] += np.bincount(flat, weight, minlength=(c1 - c0) * width).reshape(c1 - c0, width)
+    out[c0:c1, c0:] += np.bincount(flat, weight, minlength=(c1 - c0) * width).reshape(c1 - c0, width).astype(np.int64)
 
 
-def _gram_product_bytes(m: int, d: int, column: int, p: int) -> int:
-    """Bytes that bound what matmul_mod(b.T, b, p) allocates for an m x d
-    int8 b with entries in (-p, p) and at most `column` nonzeros in each
-    column: the d x d sum in the exact type; 16 bytes a row for _gram's row
-    counts and dense row indices; the larger of the dense side, two blocks
-    of under 2 max(d, _PANEL) rows of b in that type, and the sparse side:
-    the structure of the sparse rows, 17 bytes a nonzero, held twice while
-    it is joined, and the larger of 72 bytes a nonzero of one block of rows
-    of b as it is read, and 48 bytes a pair or cell of one batch, which
-    holds at most the batch size and one column's pairs more; then G in
-    int64 and the reduction's buffer.  An object entry is a pointer and an
-    int < 2^120."""
-    dtype = _exact_type(m * (p - 1) ** 2)[0]
+def _column_gram_bytes(m: int, d: int, c: int, p: int) -> int:
+    """Bytes that bound what _column_gram allocates for an m x d int8 b with
+    c entries a column, N = d c: 24 bytes a row, and the largest of the sort
+    and split, 44 bytes an entry, with the dense rows h (at most
+    min(m, c _KAPPA), as each has more than d / _KAPPA entries); h's
+    product, with h, 18 bytes an entry, matmul_mod's d x d sum and two
+    blocks of under 2 max(d, _PANEL) rows of h in the exact type (an object
+    is a pointer and an int < 2^120), G and a buffer; and the sparse sum,
+    with G, 20 bytes an entry and a batch: 48 bytes a pair (at most the
+    batch size and one column's pairs more) and 16 a cell."""
+    n, dense, batch = d * c, min(m, c * _KAPPA), min(_BATCH, d * d // 8)
+    dtype = _exact_type(dense * (p - 1) ** 2)[0]
     f = 48 if dtype is np.int64 else np.dtype(dtype).itemsize
-    nnz, batch = d * column, min(_BATCH, d * d // 8)
-    dense = 4 * f * d * max(d, _PANEL)
-    sparse = 34 * nnz + max(72 * min(nnz, _BATCH) + _BATCH, 48 * (batch + column * (d // _KAPPA)))
-    return f * d * d + 16 * m + max(dense, sparse) + 8 * d * d + 8 * min(d * d, _BATCH)
+    product = (f + 8) * d * d + 2 * f * d * min(dense, 2 * max(d, _PANEL)) + 8 * min(d * d, _BATCH)
+    sparse = 8 * d * d + 20 * n + 48 * (batch + c * (d // _KAPPA)) + 16 * batch
+    return 24 * m + max(44 * n + dense * d, 18 * n + dense * d + product, sparse)
 
 
-def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact a @ b mod p, for any modulus p >= 1.  The product is reduced in
-    place by x - x // p * p, which numpy vectorizes, unlike np.mod, _BATCH
-    entries at a time through one buffer, so that no second product-sized
-    temporary is live."""
-    out = _product(_reduced(a, p), _reduced(b, p), p).astype(np.int64, order="C", copy=False)
+def _mod(out: np.ndarray, p: int) -> np.ndarray:
+    """The C-contiguous int64 out reduced mod p in place, by x - x // p * p
+    (numpy vectorizes it, unlike np.mod), _BATCH entries at a time through
+    one buffer, so that no second temporary of out's size is live."""
     flat = out.reshape(-1)  # a view, as out is C-contiguous
     quotient = np.empty(min(flat.size, _BATCH), np.int64)
     for lo in range(0, flat.size, _BATCH):
@@ -348,6 +334,15 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         q *= p
         x -= q
     return out
+
+
+def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Exact a @ b mod p, for any modulus p >= 1.  In a Gram product
+    b.T @ b, b is reduced once, so that _product still sees one."""
+    gram = np.asarray(a).__array_interface__ == np.asarray(b).T.__array_interface__
+    b = _reduced(b, p)
+    a = b.T if gram else _reduced(a, p)
+    return _mod(_product(a, b, p).astype(np.int64, order="C", copy=False), p)
 
 
 @dataclass(frozen=True)

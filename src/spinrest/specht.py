@@ -11,7 +11,8 @@ the lattice words among them (no prefix holds more of label a + 1 than of
 label a), kept in word order.  A permutation acts on a basis as one index
 array (image of each tabloid), so orbits, polytabloids and the blocks of
 the dual Specht action are gathers and scatters on integer arrays, and
-matrices are reproducible.
+matrices are reproducible.  The polytabloid matrix E is only ever its
+column structure, the tabloids and signs of each column's entries.
 """
 
 import os
@@ -23,7 +24,7 @@ from math import comb, factorial, prod
 
 import numpy as np
 
-from .gfp import _PANEL, _check_prime, _exact_type, _gram_product_bytes, kernel, matmul_mod, rank
+from .gfp import _PANEL, _check_prime, _column_gram, _column_gram_bytes, _exact_type, kernel, rank
 from .partitions import Partition, check_partition
 
 Perm = tuple[int, ...]
@@ -438,7 +439,7 @@ def _column_table(shape: Partition) -> tuple[np.ndarray, np.ndarray]:
     starts = list(accumulate(shape, initial=0))
     heights = _column_heights(shape)
     labels = np.empty((prod(factorial(h) for h in heights), sum(shape)), dtype=np.int8)
-    signs = np.ones(len(labels), dtype=np.int64)
+    signs = np.ones(len(labels), dtype=np.int8)
     later = len(labels)
     for c, h in enumerate(heights):
         words = perm_basis((1,) * h).words
@@ -452,76 +453,68 @@ def _column_table(shape: Partition) -> tuple[np.ndarray, np.ndarray]:
     return labels, signs
 
 
-def polytabloid_matrix(shape: Partition) -> np.ndarray:
-    """The m x d int8 matrix over Z whose columns are the polytabloids of the
-    standard tableaux, in the tabloid basis: every entry is a column
-    permutation's sign, -1 or 1, or 0, the same for every p, and the column
-    space mod p is the Specht module S^shape over GF(p) (James, LNM 682,
-    section 8).  Column j is the polytabloid of the j-th lattice word of the
-    basis (PermBasis.standard), which has its own tabloid with coefficient 1.
-
-    Distinct column permutations of one tableau give distinct tabloids
-    (C_t meets R_t trivially), so every entry is set exactly once."""
+def polytabloid_matrix(shape: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """E, the m x d matrix over Z of the standard polytabloids, as its column
+    structure (index, signs): column j holds signs[k] at tabloid index[j, k]
+    and 0 elsewhere, for the c = |C_t| int8 signs of the column group.  E is
+    the same for every p, and its column space mod p is the Specht module
+    S^shape over GF(p) (James, LNM 682, section 8).  Column j, of the j-th
+    lattice word (PermBasis.standard), holds its own tabloid with sign 1.
+    As C_t meets R_t trivially, a tabloid occurs at most once a column."""
     shape = check_partition(shape)
     basis = perm_basis(shape)
     labels, signs = _column_table(shape)
     standard = basis.standard
-    mat = np.zeros((len(basis), len(standard)), dtype=np.int8)
+    index = np.empty((len(standard), len(labels)), dtype=np.intp)
     for lo in range(0, len(standard), _TABLEAU_CHUNK):
         words = basis.words[standard[lo : lo + _TABLEAU_CHUNK]]
         # entry x sits in cell (start of row word[x]) + (earlier entries
         # labelled word[x]): its place in the stable sort of the word
         cell_of = np.argsort(np.argsort(words, axis=1, kind="stable"), axis=1)
-        mat[basis.index_of(labels[:, cell_of]), np.arange(lo, lo + len(words))] = signs[:, None]
-    return mat
+        index[lo : lo + len(words)] = basis.index_of(labels[:, cell_of]).T
+    return index, signs
 
 
-def _polytabloid_bytes(shape: Partition, m: int, d: int) -> int:
-    """Bytes that bound what polytabloid_matrix allocates, as the sum of its
-    stages:
-    - perm_basis at its last level (_basis_bytes);
-    - the lattice pass of _standard_tabloids: rows x m label counts and a
-      few m-long boolean masks;
-    - _column_table's int8 labels and int64 signs, and the words of
-      perm_basis((1,)*h) per column height h, at most n bytes per label row
-      (building them takes less than the two stages above, not live then);
-    - one chunk of column words ranked by index_of;
-    - E, one byte an entry;
-    - 64 kB of Python objects and temporaries that do not grow with the
-      shape (_dual_specht_bytes)."""
+def _polytabloid_bytes(shape: Partition, m: int, d: int, later: int) -> int:
+    """Bytes that bound what polytabloid_matrix, and then its caller with
+    `later` bytes, allocate: 64 kB, and the larger of perm_basis at its last
+    level (_basis_bytes), which the lattice pass and the column table's
+    making do not exceed, and what stays (the words, the standard positions
+    and the column table with its one-column words, 2n + 1 bytes a column
+    permutation) with either the caller's bytes or E's structure, 8 bytes an
+    entry, and one chunk of tableaux: its cell numbers, and 2n + 16 bytes a
+    column permutation for its words, index_of's copy and their positions."""
     n = sum(shape)
-    column_group = prod(factorial(h) for h in _column_heights(shape))
-    columns = column_group * (2 * n + 8 + min(d, _TABLEAU_CHUNK) * (3 * n + 64))
-    lattice = m * (len(shape) * np.min_scalar_type(max(shape, default=0)).itemsize + 8)
-    return 64 * 1024 + _basis_bytes(shape, m) + lattice + columns + m * d
+    group = prod(factorial(h) for h in _column_heights(shape))
+    kept = m * n + 8 * d + group * (2 * n + 1)
+    columns = 8 * d * group + min(d, _TABLEAU_CHUNK) * (group * (2 * n + 16) + 16 * n)
+    return 64 * 1024 + max(_basis_bytes(shape, m), kept + max(columns, later))
 
 
 def gram_irreducibility(shape: Partition, p: int) -> bool:
-    """True iff the Gram matrix of the standard polytabloid basis is
-    nonsingular mod p (then S^shape = D^shape is irreducible).  A shape beyond
-    physical memory (_gram_bytes) and a p that is not prime are refused first."""
+    """True iff the Gram matrix G = E^T E of the standard polytabloid basis
+    is nonsingular mod p (then S^shape = D^shape is irreducible); E's column
+    structure (gfp._column_gram) is freed before G is eliminated.  A shape
+    beyond physical memory (_gram_bytes) and a p that is not prime are
+    refused first."""
     shape = check_partition(shape)
     _check_prime(p)
     m, d = _tabloid_count(shape), hook_dimension(shape)
     _refuse_beyond_memory(_gram_bytes(shape, m, d, p), f"S^{shape}'s Gram matrix", f"m = {m} tabloids, dim S = {d}")
-    e = polytabloid_matrix(shape)
-    gram = matmul_mod(e.T, e, p)
-    del e  # not needed while G is eliminated
-    return rank(gram, p) == d
+    return rank(_column_gram(*polytabloid_matrix(shape), p), p) == d
 
 
 def _gram_bytes(shape: Partition, m: int, d: int, p: int) -> int:
-    """Bytes that bound what gram_irreducibility allocates: E and its making
-    (_polytabloid_bytes), and the larger of two stages: the product EᵀE mod
-    p (gfp._gram_product_bytes; each column of E has |C_t| nonzeros), or G,
-    and in the storage type its copy, a panel product and the rows it
-    updates, and six int64 arrays of d x min(d, _PANEL).  An object entry is
-    a pointer and an int < 2^120."""
-    group = prod(factorial(h) for h in _column_heights(shape))  # nonzeros in a column of E
+    """Bytes that bound what gram_irreducibility allocates: E's making, then
+    the larger of E's structure with E^T E mod p (gfp._column_gram_bytes) and
+    G's elimination (_polytabloid_bytes): G, its copy, a panel product and
+    the rows it updates in the storage type (an object is a pointer and an
+    int < 2^120), and six int64 arrays of d x min(d, _PANEL)."""
+    group = prod(factorial(h) for h in _column_heights(shape))  # entries in a column of E
     storage = _exact_type(_PANEL * (p - 1) ** 2)[0]
     s = 48 if storage is np.int64 else np.dtype(storage).itemsize
     elimination = d * d * (8 + 3 * s) + 48 * d * min(d, _PANEL)
-    return _polytabloid_bytes(shape, m, d) + max(_gram_product_bytes(m, d, group, p), elimination)
+    return _polytabloid_bytes(shape, m, d, max(8 * d * group + _column_gram_bytes(m, d, group, p), elimination))
 
 
 # ---------------------------------------------------------------------------
@@ -530,19 +523,20 @@ def _gram_bytes(shape: Partition, m: int, d: int, p: int) -> int:
 
 
 def _dual_specht_bytes(shape: Partition, m: int, d: int, gens: int, p: int) -> int:
-    """Bytes that bound what dual_specht_invariant_dim allocates at p: E and
-    its making (_polytabloid_bytes), the stacked blocks, g d x d int8 for g
-    generators, and the larger of two stages: the elimination's copy of the
-    blocks, a panel product and the rows it updates, in its storage type
-    (float32 for p <= 509, else 8 bytes an entry), and its int64 panel and
-    coefficients, up to six arrays of
-    g d x min(d, _PANEL); or the kernel's int64 basis, at most d x d, with
-    its reversed copy.  Tracemalloc peaks exceeded the terms that grow with
-    the shape by at most 9.5 kB, on 1894 shapes and subgroups with n <= 10
-    and at most 400000 tabloids, at p = 3 and 65521."""
+    """Bytes that bound what dual_specht_invariant_dim allocates at p: E's
+    making, then the g d x d int8 blocks of g generators with the largest of
+    (_polytabloid_bytes) their making from E's N = d |C_t| entries (8 bytes
+    a tabloid, 17 an entry and 40 a hit, at most min(N, d^2)); the
+    elimination's copy of them, a panel product and the rows it updates, in
+    its storage type (float32 for p <= 509, else 8 bytes an entry), and six
+    int64 arrays of g d x min(d, _PANEL); and the kernel's int64 basis, at
+    most d x d, with its reversed copy.  Tracemalloc peaks stayed below it on
+    549 shapes and subgroups with n <= 10 and m <= 400000, at p = 3, 65521."""
+    n = d * prod(factorial(h) for h in _column_heights(shape))
     s = np.dtype(_exact_type(_PANEL * (p - 1) ** 2)[0]).itemsize
-    blocks = gens * d * (3 * s * d + 48 * min(d, _PANEL))
-    return _polytabloid_bytes(shape, m, d) + gens * d * d + max(blocks, 16 * d * d)
+    reading = 8 * m + 17 * n + 40 * min(n, d * d)
+    elimination = gens * d * (3 * s * d + 48 * min(d, _PANEL))
+    return _polytabloid_bytes(shape, m, d, gens * d * d + max(reading, elimination, 16 * d * d))
 
 
 def _dual_specht_preflight(shape: Partition, p: int, spec: SubgroupSpec) -> tuple[Partition, list[Perm]]:
@@ -561,15 +555,23 @@ def _dual_specht_preflight(shape: Partition, p: int, spec: SubgroupSpec) -> tupl
     return shape, gens
 
 
-def _fixed_class_blocks(e: np.ndarray, shape: Partition, gens: list[Perm]) -> np.ndarray:
+def _fixed_class_blocks(e: tuple[np.ndarray, np.ndarray], shape: Partition, gens: list[Perm]) -> np.ndarray:
     """The d x d blocks (E[g(J)] - E[J])^T of dual_specht_invariant_dim,
-    stacked over the generators, over Z: int8 with entries in [-2, 2]."""
+    stacked over the generators, over Z: int8 with entries in [-2, 2].  E is
+    its column structure, where a tabloid occurs at most once a column."""
+    index, signs = e
     basis = perm_basis(shape)
     standard = basis.standard
     d = len(standard)
-    blocks = np.empty((len(gens) * d, d), dtype=np.int8)
+    blocks = np.zeros((len(gens) * d, d), dtype=np.int8)
+    at = np.full(len(basis), -1)  # at[t] = k where t is the k-th tabloid of J, or of g(J)
     for i, g in enumerate(gens):
-        np.subtract(e[basis.act(g, standard)], e[standard], out=blocks[i * d : (i + 1) * d].T)
+        for sign, tabloids in ((-1, standard), (1, basis.act(g, standard))):
+            at[tabloids] = np.arange(d)
+            k = at[index]
+            j, c = np.nonzero(k >= 0)
+            blocks[i * d + j, k[j, c]] += sign * signs[c]
+            at[tabloids] = -1
     return blocks
 
 
@@ -585,7 +587,7 @@ def dual_specht_invariant_dim(shape: Partition, p: int, spec: SubgroupSpec) -> i
     quotient.  The class of sum_j y_j {t_j} is fixed by g iff
     (E[g(J)] - E[J])^T y = 0: the fixed classes are the kernel of these
     d x d blocks stacked over the generators, at most two per factor of the
-    subgroup.  E is freed before the blocks are eliminated.
+    subgroup.  E's column structure is freed before they are eliminated.
 
     A subgroup of another degree, a p that is not prime, and a shape beyond
     physical memory are refused first (_dual_specht_preflight)."""
@@ -612,18 +614,19 @@ def invariant_dims(shape: Partition, p: int, spec: SubgroupSpec) -> dict:
     The orbit sums are a basis of M^H, and sum_O c_O O lies in Z iff it pairs
     to zero with every polytabloid, that is iff sum_O c_O s_O = 0 for s_O the
     sum of the rows of E at the tabloids of O.  So dim Z^H is the number of
-    orbits less the rank of the orbit sums of E's rows."""
+    orbits less the rank of the orbit sums (one bincount over E's entries)."""
     shape, gens = _dual_specht_preflight(shape, p, spec)
     roots, orbit = np.unique(_orbit_labels(spec, perm_basis(shape)), return_inverse=True)
-    e = polytabloid_matrix(shape)
+    e = index, signs = polytabloid_matrix(shape)
     zs = {}
     if len(shape) <= 2:
-        sums = np.zeros((len(roots), e.shape[1]), dtype=np.int64)
-        np.add.at(sums, orbit, e)
-        dim_z_h = len(roots) - rank(sums, p)
+        cells = orbit[index] + len(roots) * np.arange(len(index))[:, None]
+        sums = np.bincount(cells.ravel(), np.broadcast_to(signs, index.shape).ravel(), len(roots) * len(index))
+        dim_z_h = len(roots) - rank(sums.reshape(len(index), len(roots)).astype(np.int64), p)
+        del cells, sums
         zs = {"dim_Z_H": dim_z_h, "hom_gap": dim_z_h < len(roots)}
     blocks = _fixed_class_blocks(e, shape, gens)
-    del e, orbit  # not needed while the blocks are eliminated
+    del e, index, orbit  # not needed while the blocks are eliminated
     return {"dim_M_H": len(roots), "dim_dualS_H": kernel(blocks, p).dim, **zs}
 
 

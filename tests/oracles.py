@@ -458,11 +458,20 @@ def quotient_projection(w) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def dense_polytabloid_matrix(shape) -> np.ndarray:
+    """E as the dense m x d int8 matrix over Z, scattered from its column
+    structure: column j holds signs[k] at tabloid index[j, k]."""
+    index, signs = polytabloid_matrix(shape)
+    e = np.zeros((len(perm_basis(shape)), len(index)), dtype=np.int8)
+    e[index, np.arange(len(index))[:, None]] = signs
+    return e
+
+
 def specht_perp(shape, p: int):
     """(S^shape)^perp in M^shape under the standard tabloid pairing: the
     kernel of the transposed polytabloid matrix, a dense (m - d) x m basis.
     For two-row shapes this is the radical Z_k with M_k / Z_k = S_k^*."""
-    return kernel(polytabloid_matrix(shape).T, p)
+    return kernel(dense_polytabloid_matrix(shape).T, p)
 
 
 def fixed_space(mats, dim: int, p: int):

@@ -31,6 +31,18 @@ def test_partition_info_json_schema():
     assert payload["h_p_prime"] == 2
 
 
+@pytest.mark.parametrize("p", ["0", "-3", "2", "4"])
+def test_partition_info_checks_p(capsys, p):
+    """partition info refuses a p that is not an odd prime with exit 2 and
+    the message: p = 0 used to exit 1 with a ZeroDivisionError traceback,
+    and p = 2, 4 and -3 printed results."""
+    from spinrest import cli
+
+    assert cli.main(["partition", "info", "--lambda", "(4,2)", "--p", p]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"p must be an odd prime >= 3, got {p}" in err
+
+
 def test_residues_json_round_trip():
     code, out, _ = run_cli("--format", "json", "residues", "--lambda", "(4,2)", "--p", "3")
     assert code == 0

@@ -179,11 +179,15 @@ def test_storage_tiers_match_reference(p):
 
 
 @pytest.mark.parametrize("limit", [2**24, 2**53])
-def test_matmul_mod_tiers_match_object_products(limit):
+def test_matmul_mod_tiers_match_object_products(limit, monkeypatch):
     """Inner products just below and just above the exact range of float32
     (2^24) and float64 (2^53).  The factors are given unreduced and negative
     too, so the check that skips the reducing copy must still reduce them;
-    a = b.T exercises the symmetric Gram product."""
+    a = b.T exercises the symmetric Gram product (_dense_gram), which an
+    unreduced b keeps: it is reduced once, not as two unrelated factors."""
+    grams = []
+    dense_gram = gfp._dense_gram
+    monkeypatch.setattr(gfp, "_dense_gram", lambda *args: grams.append(args) or dense_gram(*args))
     rng = np.random.default_rng(limit % 1000)
     p = {2**24: 2039, 2**53: 47453111}[limit]
     below = (limit - 1) // (p - 1) ** 2
@@ -197,8 +201,11 @@ def test_matmul_mod_tiers_match_object_products(limit):
         for shift_a, shift_b in ((0, 0), (p, -p), (-3 * p, 5 * p)):
             got = matmul_mod(a + shift_a, b + shift_b, p)
             assert got.dtype == np.int64 and got.tolist() == want.tolist()
-        assert matmul_mod(b.T, b, p).tolist() == ((b.T.astype(object) @ b.astype(object)) % p).tolist()
-        assert matmul_mod((b - p).T, b - p, p).tolist() == matmul_mod(b.T, b, p).tolist()
+        gram = ((b.T.astype(object) @ b.astype(object)) % p).tolist()
+        assert matmul_mod(b.T, b, p).tolist() == gram
+        u = b - 2 * p  # outside (-p, p), so reduced
+        grams.clear()
+        assert matmul_mod(u.T, u, p).tolist() == gram and len(grams) == 1
     # Gram products b.T @ b, which sum rows // max(d, _PANEL) blocks of rows of
     # b: fewer rows than d, d rows, and one row either side of where one block
     # becomes two; at the largest prime whose inner products stay in range, and
@@ -241,16 +248,25 @@ def _split_rows(rng, heavy, d, p):
     return b
 
 
+def _column_structure(b):
+    """b as _column_gram reads it: each column's row indices, its nonzeros
+    first, padded with rows where it is 0, and b's entries there."""
+    c = int(np.count_nonzero(b, axis=0).max(initial=0))
+    index = np.argsort(b.T == 0, axis=1, kind="stable")[:, :c]
+    return index, np.take_along_axis(b.T, index, axis=1)
+
+
 @pytest.mark.parametrize("limit", [2**24, 2**53])
 def test_gram_sparse_rows_match_object_products(limit, monkeypatch):
-    """Gram products b.T @ b whose rows lie on both sides of the split, or
-    on one, against object arithmetic: at the largest prime whose inner
-    products the narrower type holds exactly, and at the next, where a sum
-    in it would round G[0, 0] (float32 to float64, and float64 to object
-    arithmetic, where every row is summed in blocks).  The entries are signed
-    and read as they are; unreduced entries give one reduced copy of each
-    factor, and a plain product.  With one pair and one cell a batch, every
-    column is a batch of its own, and b is read a row at a time."""
+    """Gram products b.T @ b from b's column structure (_column_gram), whose
+    rows lie on both sides of the split, or on one, against object
+    arithmetic: at the largest prime whose inner products the narrower type
+    holds exactly, and at the next, where a sum in it would round G[0, 0]
+    (float32 to float64, and float64 to object arithmetic, where every row
+    is dense and summed in blocks).  The entries are signed, and the padding
+    entries 0 are skipped.  matmul_mod reads the same b with unreduced
+    entries.  With one pair and one cell a batch, every column is a batch
+    of its own."""
     pairs = []
     add = gfp._add_pairs
     monkeypatch.setattr(gfp, "_add_pairs", lambda *args: pairs.append(args[-2:]) or add(*args))
@@ -268,18 +284,18 @@ def test_gram_sparse_rows_match_object_products(limit, monkeypatch):
                 assert np.mod((b.T.astype(narrow) @ b.astype(narrow)).astype(np.int64), p).tolist() != want
             unreduced = b + p * rng.integers(-3, 4, b.shape)
             assert matmul_mod(unreduced.T, unreduced, p).tolist() == want
+            index, values = _column_structure(b)
             for batch in (gfp._BATCH, 1):
                 monkeypatch.setattr(gfp, "_BATCH", batch)
                 pairs.clear()
-                got = matmul_mod(b.T, b, p)
+                got = gfp._column_gram(index, values, p)
                 assert got.dtype == np.int64 and got.tolist() == want
                 sparse = not heavy.all() and (p == below or limit == 2**24)
                 assert bool(pairs) == sparse
                 if sparse and batch == 1:
                     assert pairs == [(c, c + 1) for c in range(d)]
     for shape in ((0, d), (rows, 0), (0, 0)):  # no rows, no columns
-        b = np.zeros(shape, dtype=np.int8)
-        got = matmul_mod(b.T, b, 3)
+        got = gfp._column_gram(*_column_structure(np.zeros(shape, dtype=np.int8)), 3)
         assert got.shape == (shape[1], shape[1]) and not got.any()
 
 

@@ -11,6 +11,7 @@ from oracles import (
     closure,
     contingency_count,
     coxeter_generators,
+    dense_polytabloid_matrix,
     dual_specht_invariant_dim_by_hand,
     dual_specht_invariant_dim_by_quotients,
     fixed_space,
@@ -368,23 +369,25 @@ def test_hook_dimension():
 def test_standard_tabloids_are_the_lattice_words():
     """The lattice words of every basis with n <= 10 number as the hook
     formula says, and each is the own tabloid of its column of E, with
-    coefficient 1 (n <= 9: E of every partition of 10 takes about 13 s)."""
+    coefficient 1, read from E's column structure."""
     from spinrest import specht
 
     for n in range(0, 11):
         for shape in partitions_by_recursion(n):
             standard = _standard_tabloids(perm_basis(shape))
             assert len(standard) == hook_dimension(shape), shape
-            if n <= 9:
-                e = polytabloid_matrix(shape)
-                assert np.all(e[standard, np.arange(len(standard))] == 1), shape
+            index, signs = polytabloid_matrix(shape)
+            own = np.argmax(index == standard[:, None], axis=1)
+            assert np.array_equal(index[np.arange(len(index)), own], standard), shape
+            assert np.all(signs[own] == 1), shape
     specht.perm_basis.cache_clear()
+    specht._column_table.cache_clear()
 
 
 def test_polytabloid_matrix_rank_is_standard_count():
     """Standard polytabloids stay independent over GF(p)."""
     for shape, p in (((4, 2), 3), ((5, 1), 3), ((4, 4), 5), ((3, 2, 1), 3)):
-        e = polytabloid_matrix(shape)
+        e = dense_polytabloid_matrix(shape)
         assert e.shape == (len(perm_basis(shape)), hook_dimension(shape))
         assert rank(e, p) == hook_dimension(shape)
 
@@ -402,21 +405,62 @@ def test_polytabloid_matrix_matches_brute_force():
                         for x in row:
                             word[x] = r
                     want[index[tuple(word)], j] = coeff % 7
-            assert np.array_equal(polytabloid_matrix(shape) % 7, want), shape
+            assert np.array_equal(dense_polytabloid_matrix(shape) % 7, want), shape
 
 
 def test_polytabloid_matrix_is_int8_signs():
-    """E is one integer matrix for every p: int8, with entries -1, 0 and 1,
-    and each column has one nonzero entry per element of the column group."""
+    """E is one integer matrix for every p, given by its column structure:
+    int8 signs -1 and 1, one per element of the column group, and in each
+    column as many distinct tabloids of the basis."""
     from spinrest import specht
 
     for n in range(0, 8):
         for shape in partitions_by_recursion(n):
-            e = polytabloid_matrix(shape)
-            assert e.dtype == np.int8, shape
-            assert set(np.unique(e).tolist()) <= {-1, 0, 1}, shape
+            index, signs = polytabloid_matrix(shape)
             column_group = prod(factorial(h) for h in specht._column_heights(shape))
-            assert np.all(np.count_nonzero(e, axis=0) == column_group), shape
+            assert signs.dtype == np.int8 and set(signs.tolist()) <= {-1, 1}, shape
+            assert index.shape == (hook_dimension(shape), column_group) == (len(index), len(signs)), shape
+            assert 0 <= index.min() and index.max() < len(perm_basis(shape)), shape
+            assert np.all(np.diff(np.sort(index, axis=1), axis=1) > 0), shape
+
+
+@pytest.mark.parametrize(
+    "shape, spec",
+    [
+        ((5, 3, 2), wreath(2, 5)),
+        ((9, 3), wreath(2, 6)),
+        ((8, 4), wreath(6, 2)),
+        ((4, 2, 2, 2), wreath(2, 5)),
+        ((6, 4, 2), wreath(2, 6)),
+        ((3, 2, 1, 1), alt_young(7, (7,))),
+    ],
+)
+def test_fixed_class_blocks_match_dense_e(shape, spec):
+    """The blocks (E[g(J)] - E[J])^T set from E's column structure equal
+    the same rows of the dense E, scattered by tests/oracles.py."""
+    from spinrest import specht
+
+    basis = perm_basis(shape)
+    e = dense_polytabloid_matrix(shape)
+    want = [(e[basis.act(g, basis.standard)] - e[basis.standard]).T for g in generators(spec)]
+    got = specht._fixed_class_blocks(polytabloid_matrix(shape), shape, generators(spec))
+    assert got.dtype == np.int8 and np.array_equal(got, np.concatenate(want)), (shape, str(spec))
+
+
+@pytest.mark.parametrize(
+    "shape, primes", [((6, 4, 2), (3,))] + [(shape, (2, 3, 7, 65521)) for shape in [(4, 3, 2, 1), (3, 3, 2, 1), (1,) * 7, (8,)]]
+)
+def test_column_gram_matches_dense_e(shape, primes):
+    """G = E^T E mod p summed from E's column structure (gfp._column_gram)
+    equals matmul_mod's product of the dense E scattered by
+    tests/oracles.py: on S^(6,4,2) mod 3, the Gram criterion of inv42, and
+    on smaller shapes at p = 2, 3, 7 and 65521."""
+    from spinrest import gfp
+
+    e = dense_polytabloid_matrix(shape)
+    for p in primes:
+        got = gfp._column_gram(*polytabloid_matrix(shape), p)
+        assert got.dtype == np.int64 and np.array_equal(got, matmul_mod(e.T, e, p)), (shape, p)
 
 
 def test_column_table_is_cached_read_only():
@@ -457,12 +501,12 @@ def _unreachable(*args, **kwargs):
 
 
 def test_dual_specht_refuses_beyond_physical_memory(monkeypatch):
-    """With 0.5 GB of physical memory, (6,4,2) under W(2,6) mod 65521 (E and
-    three 2673 x 2673 int8 blocks, one per generator, and the blocks' float64
-    copy, panel product and updated rows, about 0.6 GB) is refused before
+    """With 0.5 GB of physical memory, (6,4,2) under W(2,6) mod 65521 (three
+    2673 x 2673 int8 blocks, one per generator, and the blocks' float64
+    copy, panel product and updated rows, about 0.56 GB) is refused before
     any basis or matrix is built, and (5,3,2) under W(2,5) mod 3 (about
-    22 MB) still runs.  Mod 3 the elimination stores float32, and (6,4,2)
-    needs about 0.35 GB."""
+    12 MB) still runs.  Mod 3 the elimination stores float32, and (6,4,2)
+    needs about 0.3 GB."""
     from spinrest import specht
 
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 122_000}
@@ -476,9 +520,9 @@ def test_dual_specht_refuses_beyond_physical_memory(monkeypatch):
 
 
 def test_dual_specht_counts_the_tabloid_basis_against_memory(monkeypatch):
-    """(1^12) under W(2,6) has d = 1, so E and the blocks take under 4 GB,
-    but its 12! tabloids and column permutations need far more: with 8 GB
-    of physical memory it is refused before any basis is built."""
+    """(1^12) under W(2,6) has d = 1, so the blocks take a few bytes, but
+    its 12! tabloids and column permutations need far more: with 8 GB of
+    physical memory it is refused before any basis is built."""
     from spinrest import specht
 
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2_000_000}
@@ -528,9 +572,9 @@ def test_dual_specht_memory_bound_holds(shape, spec):
 
 
 def test_gram_refuses_shapes_beyond_memory(monkeypatch):
-    """S^(7,5,3) has m = 360360 tabloids and d = 45045, so E alone takes
-    130 GB: with 8 GB of physical memory the Gram criterion is refused,
-    with its estimate, before any basis or E is built."""
+    """S^(7,5,3) has m = 360360 tabloids and d = 45045, so G alone takes
+    16 GB in int64: with 8 GB of physical memory the Gram criterion is
+    refused, with its estimate, before any basis or E is built."""
     from spinrest import specht
 
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2_000_000}
@@ -575,10 +619,12 @@ def test_gram_memory_bound_holds(shape, p):
 
 @pytest.mark.parametrize("shape", [(4, 3, 2, 1), (5, 3, 1)])
 def test_gram_keeps_one_dense_copy_of_e(shape):
-    """Beside E, one byte per entry, the Gram criterion holds only d x d
-    arrays: float32 blocks of E, their sum and G in int64, then G's
-    elimination.  An int64 copy of E, or a float copy of the whole of it,
-    would take four to eight times E again."""
+    """The Gram criterion holds no dense E, only E's column structure, the
+    sparse rows' batches and d x d arrays: float32 blocks of the dense rows,
+    their sum and G in int64, then G's elimination, all within the room of
+    one int8 E and three int64 d x d arrays.  An int64 copy of E, or a
+    float copy of the whole of it, would take four to eight times E
+    again."""
     m, d = factorial(sum(shape)) // prod(factorial(part) for part in shape), hook_dimension(shape)
     assert _traced_gram_peak(shape, 3) <= m * d + 3 * 8 * d * d + 1_000_000
 
@@ -766,7 +812,7 @@ def test_gram_criterion_matches_carter():
                 regular = all(shape.count(part) < p for part in shape)
                 assert gram_irreducibility(shape, p) == (regular and carter_irreducible(shape, p)), (shape, p)
                 if not regular:
-                    e = polytabloid_matrix(shape)
+                    e = dense_polytabloid_matrix(shape)
                     assert not matmul_mod(e.T, e, p).any(), (shape, p)
 
 
@@ -799,7 +845,7 @@ def test_filtration_bookkeeping():
         for p in (3, 5):
             total = 0
             for j in range(0, 5):
-                rank_j = rank(polytabloid_matrix((n - j, j) if j else (n,)), p)
+                rank_j = rank(dense_polytabloid_matrix((n - j, j) if j else (n,)), p)
                 assert rank_j == comb(n, j) - (comb(n, j - 1) if j else 0)
                 total += rank_j
             assert total == comb(n, 4)
