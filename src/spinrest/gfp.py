@@ -1,11 +1,13 @@
 """Dense exact linear algebra over the prime field GF(p).
 
 Inputs are integer arrays of any width with entries in (-p, p), such as the
-int8 dual-Specht blocks, read without a widening copy (an entry outside costs
-one reduced copy); outputs are int64 arrays with entries in [0, p).  All
-elimination goes through one panel-blocked echelon routine: pivots are found
-in a narrow column panel by a scalar loop, and the rest of the matrix is
-updated by one BLAS-backed product per panel.  The scalar loop leaves its
+int8 dual-Specht blocks and Gram matrices, read without a widening copy (an
+entry outside costs one reduced copy); the public functions return int64
+arrays with entries in [0, p).  All elimination goes through one
+panel-blocked echelon routine: pivots are found in a narrow column panel by
+a scalar loop, and the rest of the matrix is updated by BLAS-backed
+products, one per block of rows of at most _BATCH entries, so that no
+product as large as the matrix is formed.  The scalar loop leaves its
 multipliers in the cells it clears, as LU factorizations do, so the
 transform of the panel's pivot rows is replayed on k x k arrays instead of
 by a second elimination.  Elimination refuses a p that is not prime, and
@@ -23,11 +25,13 @@ integers beyond; BLAS sees a Gram product b.T @ b as symmetric.
 _column_gram forms EᵀE from E's column structure row by row, as in
 Gustavson's sparse product (ACM TOMS 1978): a row with few nonzeros adds
 its pair products e_ri e_rj by bincount, and only the other rows are made
-dense, for BLAS.  The matrix being eliminated is stored in the type of a
-full panel's product, float32 while 64 (p - 1)^2 < 2^24 (p <= 509),
-float64 while it is below 2^53 (p <= 11863279) and int64 beyond, so panel
-products are subtracted in place; the scalar loop works on an int64 copy
-of its panel."""
+dense, for BLAS, in bounded strips.  Its sum and its result take the
+narrowest signed integer type that holds them, int16 and int8 for
+S^(6,4,2) mod 3, which elimination reads as they are.  The matrix being
+eliminated is stored in the type of a full panel's product, float32 while
+64 (p - 1)^2 < 2^24 (p <= 509), float64 while it is below 2^53
+(p <= 11863279) and int64 beyond, so panel products are subtracted in
+place; the scalar loop works on an int64 copy of its panel."""
 
 from dataclasses import dataclass, field
 from math import isqrt
@@ -76,8 +80,8 @@ def _pivot_transform(m: np.ndarray, p: int, full: bool, delay: int) -> np.ndarra
         t[j] = t[j] % p * m[j, j] % p
         t -= np.outer(off[:, j], t[j])
         if (j + 1) % delay == 0:
-            t %= p
-    return t % p
+            _mod(t, p)
+    return _mod(t, p)
 
 
 def _echelon(arr: np.ndarray, p: int, full: bool) -> tuple[np.ndarray, list[int]]:
@@ -88,27 +92,30 @@ def _echelon(arr: np.ndarray, p: int, full: bool) -> tuple[np.ndarray, list[int]
     pivot's inverse in the pivot cell and each multiplier in the cell it
     cleared, so the transform of the pivot rows comes from k x k arrays
     (_pivot_transform), and one product with the transformed pivot rows
-    updates the rest of the matrix.  Where at most half the rows have a
-    nonzero coefficient, only those take part, which keeps sparse incidence
-    matrices cheap; else every row is updated in place, rows with zero
-    coefficients by zero, so no gathered copy is made.  full=True
-    clears the rows above the panel too and yields the RREF, taking each
-    row's coefficients from its entries in the pivot columns.  full=False
-    clears only below, by the rows' own multipliers, and skips the panel's
-    columns, which is all the rank needs: then only the pivots are
-    meaningful.
+    updates the rest of the matrix, in blocks of rows of at most _BATCH
+    entries, so that no rows x cols product exists.  Where at most half the
+    rows have a nonzero coefficient, only those take part, which keeps
+    sparse incidence matrices cheap; else every row is updated in place,
+    rows with zero coefficients by zero, so no gathered copy is made.
+    full=True clears the rows above the panel too and yields the RREF,
+    taking each row's coefficients from its entries in the pivot columns.
+    full=False clears only below, by the rows' own multipliers, and skips
+    the panel's columns, which is all the rank needs: then only the pivots
+    are meaningful.
 
     The scalar loop runs on an int64 copy of its panel.  There each pivot
     reduces only its column and its row, and subtracts the outer product
     unreduced.  That moves an entry by at most (p - 1)^2, so the panel is
-    reduced after every `delay` pivots.  The panel products are subtracted
-    unreduced from the matrix, stored in the type of a full panel product
-    (_exact_type), and `spread` bounds its entries, so that it is reduced
-    before any leaves the range that type holds exactly, and returned in it.
+    reduced after every `delay` pivots, by _mod, as are the panel copy, the
+    pivot-row transform and the gathered coefficients.  The panel products
+    are subtracted unreduced from the matrix, stored in the type of a full
+    panel product (_exact_type), and `spread` bounds its entries, so that it
+    is reduced before any leaves the range that type holds exactly, and
+    returned in it.
     """
     _check_prime(p)
     store, limit = _exact_type(_PANEL * (p - 1) ** 2)
-    a = _reduced(arr, p).astype(store)
+    a = _reduced(arr, p).astype(store, order="C")
     rows, cols = a.shape
     delay = (_INT64_MAX - p) // max((p - 1) ** 2, 1)
     spread = p - 1  # no entry of a is larger in magnitude
@@ -116,8 +123,7 @@ def _echelon(arr: np.ndarray, p: int, full: bool) -> tuple[np.ndarray, list[int]
     top = c0 = 0
     while top < rows and c0 < cols:
         c1 = cols if rows - top <= _PANEL else min(c0 + _PANEL, cols)
-        work = a[top:, c0:c1].astype(np.int64)
-        work %= p
+        work = _mod(a[top:, c0:c1].astype(np.int64, order="C"), p)
         perm = np.arange(rows - top)
         found: list[int] = []
         for c in range(c1 - c0):
@@ -143,7 +149,7 @@ def _echelon(arr: np.ndarray, p: int, full: bool) -> tuple[np.ndarray, list[int]
                 work[clear, c + 1 :] -= np.outer(work[clear, c], work[r, c + 1 :])
             found.append(c)
             if len(found) % delay == 0:
-                work %= p
+                _mod(work, p)
         k = len(found)
         if k:
             piv = np.array(found)
@@ -164,7 +170,7 @@ def _echelon(arr: np.ndarray, p: int, full: bool) -> tuple[np.ndarray, list[int]
             # panel only the rows above are left.
             if full:
                 lo, hi = 0, top if last else rows
-                coeff = a[lo:hi, c0 + piv].astype(np.int64) % p
+                coeff = _mod(a[lo:hi, c0 + piv].astype(np.int64, order="C", copy=False), p)
             else:
                 lo, hi = top + k, top + k if last else rows
                 coeff = work[k : hi - top, piv]
@@ -175,10 +181,13 @@ def _echelon(arr: np.ndarray, p: int, full: bool) -> tuple[np.ndarray, list[int]
                     np.mod(a, p, out=a)
                     spread = p - 1
                 spread += step
-                if 2 * hit.size > hi - lo:
-                    a[lo:hi, start:] -= _product(coeff, x, p).astype(store, copy=False)
-                else:  # the gathered rows and their product take no more room than that product
-                    a[lo + hit, start:] -= _product(coeff[hit], x, p).astype(store, copy=False)
+                height = max(_BATCH // (cols - start), 1)
+                if 2 * hit.size > hi - lo:  # the rows in place, those with zero coefficients by zero
+                    blocks = [(slice(r, min(r + height, hi)), slice(r - lo, r - lo + height)) for r in range(lo, hi, height)]
+                else:
+                    blocks = [(lo + hit[i : i + height], hit[i : i + height]) for i in range(0, hit.size, height)]
+                for rows_at, of in blocks:
+                    a[rows_at, start:] -= _product(coeff[of], x, p).astype(store, copy=False)
             a[top : top + k, start:] = x
             pivots += (c0 + piv).tolist()
             top += k
@@ -189,7 +198,7 @@ def _echelon(arr: np.ndarray, p: int, full: bool) -> tuple[np.ndarray, list[int]
 def rref(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form and pivot columns, over GF(p)."""
     red, pivots = _echelon(arr, p, True)
-    return red.astype(np.int64) % p, pivots
+    return _mod(red.astype(np.int64, order="C", copy=False), p), pivots
 
 
 def rank(arr: np.ndarray, p: int) -> int:
@@ -241,19 +250,30 @@ def _dense_gram(b: np.ndarray, dtype: type) -> np.ndarray:
     return out
 
 
+def _signed(bound: int) -> type:
+    """The narrowest signed integer type that holds every integer of
+    magnitude at most bound."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
+
+
 def _column_gram(index: np.ndarray, values, p: int) -> np.ndarray:
-    """b.T @ b mod p, as int64, for the integer matrix b given by its column
-    structure: column j holds values[..., k] (broadcast to index's d x c
-    shape) in row index[j, k], each row at most once, and zeros elsewhere;
-    entries lie in (-p, p), and entries 0 are skipped.
+    """b.T @ b mod p, in the narrowest signed type that holds [0, p) (int8
+    for p <= 127), for the integer matrix b given by its column structure:
+    column j holds values[..., k] (broadcast to index's d x c shape) in row
+    index[j, k], each row at most once, and zeros elsewhere; entries lie in
+    (-p, p), and entries 0 are skipped.
 
     The nonzeros are sorted by row, then by column (Gustavson, ACM TOMS
     4(3), 1978).  A row of r nonzeros is dense if r * _KAPPA > d; only the
-    dense rows are formed, as h, for matmul_mod(h.T, h, p).  Every other row
-    adds its pair products b_ri b_rj, i <= j, by one float64 bincount per
-    batch of columns i (_add_pairs), exact while c v^2 < 2^53 for v the
-    largest |value| (else every row is dense); as the dense rows' sum is
-    symmetric, the upper triangle is then mirrored."""
+    dense rows are formed, as h, and their products taken by matmul_mod in
+    column strips of the upper triangle, G[:j1, j0:j1] from h[:, :j1] and
+    h[:, j0:j1], of at most _BATCH entries each, so that no d x d product
+    exists.  Every other row adds its pair products b_ri b_rj, i <= j, by
+    one float64 bincount per batch of columns i (_add_pairs), found in the
+    nonzeros' column order, exact while c v^2 < 2^53 for v the largest
+    |value| (else every row is dense).  The upper triangle is summed in the narrowest signed type that
+    holds p - 1 + c v^2 (int16 for S^(6,4,2) mod 3), and then mirrored and
+    reduced, _PANEL rows at a time."""
     d, c = index.shape
     flat = np.broadcast_to(values, index.shape).ravel()
     order = np.argsort(index, axis=None, kind="stable")  # by row, then by column
@@ -261,38 +281,49 @@ def _column_gram(index: np.ndarray, values, p: int) -> np.ndarray:
     row, col, val = index.ravel()[order], order // max(c, 1), flat[order]
     del order, flat
     count = np.bincount(row)
-    dense = (count * _KAPPA > d) | (c * int(np.abs(val).max(initial=0)) ** 2 >= 2**53)
+    v2 = c * int(np.abs(val).max(initial=0)) ** 2  # bounds |a pair sum| of one cell
+    dense = (count * _KAPPA > d) | (v2 >= 2**53)
     heavy = dense[row]
     h = np.zeros((np.count_nonzero(dense), d), val.dtype)
     h[(np.cumsum(dense) - 1)[row[heavy]], col[heavy]] = val[heavy]
     rep = np.cumsum(count)[row] - np.arange(len(row))  # partners j >= i in the row
     del row, count, dense
     col, val, rep = col[~heavy], val[~heavy], rep[~heavy]
-    out = matmul_mod(h.T, h, p)
-    del h, heavy
+    del heavy
+    out = np.zeros((d, d), _signed(p - 1 + (v2 if len(col) else 0)))
+    j1 = 0
+    while len(h) and j1 < d:  # the widest w with (j0 + w) w <= _BATCH; the first strip is a Gram product
+        j0, j1 = j1, min(j1 + max((isqrt(j1 * j1 + 4 * _BATCH) - j1) // 2, 1), d)
+        out[:j1, j0:j1] = matmul_mod(h[:, :j1].T, h[:, j0:j1], p)
+    del h
     if len(col):
         per_col = np.bincount(col, weights=rep, minlength=d).tolist()
+        by_col = np.argsort(col.astype(np.min_scalar_type(d)), kind="stable")  # a radix sort while d < 2^16
+        start = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=d))]).tolist()
         batch = min(_BATCH, d * d // 8)  # at about 40 bytes a pair, within 5 d x d float32 arrays
         c0 = pairs = 0
         for c1 in range(d):
             if c1 > c0 and (pairs + per_col[c1] > batch or (c1 + 1 - c0) * (d - c0) > batch):
-                _add_pairs(out, col, val, rep, c0, c1)
+                _add_pairs(out, col, val, rep, by_col[start[c0] : start[c1]], c0, c1)
                 c0, pairs = c1, 0
             pairs += per_col[c1]
-        _add_pairs(out, col, val, rep, c0, d)
-        for i in range(0, d, _PANEL):
-            j = i + _PANEL
-            out[i:j, i:j] = np.triu(out[i:j, i:j]) + np.triu(out[i:j, i:j], 1).T
-            out[j:, i:j] = out[i:j, j:].T
-        _mod(out, p)
-    return out
+        _add_pairs(out, col, val, rep, by_col[start[c0] :], c0, d)
+        del by_col
+    del col, val, rep
+    g = np.empty((d, d), _signed(p - 1))
+    for i in range(0, d, _PANEL):
+        j = i + _PANEL
+        corner = np.triu(out[i:j, i:j]) + np.triu(out[i:j, i:j], 1).T
+        g[i:j, i:j] = corner - corner // p * p
+        g[i:j, j:] = out[i:j, j:] - out[i:j, j:] // p * p
+        g[j:, i:j] = g[i:j, j:].T
+    return g
 
 
-def _add_pairs(out: np.ndarray, col: np.ndarray, val: np.ndarray, rep: np.ndarray, c0: int, c1: int) -> None:
-    """Add to the int64 out[c0:c1, c0:] the products of each nonzero k in
-    columns [c0, c1) with the rep[k] nonzeros from k on in its row, all in
+def _add_pairs(out: np.ndarray, col: np.ndarray, val: np.ndarray, rep: np.ndarray, k: np.ndarray, c0: int, c1: int) -> None:
+    """Add to out[c0:c1, c0:] the products of each nonzero k, those in
+    columns [c0, c1), with the rep[k] nonzeros from k on in its row, all in
     one row of b and in column order: the pairs i <= j."""
-    k = np.flatnonzero((col >= c0) & (col < c1))
     n = rep[k]
     partner = np.repeat(k - np.cumsum(n) + n, n)
     partner += np.arange(len(partner))
@@ -301,25 +332,28 @@ def _add_pairs(out: np.ndarray, col: np.ndarray, val: np.ndarray, rep: np.ndarra
     width = out.shape[1] - c0
     flat = np.repeat((col[k] - c0) * width - c0, n)
     flat += col[partner]
-    out[c0:c1, c0:] += np.bincount(flat, weight, minlength=(c1 - c0) * width).reshape(c1 - c0, width).astype(np.int64)
+    out[c0:c1, c0:] += np.bincount(flat, weight, minlength=(c1 - c0) * width).reshape(c1 - c0, width).astype(out.dtype)
 
 
 def _column_gram_bytes(m: int, d: int, c: int, p: int) -> int:
-    """Bytes that bound what _column_gram allocates for an m x d int8 b with
-    c entries a column, N = d c: 24 bytes a row, and the largest of the sort
-    and split, 44 bytes an entry, with the dense rows h (at most
-    min(m, c _KAPPA), as each has more than d / _KAPPA entries); h's
-    product, with h, 18 bytes an entry, matmul_mod's d x d sum and two
-    blocks of under 2 max(d, _PANEL) rows of h in the exact type (an object
-    is a pointer and an int < 2^120), G and a buffer; and the sparse sum,
-    with G, 20 bytes an entry and a batch: 48 bytes a pair (at most the
-    batch size and one column's pairs more) and 16 a cell."""
+    """Bytes that bound what _column_gram allocates for an m x d matrix b
+    with c entries +-1 a column, N = d c: 24 bytes a row, and the largest of
+    the sort and split, 44 bytes an entry, with the dense rows h (at most
+    min(m, c _KAPPA), as each has more than d / _KAPPA entries); the strips,
+    with the kept 17 bytes an entry and the d x d sum in _signed(p - 1 + c),
+    h, a strip and its prefix in the exact type (an object is a pointer and
+    an int < 2^120) and the strip's product, twice in that type and twice in
+    int64; the sparse sum, with the same kept bytes, 8 bytes an entry for
+    the column order, and its sort, 10 more, or a batch: 48 bytes a pair (at
+    most the batch size and one column's pairs more) and 16 a cell; and the
+    sum, G and 32 bytes for each of _PANEL rows of d."""
     n, dense, batch = d * c, min(m, c * _KAPPA), min(_BATCH, d * d // 8)
     dtype = _exact_type(dense * (p - 1) ** 2)[0]
     f = 48 if dtype is np.int64 else np.dtype(dtype).itemsize
-    product = (f + 8) * d * d + 2 * f * d * min(dense, 2 * max(d, _PANEL)) + 8 * min(d * d, _BATCH)
-    sparse = 8 * d * d + 20 * n + 48 * (batch + c * (d // _KAPPA)) + 16 * batch
-    return 24 * m + max(44 * n + dense * d, 18 * n + dense * d + product, sparse)
+    summed, reduced = (np.dtype(_signed(bound)).itemsize * d * d for bound in (p - 1 + c, p - 1))
+    strips = dense * d + f * dense * (d + isqrt(_BATCH)) + (2 * f + 16) * min(_BATCH, d * d)
+    sparse = 8 * n + max(10 * n, 48 * (batch + c * (d // _KAPPA)) + 16 * batch)
+    return 24 * m + max(44 * n + dense * d, 17 * n + summed + max(strips, sparse), summed + reduced + 32 * _PANEL * d)
 
 
 def _mod(out: np.ndarray, p: int) -> np.ndarray:

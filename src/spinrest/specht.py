@@ -24,7 +24,7 @@ from math import comb, factorial, prod
 
 import numpy as np
 
-from .gfp import _PANEL, _check_prime, _column_gram, _column_gram_bytes, _exact_type, kernel, rank
+from .gfp import _BATCH, _PANEL, _check_prime, _column_gram, _column_gram_bytes, _exact_type, _signed, kernel, rank
 from .partitions import Partition, check_partition
 
 Perm = tuple[int, ...]
@@ -507,13 +507,16 @@ def gram_irreducibility(shape: Partition, p: int) -> bool:
 def _gram_bytes(shape: Partition, m: int, d: int, p: int) -> int:
     """Bytes that bound what gram_irreducibility allocates: E's making, then
     the larger of E's structure with E^T E mod p (gfp._column_gram_bytes) and
-    G's elimination (_polytabloid_bytes): G, its copy, a panel product and
-    the rows it updates in the storage type (an object is a pointer and an
-    int < 2^120), and six int64 arrays of d x min(d, _PANEL)."""
+    G's elimination (_polytabloid_bytes): G in _signed(p - 1), its copy in
+    the storage type, a block of the panel update (at most _BATCH + d
+    entries: the product, its cast and the rows it updates, in the storage
+    type, where an object is a pointer and an int < 2^120), six int64
+    arrays of d x min(d, _PANEL) and the pivot list, 48 bytes a pivot."""
     group = prod(factorial(h) for h in _column_heights(shape))  # entries in a column of E
     storage = _exact_type(_PANEL * (p - 1) ** 2)[0]
     s = 48 if storage is np.int64 else np.dtype(storage).itemsize
-    elimination = d * d * (8 + 3 * s) + 48 * d * min(d, _PANEL)
+    g = np.dtype(_signed(p - 1)).itemsize
+    elimination = d * d * (g + s) + 3 * s * min(_BATCH + d, d * d) + 48 * d * (min(d, _PANEL) + 1)
     return _polytabloid_bytes(shape, m, d, max(8 * d * group + _column_gram_bytes(m, d, group, p), elimination))
 
 
@@ -527,15 +530,24 @@ def _dual_specht_bytes(shape: Partition, m: int, d: int, gens: int, p: int) -> i
     making, then the g d x d int8 blocks of g generators with the largest of
     (_polytabloid_bytes) their making from E's N = d |C_t| entries (8 bytes
     a tabloid, 17 an entry and 40 a hit, at most min(N, d^2)); the
-    elimination's copy of them, a panel product and the rows it updates, in
-    its storage type (float32 for p <= 509, else 8 bytes an entry), and six
-    int64 arrays of g d x min(d, _PANEL); and the kernel's int64 basis, at
-    most d x d, with its reversed copy.  Tracemalloc peaks stayed below it on
-    549 shapes and subgroups with n <= 10 and m <= 400000, at p = 3, 65521."""
+    elimination's copy of them in its storage type (float32 for p <= 509,
+    else 8 bytes an entry) with either a block of the panel update (at most
+    _BATCH + d entries: the product, its cast and the rows it updates, where
+    an object is a pointer and an int < 2^120) and six int64 arrays of g d x
+    min(d, _PANEL), or the RREF's int64 rows, at most d x d, and their
+    reduction's buffer, and the pivot list, 48 bytes a pivot; and the
+    kernel's int64 basis, at most d x d, with its reversed copy.
+    Tracemalloc peaks stayed below it on 2206 cases: every shape with
+    4 <= n <= 10 and m <= 60000 under the two-part Young subgroups, the
+    trivial group, A_n, the wreath subgroups with their alternating parts
+    and the index-2 subgroups, at p = 3 and 65521."""
     n = d * prod(factorial(h) for h in _column_heights(shape))
-    s = np.dtype(_exact_type(_PANEL * (p - 1) ** 2)[0]).itemsize
+    storage = _exact_type(_PANEL * (p - 1) ** 2)[0]
+    s = np.dtype(storage).itemsize
+    f = 48 if storage is np.int64 else s
     reading = 8 * m + 17 * n + 40 * min(n, d * d)
-    elimination = gens * d * (3 * s * d + 48 * min(d, _PANEL))
+    update = 3 * f * min(_BATCH + d, gens * d * d) + 48 * gens * d * min(d, _PANEL)
+    elimination = s * gens * d * d + max(update, 8 * d * d + 8 * min(_BATCH, d * d)) + 48 * d
     return _polytabloid_bytes(shape, m, d, gens * d * d + max(reading, elimination, 16 * d * d))
 
 

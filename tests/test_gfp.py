@@ -1,3 +1,4 @@
+import tracemalloc
 from math import isqrt
 
 import numpy as np
@@ -266,7 +267,8 @@ def test_gram_sparse_rows_match_object_products(limit, monkeypatch):
     is dense and summed in blocks).  The entries are signed, and the padding
     entries 0 are skipped.  matmul_mod reads the same b with unreduced
     entries.  With one pair and one cell a batch, every column is a batch
-    of its own."""
+    of its own.  At p = 65521, G is returned in int32 and the pair sums
+    leave int32, so the sum must be wider than G."""
     pairs = []
     add = gfp._add_pairs
     monkeypatch.setattr(gfp, "_add_pairs", lambda *args: pairs.append(args[-2:]) or add(*args))
@@ -276,12 +278,14 @@ def test_gram_sparse_rows_match_object_products(limit, monkeypatch):
     q = isqrt((limit - 1) // rows)  # rows * (p - 1)^2 < limit iff p <= q + 1
     below = next(p for p in range(q + 1, 1, -1) if _is_prime(p))
     above = next(p for p in range(q + 2, 2 * q + 8) if _is_prime(p))
-    for p in (below, above):
+    for p in (below, above, 65521):
         for heavy in (rng.random(rows) < 0.3, np.ones(rows, bool), np.zeros(rows, bool)):
             b = _split_rows(rng, heavy, d, p)
             want = ((b.T.astype(object) @ b.astype(object)) % p).tolist()
             if p == above:
                 assert np.mod((b.T.astype(narrow) @ b.astype(narrow)).astype(np.int64), p).tolist() != want
+            if p == 65521 and not heavy.any():
+                assert np.abs(b.T.astype(object) @ b.astype(object)).max() > 2**31
             unreduced = b + p * rng.integers(-3, 4, b.shape)
             assert matmul_mod(unreduced.T, unreduced, p).tolist() == want
             index, values = _column_structure(b)
@@ -289,8 +293,8 @@ def test_gram_sparse_rows_match_object_products(limit, monkeypatch):
                 monkeypatch.setattr(gfp, "_BATCH", batch)
                 pairs.clear()
                 got = gfp._column_gram(index, values, p)
-                assert got.dtype == np.int64 and got.tolist() == want
-                sparse = not heavy.all() and (p == below or limit == 2**24)
+                assert got.dtype == np.min_scalar_type(1 - p) and got.tolist() == want
+                sparse = not heavy.all() and (p != above or limit == 2**24)
                 assert bool(pairs) == sparse
                 if sparse and batch == 1:
                     assert pairs == [(c, c + 1) for c in range(d)]
@@ -324,6 +328,39 @@ def test_narrow_signed_input_matches_reduced_int64(p):
                 want = matmul_mod(a.astype(np.int64) % p, b.astype(np.int64) % p, p)
                 assert got.dtype == np.int64 and np.array_equal(got, want)
         assert np.array_equal(narrow, before)
+
+
+def _traced_peak(call):
+    """call()'s result and the peak of what it allocated, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_rank_updates_panels_in_row_blocks():
+    """rank of a 2400 x 1800 int8 matrix mod 3 holds its float32 storage
+    copy and, beyond it, at most the room of three int64 blocks of _BATCH
+    entries (the panel copy, an update block and its coefficients): the
+    panel update runs in row blocks, so no 2400 x 1800 product, as large as
+    the storage copy, is ever formed."""
+    a = np.random.default_rng(3).integers(-1, 2, (2400, 1800)).astype(np.int8)
+    r, peak = _traced_peak(lambda: rank(a, 3))
+    assert r == 1800 and peak <= 4 * a.size + 3 * 8 * gfp._BATCH
+
+
+def test_rref_reduces_its_one_int64_copy():
+    """rref of a reversed-column int8 view (as kernel passes it) holds the
+    float32 storage copy and one int64 copy of the echelon rows, reduced in
+    place through a buffer of _BATCH entries, and gives the rows and pivots
+    of the same matrix as a contiguous int64 array."""
+    view = np.random.default_rng(9).integers(-1, 2, (1500, 1200)).astype(np.int8)[:, ::-1]
+    want_red, want_pivots = rref(np.ascontiguousarray(view).astype(np.int64) % 3, 3)
+    (red, pivots), peak = _traced_peak(lambda: rref(view, 3))
+    assert pivots == want_pivots and red.dtype == np.int64 and np.array_equal(red, want_red)
+    assert np.array_equal(red[:, pivots], np.eye(len(pivots), dtype=np.int64))
+    assert peak <= 4 * view.size + 8 * red.size + 8 * gfp._BATCH + 2_000_000
 
 
 def test_kernel_runs_one_rref(monkeypatch):

@@ -460,7 +460,7 @@ def test_column_gram_matches_dense_e(shape, primes):
     e = dense_polytabloid_matrix(shape)
     for p in primes:
         got = gfp._column_gram(*polytabloid_matrix(shape), p)
-        assert got.dtype == np.int64 and np.array_equal(got, matmul_mod(e.T, e, p)), (shape, p)
+        assert got.dtype == np.min_scalar_type(1 - p) and np.array_equal(got, matmul_mod(e.T, e, p)), (shape, p)
 
 
 def test_column_table_is_cached_read_only():
@@ -501,20 +501,20 @@ def _unreachable(*args, **kwargs):
 
 
 def test_dual_specht_refuses_beyond_physical_memory(monkeypatch):
-    """With 0.5 GB of physical memory, (6,4,2) under W(2,6) mod 65521 (three
-    2673 x 2673 int8 blocks, one per generator, and the blocks' float64
-    copy, panel product and updated rows, about 0.56 GB) is refused before
-    any basis or matrix is built, and (5,3,2) under W(2,5) mod 3 (about
-    12 MB) still runs.  Mod 3 the elimination stores float32, and (6,4,2)
-    needs about 0.3 GB."""
+    """With 0.2 GB of physical memory, (6,4,2) under W(2,6) mod 65521 (three
+    2673 x 2673 int8 blocks, one per generator, the blocks' float64 copy
+    and the RREF's int64 rows, about 0.25 GB) is refused before any basis
+    or matrix is built, and (5,3,2) under W(2,5) mod 3 (about 12 MB) still
+    runs.  Mod 3 the elimination stores float32, and (6,4,2) needs about
+    0.17 GB."""
     from spinrest import specht
 
-    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 122_000}
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 48_800}
     monkeypatch.setattr(specht.os, "sysconf", pages.__getitem__)
     with monkeypatch.context() as patch:
         patch.setattr(specht, "perm_basis", _unreachable)
         patch.setattr(specht, "polytabloid_matrix", _unreachable)
-        with pytest.raises(ValueError, match=r"needs about 0\.6 GB \(m = 13860 tabloids, dim S = 2673\)"):
+        with pytest.raises(ValueError, match=r"needs about 0\.3 GB \(m = 13860 tabloids, dim S = 2673\)"):
             dual_specht_invariant_dim((6, 4, 2), 65521, wreath(2, 6))
     assert dual_specht_invariant_dim((5, 3, 2), 3, wreath(2, 5)) == 0
 
@@ -572,9 +572,10 @@ def test_dual_specht_memory_bound_holds(shape, spec):
 
 
 def test_gram_refuses_shapes_beyond_memory(monkeypatch):
-    """S^(7,5,3) has m = 360360 tabloids and d = 45045, so G alone takes
-    16 GB in int64: with 8 GB of physical memory the Gram criterion is
-    refused, with its estimate, before any basis or E is built."""
+    """S^(7,5,3) has m = 360360 tabloids and d = 45045, so G takes 2 GB in
+    int8 and its float32 copy for the elimination 8.1 GB: with 8 GB of
+    physical memory the Gram criterion is refused, with its estimate,
+    before any basis or E is built."""
     from spinrest import specht
 
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2_000_000}
@@ -620,13 +621,22 @@ def test_gram_memory_bound_holds(shape, p):
 @pytest.mark.parametrize("shape", [(4, 3, 2, 1), (5, 3, 1)])
 def test_gram_keeps_one_dense_copy_of_e(shape):
     """The Gram criterion holds no dense E, only E's column structure, the
-    sparse rows' batches and d x d arrays: float32 blocks of the dense rows,
-    their sum and G in int64, then G's elimination, all within the room of
-    one int8 E and three int64 d x d arrays.  An int64 copy of E, or a
+    sparse rows' batches, strips of the dense rows' product and d x d
+    arrays: the narrow sum and G, then G's elimination, all within the room
+    of one int8 E and three int64 d x d arrays.  An int64 copy of E, or a
     float copy of the whole of it, would take four to eight times E
     again."""
     m, d = factorial(sum(shape)) // prod(factorial(part) for part in shape), hook_dimension(shape)
     assert _traced_gram_peak(shape, 3) <= m * d + 3 * 8 * d * d + 1_000_000
+
+
+def test_gram_of_642_peaks_below_one_int64_g():
+    """The Gram criterion of inv42, S^(6,4,2) mod 3 (d = 2673), peaks below
+    8 d^2 bytes, the size of G in int64, under tracemalloc: G is summed in
+    int16 from strips of the dense rows' product, returned in int8, and
+    eliminated in float32 by row blocks."""
+    d = hook_dimension((6, 4, 2))
+    assert _traced_gram_peak((6, 4, 2), 3) < 8 * d * d
 
 
 def test_orbits_refuse_beyond_physical_memory(monkeypatch):
