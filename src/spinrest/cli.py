@@ -106,7 +106,7 @@ def cmd_residues(args) -> int:
 
 def cmd_branch(args) -> int:
     lam = parse_partition(args.lam)
-    p = args.p
+    p = check_odd_prime(args.p)
     payload = {"lambda": format_partition(lam), "p": p, "up": args.up}
     lines = [f"lambda = {format_partition(lam)}, p = {p}"]
     op = rs.tilde_f if args.up else rs.tilde_e

@@ -27,11 +27,9 @@ Gustavson's sparse product (ACM TOMS 1978): a row with few nonzeros adds
 its pair products e_ri e_rj by bincount, and only the other rows are made
 dense, for BLAS, in bounded strips.  Its sum and its result take the
 narrowest signed integer type that holds them, int16 and int8 for
-S^(6,4,2) mod 3, which elimination reads as they are.  The matrix being
-eliminated is stored in the type of a full panel's product, float32 while
-64 (p - 1)^2 < 2^24 (p <= 509), float64 while it is below 2^53
-(p <= 11863279) and int64 beyond, so panel products are subtracted in
-place; the scalar loop works on an int64 copy of its panel."""
+S^(6,4,2) mod 3, which elimination reads as they are.  Elimination states
+its own memory (_echelon_bytes), which callers compose to refuse a request
+beyond physical memory before they allocate it."""
 
 from dataclasses import dataclass, field
 from math import isqrt
@@ -54,13 +52,21 @@ def _check_prime(p: int) -> None:
         raise ValueError(f"p must be prime, got {p}")
 
 
-def _exact_type(bound: int) -> tuple[type, int]:
+def _exact_type(bound: int) -> tuple[type, int, int]:
     """The narrowest of float32, float64 and int64 that holds every integer
-    below bound exactly, and the magnitude up to which it does."""
+    below bound exactly, the magnitude up to which it does, and the bytes of
+    an entry of a product formed in it: its itemsize, or for int64, where
+    _product forms it in object integers, 48, a pointer and an int < 2^120."""
     for dtype, limit in ((np.float32, 2**24), (np.float64, 2**53)):
         if bound < limit:
-            return dtype, limit
-    return np.int64, _INT64_MAX
+            return dtype, limit, np.dtype(dtype).itemsize
+    return np.int64, _INT64_MAX, 48
+
+
+def _storage(p: int) -> tuple[type, int, int]:
+    """_exact_type of a full panel's product: the type _echelon stores the
+    matrix in, float32 for p <= 509, float64 for p <= 11863279, else int64."""
+    return _exact_type(_PANEL * (p - 1) ** 2)
 
 
 def _pivot_transform(m: np.ndarray, p: int, full: bool, delay: int) -> np.ndarray:
@@ -108,13 +114,12 @@ def _echelon(arr: np.ndarray, p: int, full: bool) -> tuple[np.ndarray, list[int]
     unreduced.  That moves an entry by at most (p - 1)^2, so the panel is
     reduced after every `delay` pivots, by _mod, as are the panel copy, the
     pivot-row transform and the gathered coefficients.  The panel products
-    are subtracted unreduced from the matrix, stored in the type of a full
-    panel product (_exact_type), and `spread` bounds its entries, so that it
-    is reduced before any leaves the range that type holds exactly, and
-    returned in it.
+    are subtracted unreduced from the matrix, stored in _storage's type,
+    which `spread` keeps exact by reducing it in time; it is returned in
+    that type.  _echelon_bytes bounds what this allocates.
     """
     _check_prime(p)
-    store, limit = _exact_type(_PANEL * (p - 1) ** 2)
+    store, limit, _ = _storage(p)
     a = _reduced(arr, p).astype(store, order="C")
     rows, cols = a.shape
     delay = (_INT64_MAX - p) // max((p - 1) ** 2, 1)
@@ -195,6 +200,23 @@ def _echelon(arr: np.ndarray, p: int, full: bool) -> tuple[np.ndarray, list[int]
     return a[:top], pivots
 
 
+def _echelon_bytes(rows: int, cols: int, p: int, full: bool) -> int:
+    """Bytes that bound what rank (full=False) or kernel (full=True)
+    allocates beyond its rows x cols input: the copy in _storage's type,
+    with either a block of the panel update (the product, its cast and the
+    rows it updates, at most _BATCH + cols entries of _storage's product
+    bytes) and six int64 copies of a scalar loop's panel (the last spans
+    every remaining column), or in full mode the int64 RREF rows and their
+    reduction's buffer; 48 bytes a pivot; and in full mode kernel's RREF
+    rows, basis and reversed basis after it."""
+    store, _, f = _storage(p)
+    work = 3 * f * min(_BATCH + cols, rows * cols) + 48 * max(rows * min(cols, _PANEL), min(rows, _PANEL) * cols)
+    if full:
+        work = max(work, 8 * cols * cols + 8 * min(_BATCH, cols * cols))
+    echelon = np.dtype(store).itemsize * rows * cols + work + 48 * cols
+    return max(echelon, 16 * cols * cols) if full else echelon
+
+
 def rref(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form and pivot columns, over GF(p)."""
     red, pivots = _echelon(arr, p, True)
@@ -222,7 +244,7 @@ def _product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     the narrowest float type whose mantissa holds every inner product
     (_exact_type), or beyond 2^53 in object arithmetic, reduced mod p to
     int64.  A Gram product (a = b.T) is _dense_gram's."""
-    dtype, _ = _exact_type(a.shape[-1] * (p - 1) ** 2)
+    dtype = _exact_type(a.shape[-1] * (p - 1) ** 2)[0]
     dtype = object if dtype is np.int64 else dtype
     gram = a.__array_interface__ == b.T.__array_interface__
     out = _dense_gram(b, dtype) if gram else a.astype(dtype) @ b.astype(dtype)
@@ -336,24 +358,26 @@ def _add_pairs(out: np.ndarray, col: np.ndarray, val: np.ndarray, rep: np.ndarra
 
 
 def _column_gram_bytes(m: int, d: int, c: int, p: int) -> int:
-    """Bytes that bound what _column_gram allocates for an m x d matrix b
-    with c entries +-1 a column, N = d c: 24 bytes a row, and the largest of
-    the sort and split, 44 bytes an entry, with the dense rows h (at most
-    min(m, c _KAPPA), as each has more than d / _KAPPA entries); the strips,
-    with the kept 17 bytes an entry and the d x d sum in _signed(p - 1 + c),
-    h, a strip and its prefix in the exact type (an object is a pointer and
-    an int < 2^120) and the strip's product, twice in that type and twice in
-    int64; the sparse sum, with the same kept bytes, 8 bytes an entry for
-    the column order, and its sort, 10 more, or a batch: 48 bytes a pair (at
-    most the batch size and one column's pairs more) and 16 a cell; and the
-    sum, G and 32 bytes for each of _PANEL rows of d."""
+    """Bytes that bound rank(_column_gram(index, values, p), p) for an m x d
+    matrix b with c entries +-1 a column, given by its d x c intp index,
+    N = d c.  While G is formed: the index, 8 bytes an entry, 24 bytes a
+    row, and the largest of the sort and split, 44 bytes an entry, with the
+    dense rows h (at most min(m, c _KAPPA), as each has more than d / _KAPPA
+    entries); the strips, with the kept 17 bytes an entry and the d x d sum
+    in _signed(p - 1 + c), h, a strip and its prefix in the exact type (at
+    _exact_type's product bytes) and the strip's product, twice in that
+    type and twice in int64; the sparse sum, with the same kept bytes, 8
+    bytes an entry for the column order, and its sort, 10 more, or a batch:
+    48 bytes a pair (at most the batch size and one column's pairs more) and
+    16 a cell; and the sum, G and 32 bytes for each of _PANEL rows of d.
+    Then G, with its rank's workspace (_echelon_bytes)."""
     n, dense, batch = d * c, min(m, c * _KAPPA), min(_BATCH, d * d // 8)
-    dtype = _exact_type(dense * (p - 1) ** 2)[0]
-    f = 48 if dtype is np.int64 else np.dtype(dtype).itemsize
+    f = _exact_type(dense * (p - 1) ** 2)[2]
     summed, reduced = (np.dtype(_signed(bound)).itemsize * d * d for bound in (p - 1 + c, p - 1))
     strips = dense * d + f * dense * (d + isqrt(_BATCH)) + (2 * f + 16) * min(_BATCH, d * d)
     sparse = 8 * n + max(10 * n, 48 * (batch + c * (d // _KAPPA)) + 16 * batch)
-    return 24 * m + max(44 * n + dense * d, 17 * n + summed + max(strips, sparse), summed + reduced + 32 * _PANEL * d)
+    product = 8 * n + 24 * m + max(44 * n + dense * d, 17 * n + summed + max(strips, sparse), summed + reduced + 32 * _PANEL * d)
+    return max(product, reduced + _echelon_bytes(d, d, p, False))
 
 
 def _mod(out: np.ndarray, p: int) -> np.ndarray:

@@ -24,7 +24,7 @@ from math import comb, factorial, prod
 
 import numpy as np
 
-from .gfp import _BATCH, _PANEL, _check_prime, _column_gram, _column_gram_bytes, _exact_type, _signed, kernel, rank
+from .gfp import _check_prime, _column_gram, _column_gram_bytes, _echelon_bytes, kernel, rank
 from .partitions import Partition, check_partition
 
 Perm = tuple[int, ...]
@@ -397,6 +397,12 @@ def _column_heights(shape: Partition) -> list[int]:
     return [sum(1 for part in shape if part > c) for c in range(max(shape, default=0))]
 
 
+def _column_group_order(shape: Partition) -> int:
+    """|C_t|, the product of h! over the column heights h: the number of
+    entries in a column of E."""
+    return prod(factorial(h) for h in _column_heights(shape))
+
+
 def hook_dimension(shape: Partition) -> int:
     """Number of standard tableaux, by the hook length formula."""
     shape = check_partition(shape)
@@ -438,7 +444,7 @@ def _column_table(shape: Partition) -> tuple[np.ndarray, np.ndarray]:
     is their product over the columns, the first column slowest."""
     starts = list(accumulate(shape, initial=0))
     heights = _column_heights(shape)
-    labels = np.empty((prod(factorial(h) for h in heights), sum(shape)), dtype=np.int8)
+    labels = np.empty((_column_group_order(shape), sum(shape)), dtype=np.int8)
     signs = np.ones(len(labels), dtype=np.int8)
     later = len(labels)
     for c, h in enumerate(heights):
@@ -485,7 +491,7 @@ def _polytabloid_bytes(shape: Partition, m: int, d: int, later: int) -> int:
     entry, and one chunk of tableaux: its cell numbers, and 2n + 16 bytes a
     column permutation for its words, index_of's copy and their positions."""
     n = sum(shape)
-    group = prod(factorial(h) for h in _column_heights(shape))
+    group = _column_group_order(shape)
     kept = m * n + 8 * d + group * (2 * n + 1)
     columns = 8 * d * group + min(d, _TABLEAU_CHUNK) * (group * (2 * n + 16) + 16 * n)
     return 64 * 1024 + max(_basis_bytes(shape, m), kept + max(columns, later))
@@ -505,19 +511,10 @@ def gram_irreducibility(shape: Partition, p: int) -> bool:
 
 
 def _gram_bytes(shape: Partition, m: int, d: int, p: int) -> int:
-    """Bytes that bound what gram_irreducibility allocates: E's making, then
-    the larger of E's structure with E^T E mod p (gfp._column_gram_bytes) and
-    G's elimination (_polytabloid_bytes): G in _signed(p - 1), its copy in
-    the storage type, a block of the panel update (at most _BATCH + d
-    entries: the product, its cast and the rows it updates, in the storage
-    type, where an object is a pointer and an int < 2^120), six int64
-    arrays of d x min(d, _PANEL) and the pivot list, 48 bytes a pivot."""
-    group = prod(factorial(h) for h in _column_heights(shape))  # entries in a column of E
-    storage = _exact_type(_PANEL * (p - 1) ** 2)[0]
-    s = 48 if storage is np.int64 else np.dtype(storage).itemsize
-    g = np.dtype(_signed(p - 1)).itemsize
-    elimination = d * d * (g + s) + 3 * s * min(_BATCH + d, d * d) + 48 * d * (min(d, _PANEL) + 1)
-    return _polytabloid_bytes(shape, m, d, max(8 * d * group + _column_gram_bytes(m, d, group, p), elimination))
+    """Bytes that bound what gram_irreducibility allocates: E's making
+    (_polytabloid_bytes), then E^T E mod p from E's structure and G's rank
+    (gfp._column_gram_bytes)."""
+    return _polytabloid_bytes(shape, m, d, _column_gram_bytes(m, d, _column_group_order(shape), p))
 
 
 # ---------------------------------------------------------------------------
@@ -527,28 +524,13 @@ def _gram_bytes(shape: Partition, m: int, d: int, p: int) -> int:
 
 def _dual_specht_bytes(shape: Partition, m: int, d: int, gens: int, p: int) -> int:
     """Bytes that bound what dual_specht_invariant_dim allocates at p: E's
-    making, then the g d x d int8 blocks of g generators with the largest of
-    (_polytabloid_bytes) their making from E's N = d |C_t| entries (8 bytes
-    a tabloid, 17 an entry and 40 a hit, at most min(N, d^2)); the
-    elimination's copy of them in its storage type (float32 for p <= 509,
-    else 8 bytes an entry) with either a block of the panel update (at most
-    _BATCH + d entries: the product, its cast and the rows it updates, where
-    an object is a pointer and an int < 2^120) and six int64 arrays of g d x
-    min(d, _PANEL), or the RREF's int64 rows, at most d x d, and their
-    reduction's buffer, and the pivot list, 48 bytes a pivot; and the
-    kernel's int64 basis, at most d x d, with its reversed copy.
-    Tracemalloc peaks stayed below it on 2206 cases: every shape with
-    4 <= n <= 10 and m <= 60000 under the two-part Young subgroups, the
-    trivial group, A_n, the wreath subgroups with their alternating parts
-    and the index-2 subgroups, at p = 3 and 65521."""
-    n = d * prod(factorial(h) for h in _column_heights(shape))
-    storage = _exact_type(_PANEL * (p - 1) ** 2)[0]
-    s = np.dtype(storage).itemsize
-    f = 48 if storage is np.int64 else s
+    making (_polytabloid_bytes), then the g d x d int8 blocks of g
+    generators with the larger of their making from E's N = d |C_t| entries
+    (8 bytes a tabloid, 17 an entry and 40 a hit, at most min(N, d^2)) and
+    the kernel's workspace (gfp._echelon_bytes)."""
+    n = d * _column_group_order(shape)
     reading = 8 * m + 17 * n + 40 * min(n, d * d)
-    update = 3 * f * min(_BATCH + d, gens * d * d) + 48 * gens * d * min(d, _PANEL)
-    elimination = s * gens * d * d + max(update, 8 * d * d + 8 * min(_BATCH, d * d)) + 48 * d
-    return _polytabloid_bytes(shape, m, d, gens * d * d + max(reading, elimination, 16 * d * d))
+    return _polytabloid_bytes(shape, m, d, gens * d * d + max(reading, _echelon_bytes(gens * d, d, p, True)))
 
 
 def _dual_specht_preflight(shape: Partition, p: int, spec: SubgroupSpec) -> tuple[Partition, list[Perm]]:
@@ -621,25 +603,35 @@ def invariant_dims(shape: Partition, p: int, spec: SubgroupSpec) -> dict:
     """dim_M_H, the number of orbits; dim_dualS_H, as dual_specht_invariant_dim;
     and on a shape of at most two rows dim_Z_H and hom_gap, Z = (S^shape)^perp
     (see z_invariant_dim), from one orbit labelling and one E.  Refuses what
-    dual_specht_invariant_dim refuses, first.
+    dual_specht_invariant_dim refuses, first, and then, before E is built, a
+    dim Z^H beyond physical memory.
 
     The orbit sums are a basis of M^H, and sum_O c_O O lies in Z iff it pairs
     to zero with every polytabloid, that is iff sum_O c_O s_O = 0 for s_O the
     sum of the rows of E at the tabloids of O.  So dim Z^H is the number of
-    orbits less the rank of the orbit sums (one bincount over E's entries)."""
+    orbits less the rank of the orbit sums: d x orbits float64 sums, with
+    either the N = d |C_t| cells and weights of their bincount, 17 bytes an
+    entry, or their int64 copy and its rank (gfp._echelon_bytes)."""
     shape, gens = _dual_specht_preflight(shape, p, spec)
     roots, orbit = np.unique(_orbit_labels(spec, perm_basis(shape)), return_inverse=True)
+    d, o, two_rows = hook_dimension(shape), len(roots), len(shape) <= 2
+    if two_rows:  # beside E's structure, the orbit labels and what E's making keeps
+        n = d * _column_group_order(shape)
+        step = 8 * d * o + max(17 * n, 8 * d * o + _echelon_bytes(d, o, p, False))
+        need = _polytabloid_bytes(shape, len(orbit), d, 8 * (n + len(orbit) + o) + step)
+        _refuse_beyond_memory(need, f"dim Z^H of {shape} under {spec}", f"dim S = {d}, {o} orbits")
     e = index, signs = polytabloid_matrix(shape)
     zs = {}
-    if len(shape) <= 2:
-        cells = orbit[index] + len(roots) * np.arange(len(index))[:, None]
-        sums = np.bincount(cells.ravel(), np.broadcast_to(signs, index.shape).ravel(), len(roots) * len(index))
-        dim_z_h = len(roots) - rank(sums.reshape(len(index), len(roots)).astype(np.int64), p)
-        del cells, sums
-        zs = {"dim_Z_H": dim_z_h, "hom_gap": dim_z_h < len(roots)}
+    if two_rows:
+        cells = orbit[index] + o * np.arange(d)[:, None]
+        sums = np.bincount(cells.ravel(), np.broadcast_to(signs, index.shape).ravel(), o * d).reshape(d, o)
+        del cells
+        dim_z_h = o - rank(np.mod(sums, p, out=sums).astype(np.int64), p)
+        del sums
+        zs = {"dim_Z_H": dim_z_h, "hom_gap": dim_z_h < o}
     blocks = _fixed_class_blocks(e, shape, gens)
     del e, index, orbit  # not needed while the blocks are eliminated
-    return {"dim_M_H": len(roots), "dim_dualS_H": kernel(blocks, p).dim, **zs}
+    return {"dim_M_H": o, "dim_dualS_H": kernel(blocks, p).dim, **zs}
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,18 @@ def test_branch_command():
     assert payload["char0"] == {"(4,1)": 1, "(3,2)": 1}
 
 
+@pytest.mark.parametrize("p", ["0", "-3", "2", "4"])
+def test_branch_checks_p(capsys, p):
+    """branch refuses a p that is not an odd prime with exit 2 and the
+    message: p = 0 and -3 used to print the char-0 restriction, as no
+    crystal operator ran to check p."""
+    from spinrest import cli
+
+    assert cli.main(["branch", "--lambda", "(4,2)", "--p", p]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"p must be an odd prime >= 3, got {p}" in err
+
+
 def test_reg_command():
     code, out, _ = run_cli("--format", "json", "reg", "--lambda", "(11,2,1)", "--p", "5")
     assert code == 0
@@ -154,6 +166,26 @@ def test_invariants_builds_e_once(monkeypatch, capsys, shape, subgroup):
     assert cli.main(["invariants", "--shape", shape, "--p", "3", "--subgroup", subgroup]) == 0
     assert len(calls) == 1
     assert "dim_dualS_H" in capsys.readouterr().out
+
+
+def test_invariants_refuses_z_step_beyond_memory(monkeypatch, capsys):
+    """(8,8) under the trivial group mod 3 passes the dual-Specht preflight
+    (about 33 MB) with 0.1 GB of physical memory, but its 1430 x 12870
+    orbit sums, their copy and their rank do not fit: exit 2 with the
+    estimate, before E is built."""
+    from spinrest import cli, specht
+
+    def unreachable(*args):
+        raise AssertionError("the request should have been refused before this call")
+
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 25_000}
+    monkeypatch.setattr(specht.os, "sysconf", pages.__getitem__)
+    monkeypatch.setattr(specht, "polytabloid_matrix", unreachable)
+    subgroup = "S(" + ",".join("1" * 16) + ")"
+    assert cli.main(["invariants", "--shape", "(8,8)", "--p", "3", "--subgroup", subgroup]) == 2
+    out, err = capsys.readouterr()
+    want = f"dim Z^H of (8, 8) under {subgroup} needs about 0.4 GB (dim S = 1430, 12870 orbits), more than the 0.1 GB"
+    assert out == "" and want in err
 
 
 def test_invariants_makes_one_lattice_pass(monkeypatch, capsys):

@@ -545,20 +545,23 @@ def test_dual_specht_counts_the_tabloid_basis_against_memory(monkeypatch):
         ((8,), wreath_alt(2, 4)),
         ((1,) * 9, alt_young(9, (9,))),
         ((6, 3, 1), young(10, (1,) * 10)),
+        ((3, 2, 1), wreath(3, 2)),
+        ((4, 2, 1), young(7, (4, 3))),
     ],
 )
 def test_dual_specht_memory_bound_holds(shape, spec):
     """The bytes the refusal is based on cover what the computation
     allocates, tabloid basis and column table included, as traced by
-    tracemalloc: at p = 3, where the elimination stores float32, and at
-    p = 65521, where it stores float64."""
+    tracemalloc: at p = 3, where the elimination stores float32, at
+    p = 65521, where it stores float64, and for n <= 7 at p = 11863289,
+    where it stores int64 and multiplies in object arithmetic."""
     import tracemalloc
 
     from spinrest import specht
 
     n = sum(shape)
     m = factorial(n) // np.prod([factorial(part) for part in shape])
-    for p in (3, 65521):
+    for p in (3, 65521, 11863289) if n <= 7 else (3, 65521):
         bound = specht._dual_specht_bytes(shape, m, hook_dimension(shape), len(generators(spec)), p)
         specht.perm_basis.cache_clear()
         specht._column_table.cache_clear()
@@ -569,6 +572,36 @@ def test_dual_specht_memory_bound_holds(shape, spec):
         finally:
             tracemalloc.stop()
         assert peak <= bound, p
+
+
+def test_z_step_memory_bound_holds(monkeypatch):
+    """invariant_dims on (8,8) under the trivial group mod 3 sums E's rows
+    over 12870 orbits into 1430 x 12870 float64 sums, copies them to int64
+    and takes their rank: about 0.39 GB under tracemalloc, ten times the
+    dual-Specht preflight.  The bytes the dim Z^H refusal states cover it."""
+    import tracemalloc
+
+    from spinrest import specht
+
+    stated = {}
+    refuse = specht._refuse_beyond_memory
+
+    def record(need, what, detail):
+        stated[what] = need
+        refuse(need, what, detail)
+
+    monkeypatch.setattr(specht, "_refuse_beyond_memory", record)
+    specht.perm_basis.cache_clear()
+    specht._column_table.cache_clear()
+    tracemalloc.start()
+    try:
+        dims = specht.invariant_dims((8, 8), 3, young(16, (1,) * 16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dims == {"dim_M_H": 12870, "dim_dualS_H": 1430, "dim_Z_H": 11440, "hom_gap": True}
+    z_step = stated[f"dim Z^H of (8, 8) under {young(16, (1,) * 16)}"]
+    assert peak <= z_step and 10 * stated["(S^(8, 8))^*"] < peak
 
 
 def test_gram_refuses_shapes_beyond_memory(monkeypatch):
@@ -606,12 +639,13 @@ def _traced_gram_peak(shape, p) -> int:
 @pytest.mark.parametrize(
     "shape, p",
     [(shape, p) for shape in [(4, 3, 2, 1), (3, 3, 2, 1), (5, 2, 2), (1,) * 8, (8,), (4, 4)] for p in (3, 65521)]
-    + [((4, 3, 1), 11863279), ((1,) * 5, 11863279)],
+    + [((4, 3, 1), 11863279), ((1,) * 5, 11863279), ((4, 2, 1), 11863289), ((3, 2, 1), 11863289)],
 )
 def test_gram_memory_bound_holds(shape, p):
     """The bytes the Gram refusal is based on cover what gram_irreducibility
     allocates, as traced by tracemalloc: in float32 and float64 products,
-    and at p = 11863279, where m (p - 1)^2 > 2^53, in object arithmetic."""
+    at p = 11863279, where m (p - 1)^2 > 2^53, in object arithmetic, and at
+    p = 11863289, where the elimination also stores int64."""
     from spinrest import specht
 
     m = factorial(sum(shape)) // prod(factorial(part) for part in shape)
