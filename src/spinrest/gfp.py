@@ -17,19 +17,19 @@ Subspaces carry a canonical reduced-echelon basis, so equality is matrix
 equality.
 
 Reduction mod p is delayed, as in FFLAS-FFPACK (Dumas, Giorgi and Pernet,
-ACM TOMS 2008): elimination subtracts unreduced products and reduces only
-before an entry could leave the range its type holds exactly, and at the
-end.  Products of residue matrices run in the narrowest exact type: float32
-while every inner product stays below 2^24, float64 below 2^53, and object
-integers beyond; BLAS sees a Gram product b.T @ b as symmetric.
-_column_gram forms EᵀE from E's column structure row by row, as in
-Gustavson's sparse product (ACM TOMS 1978): a row with few nonzeros adds
-its pair products e_ri e_rj by bincount, and only the other rows are made
-dense, for BLAS, in bounded strips.  Its sum and its result take the
-narrowest signed integer type that holds them, int16 and int8 for
-S^(6,4,2) mod 3, which elimination reads as they are.  Elimination states
-its own memory (_echelon_bytes), which callers compose to refuse a request
-beyond physical memory before they allocate it."""
+ACM TOMS 2008): elimination stores the matrix in int16 for p <= 7, which
+holds p - 1 plus eight panels' products, else in the narrowest type that
+holds one exactly (_storage), subtracts unreduced products, and reduces
+only before an entry could leave that range, and at the end.  Products of residue matrices run in the
+narrowest exact type: float32 while every inner product stays below 2^24,
+float64 below 2^53, and object integers beyond; BLAS sees a Gram product
+b.T @ b as symmetric.  _column_gram forms EᵀE from E's column structure
+row by row, as in Gustavson's sparse product (ACM TOMS 1978): a row with
+few nonzeros adds its pair products e_ri e_rj by bincount, and only the
+other rows are made dense, for BLAS, in bounded tiles.  Both are summed
+straight into G, reduced, in the narrowest signed type that holds [0, p).
+Elimination states its own memory (_echelon_bytes), which callers compose
+to refuse a request beyond physical memory before they allocate it."""
 
 from dataclasses import dataclass, field
 from math import isqrt
@@ -64,9 +64,15 @@ def _exact_type(bound: int) -> tuple[type, int, int]:
 
 
 def _storage(p: int) -> tuple[type, int, int]:
-    """_exact_type of a full panel's product: the type _echelon stores the
-    matrix in, float32 for p <= 509, float64 for p <= 11863279, else int64."""
-    return _exact_type(_PANEL * (p - 1) ** 2)
+    """_echelon's storage type, the magnitude it holds exactly, and the
+    bytes of a full panel's product entry (_exact_type's): int16 for p <= 7,
+    where it holds p - 1 plus eight panels' products (from p = 11 it would
+    be reduced every fifth panel or more often, and measured slower), else
+    float32 for p <= 509, float64 for p <= 11863279, and int64 beyond."""
+    dtype, limit, f = _exact_type(_PANEL * (p - 1) ** 2)
+    if p - 1 + 8 * _PANEL * (p - 1) ** 2 <= np.iinfo(np.int16).max:
+        return np.int16, np.iinfo(np.int16).max, f
+    return dtype, limit, f
 
 
 def _pivot_transform(m: np.ndarray, p: int, full: bool, delay: int) -> np.ndarray:
@@ -287,15 +293,14 @@ def _column_gram(index: np.ndarray, values, p: int) -> np.ndarray:
 
     The nonzeros are sorted by row, then by column (Gustavson, ACM TOMS
     4(3), 1978).  A row of r nonzeros is dense if r * _KAPPA > d; only the
-    dense rows are formed, as h, and their products taken by matmul_mod in
-    column strips of the upper triangle, G[:j1, j0:j1] from h[:, :j1] and
-    h[:, j0:j1], of at most _BATCH entries each, so that no d x d product
-    exists.  Every other row adds its pair products b_ri b_rj, i <= j, by
-    one float64 bincount per batch of columns i (_add_pairs), found in the
-    nonzeros' column order, exact while c v^2 < 2^53 for v the largest
-    |value| (else every row is dense).  The upper triangle is summed in the narrowest signed type that
-    holds p - 1 + c v^2 (int16 for S^(6,4,2) mod 3), and then mirrored and
-    reduced, _PANEL rows at a time."""
+    dense rows are formed, as h, and their products taken by matmul_mod,
+    reduced, in square tiles of the upper triangle, isqrt(batch) wide but
+    at least _PANEL, so that no d x d product exists.  Every other row adds
+    its pair products b_ri b_rj, i <= j, by one float64 bincount per batch
+    of columns i, of at most `batch` pairs and cells (_add_pairs), found in
+    the nonzeros' column order, exact while c v^2 < 2^53 for v the largest
+    |value| (else every row is dense).  G's upper triangle is then mirrored
+    in place, _PANEL columns at a time."""
     d, c = index.shape
     flat = np.broadcast_to(values, index.shape).ravel()
     order = np.argsort(index, axis=None, kind="stable")  # by row, then by column
@@ -303,8 +308,7 @@ def _column_gram(index: np.ndarray, values, p: int) -> np.ndarray:
     row, col, val = index.ravel()[order], order // max(c, 1), flat[order]
     del order, flat
     count = np.bincount(row)
-    v2 = c * int(np.abs(val).max(initial=0)) ** 2  # bounds |a pair sum| of one cell
-    dense = (count * _KAPPA > d) | (v2 >= 2**53)
+    dense = (count * _KAPPA > d) | (c * int(np.abs(val).max(initial=0)) ** 2 >= 2**53)  # or a cell's pair sum may round
     heavy = dense[row]
     h = np.zeros((np.count_nonzero(dense), d), val.dtype)
     h[(np.cumsum(dense) - 1)[row[heavy]], col[heavy]] = val[heavy]
@@ -312,49 +316,47 @@ def _column_gram(index: np.ndarray, values, p: int) -> np.ndarray:
     del row, count, dense
     col, val, rep = col[~heavy], val[~heavy], rep[~heavy]
     del heavy
-    out = np.zeros((d, d), _signed(p - 1 + (v2 if len(col) else 0)))
-    j1 = 0
-    while len(h) and j1 < d:  # the widest w with (j0 + w) w <= _BATCH; the first strip is a Gram product
-        j0, j1 = j1, min(j1 + max((isqrt(j1 * j1 + 4 * _BATCH) - j1) // 2, 1), d)
-        out[:j1, j0:j1] = matmul_mod(h[:, :j1].T, h[:, j0:j1], p)
+    g = np.zeros((d, d), _signed(p - 1))
+    batch = min(_BATCH, d * d // 48)  # at about 48 bytes an entry, within the elimination's copy of G
+    w = max(isqrt(batch), _PANEL)
+    for i in range(0, d if len(h) else 0, w):
+        for j in range(i, d, w):
+            g[i : i + w, j : j + w] = matmul_mod(h[:, i : i + w].T, h[:, j : j + w], p)
     del h
     if len(col):
         per_col = np.bincount(col, weights=rep, minlength=d).tolist()
         by_col = np.argsort(col.astype(np.min_scalar_type(d)), kind="stable")  # a radix sort while d < 2^16
         start = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=d))]).tolist()
-        batch = min(_BATCH, d * d // 8)  # at about 40 bytes a pair, within 5 d x d float32 arrays
         c0 = pairs = 0
         for c1 in range(d):
             if c1 > c0 and (pairs + per_col[c1] > batch or (c1 + 1 - c0) * (d - c0) > batch):
-                _add_pairs(out, col, val, rep, by_col[start[c0] : start[c1]], c0, c1)
+                _add_pairs(g, col, val, rep, by_col[start[c0] : start[c1]], c0, c1, p)
                 c0, pairs = c1, 0
             pairs += per_col[c1]
-        _add_pairs(out, col, val, rep, by_col[start[c0] :], c0, d)
+        _add_pairs(g, col, val, rep, by_col[start[c0] :], c0, d, p)
         del by_col
     del col, val, rep
-    g = np.empty((d, d), _signed(p - 1))
-    for i in range(0, d, _PANEL):
-        j = i + _PANEL
-        corner = np.triu(out[i:j, i:j]) + np.triu(out[i:j, i:j], 1).T
-        g[i:j, i:j] = corner - corner // p * p
-        g[i:j, j:] = out[i:j, j:] - out[i:j, j:] // p * p
-        g[j:, i:j] = g[i:j, j:].T
+    for i in range(0, d, _PANEL):  # mirror the upper triangle
+        g[i:, i : i + _PANEL] = np.tril(g[i : i + _PANEL, i:].T) + np.triu(g[i:, i : i + _PANEL], 1)
     return g
 
 
-def _add_pairs(out: np.ndarray, col: np.ndarray, val: np.ndarray, rep: np.ndarray, k: np.ndarray, c0: int, c1: int) -> None:
-    """Add to out[c0:c1, c0:] the products of each nonzero k, those in
+def _add_pairs(g: np.ndarray, col: np.ndarray, val: np.ndarray, rep: np.ndarray, k: np.ndarray, c0: int, c1: int, p: int) -> None:
+    """Add to g[c0:c1, c0:], mod p, the products of each nonzero k, those in
     columns [c0, c1), with the rep[k] nonzeros from k on in its row, all in
-    one row of b and in column order: the pairs i <= j."""
+    one row of b and in column order: the pairs i <= j, summed exactly in
+    float64 and reduced with g's cells in int64."""
     n = rep[k]
     partner = np.repeat(k - np.cumsum(n) + n, n)
     partner += np.arange(len(partner))
     weight = np.repeat(val[k].astype(np.float64), n)
     weight *= val[partner]
-    width = out.shape[1] - c0
+    width = g.shape[1] - c0
     flat = np.repeat((col[k] - c0) * width - c0, n)
     flat += col[partner]
-    out[c0:c1, c0:] += np.bincount(flat, weight, minlength=(c1 - c0) * width).reshape(c1 - c0, width).astype(out.dtype)
+    cells = np.bincount(flat, weight, minlength=(c1 - c0) * width).astype(np.int64).reshape(c1 - c0, width)
+    cells += g[c0:c1, c0:]
+    g[c0:c1, c0:] = _mod(cells, p)
 
 
 def _column_gram_bytes(m: int, d: int, c: int, p: int) -> int:
@@ -363,21 +365,19 @@ def _column_gram_bytes(m: int, d: int, c: int, p: int) -> int:
     N = d c.  While G is formed: the index, 8 bytes an entry, 24 bytes a
     row, and the largest of the sort and split, 44 bytes an entry, with the
     dense rows h (at most min(m, c _KAPPA), as each has more than d / _KAPPA
-    entries); the strips, with the kept 17 bytes an entry and the d x d sum
-    in _signed(p - 1 + c), h, a strip and its prefix in the exact type (at
-    _exact_type's product bytes) and the strip's product, twice in that
-    type and twice in int64; the sparse sum, with the same kept bytes, 8
-    bytes an entry for the column order, and its sort, 10 more, or a batch:
-    48 bytes a pair (at most the batch size and one column's pairs more) and
-    16 a cell; and the sum, G and 32 bytes for each of _PANEL rows of d.
-    Then G, with its rank's workspace (_echelon_bytes)."""
-    n, dense, batch = d * c, min(m, c * _KAPPA), min(_BATCH, d * d // 8)
-    f = _exact_type(dense * (p - 1) ** 2)[2]
-    summed, reduced = (np.dtype(_signed(bound)).itemsize * d * d for bound in (p - 1 + c, p - 1))
-    strips = dense * d + f * dense * (d + isqrt(_BATCH)) + (2 * f + 16) * min(_BATCH, d * d)
+    entries); with the kept 17 bytes an entry and G, a tile (h, two w-wide
+    blocks of it and their product at _exact_type's bytes, the product's
+    int64 copy and _mod's buffer) or a batch (8 bytes an entry for the
+    column order and its sort, 10 more, or 48 bytes a pair, at most the
+    batch and one column's pairs, and 16 a cell).  Then G, with its rank's
+    workspace (_echelon_bytes)."""
+    n, dense, batch = d * c, min(m, c * _KAPPA), min(_BATCH, d * d // 48)
+    w, f = min(max(isqrt(batch), _PANEL), d), _exact_type(dense * (p - 1) ** 2)[2]
+    g = np.dtype(_signed(p - 1)).itemsize * d * d
+    tile = dense * d + 2 * f * dense * w + (f + 16) * w * w
     sparse = 8 * n + max(10 * n, 48 * (batch + c * (d // _KAPPA)) + 16 * batch)
-    product = 8 * n + 24 * m + max(44 * n + dense * d, 17 * n + summed + max(strips, sparse), summed + reduced + 32 * _PANEL * d)
-    return max(product, reduced + _echelon_bytes(d, d, p, False))
+    product = 8 * n + 24 * m + max(44 * n + dense * d, 17 * n + g + max(tile, sparse))
+    return max(product, g + _echelon_bytes(d, d, p, False))
 
 
 def _mod(out: np.ndarray, p: int) -> np.ndarray:

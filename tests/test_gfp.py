@@ -147,20 +147,32 @@ def test_delayed_reduction_matches_reference():
         _assert_matches_reference(_known_rank(rng, 80, 90, 60, p), p)
 
 
-# adjacent primes on either side of the exact range of the float32 and the
-# float64 storage of the elimination core: _PANEL (p - 1)^2 against 2^24 and 2^53
-STORAGE_PRIMES = {509: np.float32, 521: np.float64, 11863279: np.float64, 11863289: np.int64}
+# adjacent primes on either side of the range of each storage type of the
+# elimination core: p - 1 + 8 _PANEL (p - 1)^2 against 32767 (int16), and
+# _PANEL (p - 1)^2 against 2^24 and 2^53 (float32 and float64); and 3, the
+# prime of the Gram criterion on S^(6,4,2)
+STORAGE_PRIMES = {
+    2: np.int16,
+    3: np.int16,
+    7: np.int16,
+    11: np.float32,
+    509: np.float32,
+    521: np.float64,
+    11863279: np.float64,
+    11863289: np.int64,
+}
 
 
 @pytest.mark.parametrize("p", sorted(STORAGE_PRIMES))
 def test_storage_tiers_match_reference(p):
     """Shapes past several panels, with many row swaps and with a known rank,
-    at the primes next to each storage limit.  At 509 and 11863279 one full
-    panel product nearly fills the exact range, so the matrix is reduced
-    after every panel; unreduced, the 420 x 400 matrix there would leave it
-    after about four panels.  That one is too large for the reference
-    elimination and is checked by its known rank and exact identities."""
-    assert gfp._exact_type(gfp._PANEL * (p - 1) ** 2)[0] is STORAGE_PRIMES[p]
+    at the primes next to each storage limit, in the type that _echelon
+    stores.  At 509 and 11863279 one full panel product nearly fills the
+    range of the storage type, so the matrix is reduced after every panel;
+    unreduced, the 420 x 400 matrix there would leave it after about four
+    panels.  That one is too large for the reference elimination and is
+    checked by its known rank and exact identities."""
+    assert gfp._storage(p)[0] is STORAGE_PRIMES[p]
     rng = np.random.default_rng(p % 1000)
     _assert_matches_reference(_swap_heavy(rng, 150, 140, p), p)
     _assert_matches_reference(_swap_heavy(rng, 90, 200, p), p)
@@ -177,6 +189,31 @@ def test_storage_tiers_match_reference(p):
     assert np.array_equal(matmul_mod(a[:, pivots], matmul_mod(red, v, p), p), matmul_mod(a, v, p))
     ker = kernel(a, p)
     assert ker.dim == 70 and not np.any(matmul_mod(matmul_mod(w, a, p), ker.basis.T, p))
+
+
+def test_int16_storage_is_reduced_in_time():
+    """a = [I, Y; C, Z] mod 7, with Y and C all p - 1: each of the first
+    r / _PANEL panels takes its pivots from I, without a swap, and moves
+    every entry of the rows of C right of I by exactly _PANEL (p - 1)^2 =
+    2304.  int16 holds 14 such panels after p - 1, so over r = 1024 rows,
+    16 panels, those entries would wrap unless the matrix is reduced in
+    time.  The rows of C then hold the Schur complement Z - C Y, which the
+    reference eliminates."""
+    p, r = 7, 1024
+    assert gfp._storage(p)[0] is np.int16 and 14 * 2304 + p - 1 <= 32767 < 15 * 2304
+    rng = np.random.default_rng(7)
+    z = rng.integers(0, p, (40, 60))
+    a = np.block([[np.eye(r, dtype=np.int64), np.full((r, 60), p - 1)], [np.full((40, r), p - 1), z]])
+    schur = (z - r * (p - 1) ** 2) % p
+    want_red, want_pivots = gauss_jordan(schur.tolist(), 60, p)
+    red, pivots = rref(a, p)
+    assert pivots == list(range(r)) + [r + c for c in want_pivots]
+    assert rank(a, p) == len(pivots)
+    assert not red[r:, :r].any() and red[r:, r:].tolist() == want_red
+    v = rng.integers(0, p, (r + 60, 4))  # a = a[:, pivots] red, checked on random vectors
+    assert np.array_equal(matmul_mod(a[:, pivots], matmul_mod(red, v, p), p), matmul_mod(a, v, p))
+    ker = kernel(a, p)
+    assert ker.dim == r + 60 - len(pivots) and not np.any(matmul_mod(a, ker.basis.T, p))
 
 
 @pytest.mark.parametrize("limit", [2**24, 2**53])
@@ -267,11 +304,13 @@ def test_gram_sparse_rows_match_object_products(limit, monkeypatch):
     is dense and summed in blocks).  The entries are signed, and the padding
     entries 0 are skipped.  matmul_mod reads the same b with unreduced
     entries.  With one pair and one cell a batch, every column is a batch
-    of its own.  At p = 65521, G is returned in int32 and the pair sums
-    leave int32, so the sum must be wider than G."""
+    of its own; the tiles of the dense rows' product stay _PANEL wide at
+    both batch sizes (two column blocks, the last one partial).  At
+    p = 65521, G is returned in int32 and the pair sums leave int32, so
+    they must be added to G in a wider type."""
     pairs = []
     add = gfp._add_pairs
-    monkeypatch.setattr(gfp, "_add_pairs", lambda *args: pairs.append(args[-2:]) or add(*args))
+    monkeypatch.setattr(gfp, "_add_pairs", lambda *args: pairs.append(args[5:7]) or add(*args))
     rng = np.random.default_rng(limit % 991)
     rows, d = 201, 3 * gfp._KAPPA
     narrow = np.float32 if limit == 2**24 else np.float64
@@ -340,19 +379,19 @@ def _traced_peak(call):
 
 
 def test_rank_updates_panels_in_row_blocks():
-    """rank of a 2400 x 1800 int8 matrix mod 3 holds its float32 storage
-    copy and, beyond it, at most the room of three int64 blocks of _BATCH
+    """rank of a 2400 x 1800 int8 matrix mod 3 holds its int16 storage copy
+    and, beyond it, at most the room of three int64 blocks of _BATCH
     entries (the panel copy, an update block and its coefficients): the
-    panel update runs in row blocks, so no 2400 x 1800 product, as large as
+    panel update runs in row blocks, so no 2400 x 1800 product, larger than
     the storage copy, is ever formed."""
     a = np.random.default_rng(3).integers(-1, 2, (2400, 1800)).astype(np.int8)
     r, peak = _traced_peak(lambda: rank(a, 3))
-    assert r == 1800 and peak <= 4 * a.size + 3 * 8 * gfp._BATCH
+    assert r == 1800 and peak <= 2 * a.size + 3 * 8 * gfp._BATCH
 
 
 def test_rref_reduces_its_one_int64_copy():
     """rref of a reversed-column int8 view (as kernel passes it) holds the
-    float32 storage copy and one int64 copy of the echelon rows, reduced in
+    int16 storage copy and one int64 copy of the echelon rows, reduced in
     place through a buffer of _BATCH entries, and gives the rows and pivots
     of the same matrix as a contiguous int64 array."""
     view = np.random.default_rng(9).integers(-1, 2, (1500, 1200)).astype(np.int8)[:, ::-1]
@@ -360,7 +399,7 @@ def test_rref_reduces_its_one_int64_copy():
     (red, pivots), peak = _traced_peak(lambda: rref(view, 3))
     assert pivots == want_pivots and red.dtype == np.int64 and np.array_equal(red, want_red)
     assert np.array_equal(red[:, pivots], np.eye(len(pivots), dtype=np.int64))
-    assert peak <= 4 * view.size + 8 * red.size + 8 * gfp._BATCH + 2_000_000
+    assert peak <= 2 * view.size + 8 * red.size + 8 * gfp._BATCH + 2_000_000
 
 
 def test_kernel_runs_one_rref(monkeypatch):

@@ -505,8 +505,8 @@ def test_dual_specht_refuses_beyond_physical_memory(monkeypatch):
     2673 x 2673 int8 blocks, one per generator, the blocks' float64 copy
     and the RREF's int64 rows, about 0.25 GB) is refused before any basis
     or matrix is built, and (5,3,2) under W(2,5) mod 3 (about 12 MB) still
-    runs.  Mod 3 the elimination stores float32, and (6,4,2) needs about
-    0.17 GB."""
+    runs.  Mod 3 the elimination stores int16, and (6,4,2) needs about
+    0.14 GB."""
     from spinrest import specht
 
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 48_800}
@@ -552,7 +552,7 @@ def test_dual_specht_counts_the_tabloid_basis_against_memory(monkeypatch):
 def test_dual_specht_memory_bound_holds(shape, spec):
     """The bytes the refusal is based on cover what the computation
     allocates, tabloid basis and column table included, as traced by
-    tracemalloc: at p = 3, where the elimination stores float32, at
+    tracemalloc: at p = 3, where the elimination stores int16, at
     p = 65521, where it stores float64, and for n <= 7 at p = 11863289,
     where it stores int64 and multiplies in object arithmetic."""
     import tracemalloc
@@ -606,17 +606,17 @@ def test_z_step_memory_bound_holds(monkeypatch):
 
 def test_gram_refuses_shapes_beyond_memory(monkeypatch):
     """S^(7,5,3) has m = 360360 tabloids and d = 45045, so G takes 2 GB in
-    int8 and its float32 copy for the elimination 8.1 GB: with 8 GB of
+    int8 and its int16 copy for the elimination 4.1 GB: with 4 GB of
     physical memory the Gram criterion is refused, with its estimate,
     before any basis or E is built."""
     from spinrest import specht
 
-    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2_000_000}
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1_000_000}
     monkeypatch.setattr(specht.os, "sysconf", pages.__getitem__)
     monkeypatch.setattr(specht, "perm_basis", _unreachable)
     monkeypatch.setattr(specht, "polytabloid_matrix", _unreachable)
     want = r"S\^\(7, 5, 3\)'s Gram matrix needs about [\d,.]+ GB \(m = 360360 tabloids, dim S = 45045\), more than"
-    with pytest.raises(ValueError, match=want + r" the 8\.2 GB"):
+    with pytest.raises(ValueError, match=want + r" the 4\.1 GB"):
         gram_irreducibility((7, 5, 3), 3)
 
 
@@ -655,22 +655,22 @@ def test_gram_memory_bound_holds(shape, p):
 @pytest.mark.parametrize("shape", [(4, 3, 2, 1), (5, 3, 1)])
 def test_gram_keeps_one_dense_copy_of_e(shape):
     """The Gram criterion holds no dense E, only E's column structure, the
-    sparse rows' batches, strips of the dense rows' product and d x d
-    arrays: the narrow sum and G, then G's elimination, all within the room
-    of one int8 E and three int64 d x d arrays.  An int64 copy of E, or a
-    float copy of the whole of it, would take four to eight times E
-    again."""
+    sparse rows' batches, tiles of the dense rows' product and G, then G's
+    elimination, all within the room of one int8 E and three int64 d x d
+    arrays.  An int64 copy of E, or a float copy of the whole of it, would
+    take four to eight times E again."""
     m, d = factorial(sum(shape)) // prod(factorial(part) for part in shape), hook_dimension(shape)
     assert _traced_gram_peak(shape, 3) <= m * d + 3 * 8 * d * d + 1_000_000
 
 
 def test_gram_of_642_peaks_below_one_int64_g():
     """The Gram criterion of inv42, S^(6,4,2) mod 3 (d = 2673), peaks below
-    8 d^2 bytes, the size of G in int64, under tracemalloc: G is summed in
-    int16 from strips of the dense rows' product, returned in int8, and
-    eliminated in float32 by row blocks."""
+    5 d^2 bytes, less than G in int64 (8 d^2), under tracemalloc: G is summed
+    straight into its reduced int8 form, from tiles of the dense rows'
+    product and batches of pair sums, and eliminated in int16 by row
+    blocks."""
     d = hook_dimension((6, 4, 2))
-    assert _traced_gram_peak((6, 4, 2), 3) < 8 * d * d
+    assert _traced_gram_peak((6, 4, 2), 3) < 5 * d * d
 
 
 def test_orbits_refuse_beyond_physical_memory(monkeypatch):
