@@ -11,18 +11,18 @@ product as large as the matrix is formed.  The scalar loop leaves its
 multipliers in the cells it clears, as LU factorizations do, so the
 transform of the panel's pivot rows is replayed on k x k arrays instead of
 by a second elimination.  Elimination refuses a p that is not prime, and
-as its row updates form products of two residues, p is limited to
-isqrt(2^63 - 1), where (p - 1)^2 still fits in int64.
-Subspaces carry a canonical reduced-echelon basis, so equality is matrix
-equality.
+every function a p above _P_MAX = 11863279, beyond which a full panel's
+product leaves the integers that float64 holds exactly.  Subspaces carry
+a canonical reduced-echelon basis, so equality is matrix equality.
 
 Reduction mod p is delayed, as in FFLAS-FFPACK (Dumas, Giorgi and Pernet,
-ACM TOMS 2008): elimination stores the matrix in int16 for p <= 7, which
-holds p - 1 plus eight panels' products, else in the narrowest type that
-holds one exactly (_storage), subtracts unreduced products, and reduces
-only before an entry could leave that range, and at the end.  Products of residue matrices run in the
-narrowest exact type: float32 while every inner product stays below 2^24,
-float64 below 2^53, and object integers beyond; BLAS sees a Gram product
+ACM TOMS 35(3), 2008): elimination stores the matrix in int16 for p <= 7,
+which holds p - 1 plus eight panels' products, else in float32 or float64,
+whichever holds one exactly (_storage), subtracts unreduced products, and
+reduces only before an entry could leave that range, and at the end.
+Products of residue matrices run in float32 while every inner product
+stays below 2^24, else in float64, over slices of the inner dimension,
+each reduced mod p, where it would pass 2^53; BLAS sees a Gram product
 b.T @ b as symmetric.  _column_gram forms EᵀE from E's column structure
 row by row, as in Gustavson's sparse product (ACM TOMS 1978): a row with
 few nonzeros adds its pair products e_ri e_rj by bincount, and only the
@@ -38,44 +38,39 @@ import numpy as np
 
 from .partitions import _is_prime
 
-_INT64_MAX = 2**63 - 1
-_P_MAX = isqrt(_INT64_MAX)
+# The largest prime with _PANEL (p - 1)^2 < 2^53, so that a full panel's
+# product is exact in float64.
+_P_MAX = 11863279
 _PANEL = 64
 
 
 def _check_prime(p: int) -> None:
-    """Refuse a p that elimination cannot work with: (p - 1)^2 must fit in
-    int64, which is checked before the primality test, and p must be prime."""
+    """Refuse a p that elimination cannot work with: p must be at most
+    _P_MAX, which is checked before the primality test, and prime."""
     if p > _P_MAX:
-        raise ValueError(f"p must be at most {_P_MAX} so that (p-1)^2 fits in int64, got {p}")
+        raise ValueError(f"p must be at most {_P_MAX}, the largest prime at which a panel product is exact in float64, got {p}")
     if not _is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
 
 
-def _exact_type(bound: int) -> tuple[type, int, int]:
-    """The narrowest of float32, float64 and int64 that holds every integer
-    below bound exactly, the magnitude up to which it does, and the bytes of
-    an entry of a product formed in it: its itemsize, or for int64, where
-    _product forms it in object integers, 48, a pointer and an int < 2^120."""
-    for dtype, limit in ((np.float32, 2**24), (np.float64, 2**53)):
-        if bound < limit:
-            return dtype, limit, np.dtype(dtype).itemsize
-    return np.int64, _INT64_MAX, 48
+def _exact_type(bound: int) -> tuple[type, int]:
+    """float32 if it holds every integer below bound exactly, else float64,
+    and the magnitude up to which it does (2^24 or 2^53)."""
+    return (np.float32, 2**24) if bound < 2**24 else (np.float64, 2**53)
 
 
-def _storage(p: int) -> tuple[type, int, int]:
-    """_echelon's storage type, the magnitude it holds exactly, and the
-    bytes of a full panel's product entry (_exact_type's): int16 for p <= 7,
-    where it holds p - 1 plus eight panels' products (from p = 11 it would
-    be reduced every fifth panel or more often, and measured slower), else
-    float32 for p <= 509, float64 for p <= 11863279, and int64 beyond."""
-    dtype, limit, f = _exact_type(_PANEL * (p - 1) ** 2)
+def _storage(p: int) -> tuple[type, int]:
+    """_echelon's storage type and the magnitude it holds exactly: int16 for
+    p <= 7, where it holds p - 1 plus eight panels' products (from p = 11 it
+    would be reduced every fifth panel or more often, and measured slower),
+    else _exact_type's for a full panel product: float32 for p <= 509 and
+    float64 up to _P_MAX."""
     if p - 1 + 8 * _PANEL * (p - 1) ** 2 <= np.iinfo(np.int16).max:
-        return np.int16, np.iinfo(np.int16).max, f
-    return dtype, limit, f
+        return np.int16, np.iinfo(np.int16).max
+    return _exact_type(_PANEL * (p - 1) ** 2)
 
 
-def _pivot_transform(m: np.ndarray, p: int, full: bool, delay: int) -> np.ndarray:
+def _pivot_transform(m: np.ndarray, p: int, full: bool) -> np.ndarray:
     """The k x k matrix T that takes a panel's k pivot rows, as they entered
     the scalar loop, to the rows it left: U, with unit pivots and zeros
     below them, or with full=True the RREF rows.
@@ -91,8 +86,6 @@ def _pivot_transform(m: np.ndarray, p: int, full: bool, delay: int) -> np.ndarra
     for j in range(len(m)):
         t[j] = t[j] % p * m[j, j] % p
         t -= np.outer(off[:, j], t[j])
-        if (j + 1) % delay == 0:
-            _mod(t, p)
     return _mod(t, p)
 
 
@@ -117,18 +110,17 @@ def _echelon(arr: np.ndarray, p: int, full: bool) -> tuple[np.ndarray, list[int]
 
     The scalar loop runs on an int64 copy of its panel.  There each pivot
     reduces only its column and its row, and subtracts the outer product
-    unreduced.  That moves an entry by at most (p - 1)^2, so the panel is
-    reduced after every `delay` pivots, by _mod, as are the panel copy, the
-    pivot-row transform and the gathered coefficients.  The panel products
+    unreduced.  That moves an entry by at most (p - 1)^2, at most _PANEL
+    times, which int64 holds; the panel copy, the pivot-row transform and
+    the gathered coefficients are reduced by _mod.  The panel products
     are subtracted unreduced from the matrix, stored in _storage's type,
     which `spread` keeps exact by reducing it in time; it is returned in
     that type.  _echelon_bytes bounds what this allocates.
     """
     _check_prime(p)
-    store, limit, _ = _storage(p)
+    store, limit = _storage(p)
     a = _reduced(arr, p).astype(store, order="C")
     rows, cols = a.shape
-    delay = (_INT64_MAX - p) // max((p - 1) ** 2, 1)
     spread = p - 1  # no entry of a is larger in magnitude
     pivots: list[int] = []
     top = c0 = 0
@@ -159,8 +151,6 @@ def _echelon(arr: np.ndarray, p: int, full: bool) -> tuple[np.ndarray, list[int]
             if clear.size:
                 work[clear, c + 1 :] -= np.outer(work[clear, c], work[r, c + 1 :])
             found.append(c)
-            if len(found) % delay == 0:
-                _mod(work, p)
         k = len(found)
         if k:
             piv = np.array(found)
@@ -173,7 +163,7 @@ def _echelon(arr: np.ndarray, p: int, full: bool) -> tuple[np.ndarray, list[int]
                 moved = np.nonzero(perm != np.arange(rows - top))[0]
                 a[top + moved, start:] = a[top + perm[moved], start:]
                 u = a[top : top + k, start:].astype(np.int64)  # reduced by //, which numpy vectorizes, unlike np.mod
-                x = _product(_pivot_transform(work[:k, piv], p, full, delay), u - u // p * p, p).astype(np.int64)
+                x = _product(_pivot_transform(work[:k, piv], p, full), u - u // p * p, p).astype(np.int64)
                 x -= x // p * p
             # full=True: the other rows, by their pivot-column entries against
             # the RREF rows (the pivot rows are then overwritten); full=False:
@@ -187,7 +177,7 @@ def _echelon(arr: np.ndarray, p: int, full: bool) -> tuple[np.ndarray, list[int]
                 coeff = work[k : hi - top, piv]
             hit = np.nonzero(coeff.any(axis=1))[0]
             if hit.size:
-                step = min(k * (p - 1) ** 2, 2**53)
+                step = k * (p - 1) ** 2
                 if spread + step > limit:
                     np.mod(a, p, out=a)
                     spread = p - 1
@@ -210,13 +200,13 @@ def _echelon_bytes(rows: int, cols: int, p: int, full: bool) -> int:
     """Bytes that bound what rank (full=False) or kernel (full=True)
     allocates beyond its rows x cols input: the copy in _storage's type,
     with either a block of the panel update (the product, its cast and the
-    rows it updates, at most _BATCH + cols entries of _storage's product
-    bytes) and six int64 copies of a scalar loop's panel (the last spans
-    every remaining column), or in full mode the int64 RREF rows and their
-    reduction's buffer; 48 bytes a pivot; and in full mode kernel's RREF
-    rows, basis and reversed basis after it."""
-    store, _, f = _storage(p)
-    work = 3 * f * min(_BATCH + cols, rows * cols) + 48 * max(rows * min(cols, _PANEL), min(rows, _PANEL) * cols)
+    rows it updates, at most _BATCH + cols entries of a panel product's
+    float type) and six int64 copies of a scalar loop's panel (the last
+    spans every remaining column), or in full mode the int64 RREF rows and
+    their reduction's buffer; 48 bytes a pivot; and in full mode kernel's
+    RREF rows, basis and reversed basis after it."""
+    store, f = _storage(p)[0], np.dtype(_exact_type(_PANEL * (p - 1) ** 2)[0]).itemsize
+    work = 3 * f * min(_BATCH + cols, rows * cols) + 6 * 8 * max(rows * min(cols, _PANEL), min(rows, _PANEL) * cols)
     if full:
         work = max(work, 8 * cols * cols + 8 * min(_BATCH, cols * cols))
     echelon = np.dtype(store).itemsize * rows * cols + work + 48 * cols
@@ -246,15 +236,30 @@ def _reduced(a, p: int) -> np.ndarray:
 
 
 def _product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b for integer factors with entries in (-p, p), exact: unreduced in
-    the narrowest float type whose mantissa holds every inner product
-    (_exact_type), or beyond 2^53 in object arithmetic, reduced mod p to
-    int64.  A Gram product (a = b.T) is _dense_gram's."""
-    dtype = _exact_type(a.shape[-1] * (p - 1) ** 2)[0]
-    dtype = object if dtype is np.int64 else dtype
+    """a @ b for integer factors with entries in (-p, p), exact and
+    unreduced, in the narrowest float type whose mantissa holds every inner
+    product (_exact_type).  An inner dimension K with K (p - 1)^2 >= 2^53
+    (only matmul_mod's; a panel's K is at most _PANEL) is cut into float64
+    slices whose products are exact, each reduced mod p by fmod before it
+    is added, and the sum after it, so the result lies in (-p, p).  A Gram
+    product b.T @ b (a = b.T) is summed over blocks of under 2 max(d,
+    _PANEL) rows of b, or the slices if shorter, each a symmetric product."""
+    k = len(b)
+    dtype, limit = _exact_type(k * (p - 1) ** 2)
+    sliced = k * (p - 1) ** 2 >= limit
     gram = a.__array_interface__ == b.T.__array_interface__
-    out = _dense_gram(b, dtype) if gram else a.astype(dtype) @ b.astype(dtype)
-    return np.mod(out, p).astype(np.int64) if dtype is object else out
+    n = max(-(-k // ((limit - 1) // (p - 1) ** 2)) if sliced else 1, k // max(b.shape[1], _PANEL) if gram else 1)
+    step = max(-(-k // n), 1)
+    out = None
+    for i in range(0, max(k, 1), step):
+        y = b[i : i + step].astype(dtype)
+        part = y.T @ y if gram else a[..., i : i + step].astype(dtype) @ y
+        if sliced:
+            np.fmod(part, p, out=part)
+        out = part if out is None else np.add(out, part, out=out)
+        if sliced:
+            np.fmod(out, p, out=out)
+    return out
 
 
 # A row of b with c nonzeros adds about c^2 / 2 pair products to the upper
@@ -266,16 +271,6 @@ _KAPPA = 40
 # Entries handled at once: of the pairs and the output cells of one of
 # _column_gram's bincounts, and of a product matmul_mod reduces.
 _BATCH = 1 << 19
-
-
-def _dense_gram(b: np.ndarray, dtype: type) -> np.ndarray:
-    """The exact b.T @ b in dtype, summed over blocks of under 2 max(d, _PANEL)
-    rows of b, whose symmetric products BLAS sees."""
-    out = np.zeros((b.shape[1],) * 2, dtype)
-    for block in np.array_split(b, max(len(b) // max(b.shape[1], _PANEL), 1)):
-        block = block.astype(dtype)
-        out += block.T @ block
-    return out
 
 
 def _signed(bound: int) -> type:
@@ -366,13 +361,14 @@ def _column_gram_bytes(m: int, d: int, c: int, p: int) -> int:
     row, and the largest of the sort and split, 44 bytes an entry, with the
     dense rows h (at most min(m, c _KAPPA), as each has more than d / _KAPPA
     entries); with the kept 17 bytes an entry and G, a tile (h, two w-wide
-    blocks of it and their product at _exact_type's bytes, the product's
-    int64 copy and _mod's buffer) or a batch (8 bytes an entry for the
-    column order and its sort, 10 more, or 48 bytes a pair, at most the
-    batch and one column's pairs, and 16 a cell).  Then G, with its rank's
-    workspace (_echelon_bytes)."""
+    blocks of it in the product's float type, f bytes an entry, and f + 16
+    bytes a cell for the product, its int64 copy and _mod's buffer, or for
+    _product's running sum of float64 slices and a slice's product) or a
+    batch (8 bytes an entry for the column order and its sort, 10 more, or
+    48 bytes a pair, at most the batch and one column's pairs, and 16 a
+    cell).  Then G, with its rank's workspace (_echelon_bytes)."""
     n, dense, batch = d * c, min(m, c * _KAPPA), min(_BATCH, d * d // 48)
-    w, f = min(max(isqrt(batch), _PANEL), d), _exact_type(dense * (p - 1) ** 2)[2]
+    w, f = min(max(isqrt(batch), _PANEL), d), np.dtype(_exact_type(dense * (p - 1) ** 2)[0]).itemsize
     g = np.dtype(_signed(p - 1)).itemsize * d * d
     tile = dense * d + 2 * f * dense * w + (f + 16) * w * w
     sparse = 8 * n + max(10 * n, 48 * (batch + c * (d // _KAPPA)) + 16 * batch)
@@ -395,8 +391,10 @@ def _mod(out: np.ndarray, p: int) -> np.ndarray:
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact a @ b mod p, for any modulus p >= 1.  In a Gram product
-    b.T @ b, b is reduced once, so that _product still sees one."""
+    """Exact a @ b mod p, for any modulus 1 <= p <= _P_MAX.  In a Gram
+    product b.T @ b, b is reduced once, so that _product still sees one."""
+    if p > _P_MAX:
+        _check_prime(p)  # refuses it, as elimination does
     gram = np.asarray(a).__array_interface__ == np.asarray(b).T.__array_interface__
     b = _reduced(b, p)
     a = b.T if gram else _reduced(a, p)

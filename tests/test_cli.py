@@ -291,12 +291,12 @@ def test_invariants_on_long_words():
 
 def test_p_beyond_int64_products_exits_2():
     """p = 4294967311 used to give a wrong kernel and a misleading error;
-    p = 2^61 - 1 used to hang in trial division.  Both are now refused at
-    once, naming the limit."""
-    for p in ("4294967311", str(2**61 - 1)):
+    p = 2^61 - 1 used to hang in trial division.  They and 11863289, the
+    first prime above gfp's limit, are refused at once, naming the limit."""
+    for p in ("11863289", "4294967311", str(2**61 - 1)):
         code, out, err = run_cli("invariants", "--shape", "(4,2)", "--p", p, "--subgroup", "W(2,3)")
         assert code == 2 and out == ""
-        assert "3037000499" in err and "not stable" not in err
+        assert "11863279" in err and "not stable" not in err
 
 
 def test_composite_p_exits_2_before_any_work():

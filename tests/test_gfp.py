@@ -22,9 +22,9 @@ from spinrest.gfp import kernel, matmul_mod, rank, rref
 from spinrest.partitions import _is_prime
 from spinrest.specht import eta, from_cycles, subset_basis
 
-# primes for the differential tests; the last one is above 2^31, where
-# matmul_mod leaves float64 BLAS for exact object arithmetic
-PRIMES = [2, 3, 7, 65521, 2147483659]
+# primes for the differential tests; the last one is gfp's largest, where a
+# full panel's product nearly fills float64's exact range
+PRIMES = [2, 3, 7, 65521, 11863279]
 
 
 def _known_rank(rng, m, n, r, p):
@@ -116,16 +116,11 @@ def test_matches_reference_elimination(m, n, p, seed):
 
 def test_blocked_panels_match_reference():
     """Shapes past one 64-column panel, so the pivot-block inverse and the
-    product update run, at a small prime and at one above 2^31."""
+    product update run, at a small prime and at the largest one."""
     rng = np.random.default_rng(11)
-    for m, n, p in ((100, 90, 3), (100, 90, 2147483659), (70, 140, 3), (140, 70, 2147483659)):
+    for m, n, p in ((100, 90, 3), (100, 90, 11863279), (70, 140, 3), (140, 70, 11863279)):
         _assert_matches_reference(_random_matrix(rng, m, n, p), p)
         _assert_matches_reference(_known_rank(rng, m, n, min(m, n) // 3, p), p)
-
-
-# primes at which an int64 entry absorbs only K = 1, 2 and 3 unreduced
-# rank-one updates, so the elimination core reduces inside every panel
-FEW_UPDATE_PRIMES = {3037000493: 1, 2099999999: 2, 1749999991: 3}
 
 
 def _swap_heavy(rng, m, n, p):
@@ -136,21 +131,11 @@ def _swap_heavy(rng, m, n, p):
     return a[::-1].copy()
 
 
-def test_delayed_reduction_matches_reference():
-    """Shapes past one panel with many row swaps, at primes where the
-    scalar loop must reduce the panel after every 1, 2 or 3 pivots."""
-    rng = np.random.default_rng(5)
-    for p, k in FEW_UPDATE_PRIMES.items():
-        assert (gfp._INT64_MAX - p) // (p - 1) ** 2 == k
-        _assert_matches_reference(_swap_heavy(rng, 100, 80, p), p)
-        _assert_matches_reference(_swap_heavy(rng, 70, 110, p), p)
-        _assert_matches_reference(_known_rank(rng, 80, 90, 60, p), p)
-
-
 # adjacent primes on either side of the range of each storage type of the
 # elimination core: p - 1 + 8 _PANEL (p - 1)^2 against 32767 (int16), and
-# _PANEL (p - 1)^2 against 2^24 and 2^53 (float32 and float64); and 3, the
-# prime of the Gram criterion on S^(6,4,2)
+# _PANEL (p - 1)^2 against 2^24 (float32), and the largest prime gfp takes,
+# the last below 2^53 (float64); and 3, the prime of the Gram criterion on
+# S^(6,4,2)
 STORAGE_PRIMES = {
     2: np.int16,
     3: np.int16,
@@ -159,7 +144,6 @@ STORAGE_PRIMES = {
     509: np.float32,
     521: np.float64,
     11863279: np.float64,
-    11863289: np.int64,
 }
 
 
@@ -219,20 +203,22 @@ def test_int16_storage_is_reduced_in_time():
 @pytest.mark.parametrize("limit", [2**24, 2**53])
 def test_matmul_mod_tiers_match_object_products(limit, monkeypatch):
     """Inner products just below and just above the exact range of float32
-    (2^24) and float64 (2^53).  The factors are given unreduced and negative
+    (2^24) and float64 (2^53); at 2^53, p = 11863279, the largest prime
+    gfp takes, and K = 64 and 65 on either side of where _product cuts K
+    into float64 slices.  The factors are given unreduced and negative
     too, so the check that skips the reducing copy must still reduce them;
-    a = b.T exercises the symmetric Gram product (_dense_gram), which an
-    unreduced b keeps: it is reduced once, not as two unrelated factors."""
+    a = b.T exercises the symmetric Gram product, which an unreduced b
+    keeps: it is reduced once, not as two unrelated factors."""
     grams = []
-    dense_gram = gfp._dense_gram
-    monkeypatch.setattr(gfp, "_dense_gram", lambda *args: grams.append(args) or dense_gram(*args))
+    product = gfp._product
+    monkeypatch.setattr(gfp, "_product", lambda a, b, p: grams.append(a.__array_interface__ == b.T.__array_interface__) or product(a, b, p))
     rng = np.random.default_rng(limit % 1000)
-    p = {2**24: 2039, 2**53: 47453111}[limit]
+    p = {2**24: 2039, 2**53: 11863279}[limit]
     below = (limit - 1) // (p - 1) ** 2
     narrow = np.float32 if limit == 2**24 else np.float64
     for k in (below, below + 1):
-        a = rng.integers(p - p // 8, p, (6, k))
-        b = rng.integers(p - p // 8, p, (k, 7))
+        a = rng.integers(p - p // 256, p, (6, k))
+        b = rng.integers(p - p // 256, p, (k, 7))
         want = (a.astype(object) @ b.astype(object)) % p
         if k > below:  # the narrower type would round these sums
             assert not np.array_equal(np.mod((a.astype(narrow) @ b.astype(narrow)).astype(np.int64), p), want)
@@ -243,17 +229,20 @@ def test_matmul_mod_tiers_match_object_products(limit, monkeypatch):
         assert matmul_mod(b.T, b, p).tolist() == gram
         u = b - 2 * p  # outside (-p, p), so reduced
         grams.clear()
-        assert matmul_mod(u.T, u, p).tolist() == gram and len(grams) == 1
+        assert matmul_mod(u.T, u, p).tolist() == gram and grams == [True]
     # Gram products b.T @ b, which sum rows // max(d, _PANEL) blocks of rows of
     # b: fewer rows than d, d rows, and one row either side of where one block
     # becomes two; at the largest prime whose inner products stay in range, and
-    # at a prime where column 0's square sum, an odd number, leaves it
+    # at a prime where column 0's square sum, an odd number, leaves it (at 2^53,
+    # only with at least 68 rows, as gfp refuses primes above 11863279)
     for d in (7, 70):
         block = max(d, gfp._PANEL)
         for rows in (d - 2, d, 2 * block - 1, 2 * block + 1):
             q = isqrt((limit - 1) // rows)  # rows * (p - 1)^2 < limit iff p <= q + 1
             below = next(p for p in range(q + 1, 1, -1) if _is_prime(p))
             above = next(p for p in range(q + 4, 2 * q + 8) if _is_prime(p))
+            if above > gfp._P_MAX:
+                continue
             for p in (below, above):
                 b = rng.integers(p - p // 8, p, (rows, d))
                 b[:, 0] = p - 2
@@ -300,8 +289,8 @@ def test_gram_sparse_rows_match_object_products(limit, monkeypatch):
     rows lie on both sides of the split, or on one, against object
     arithmetic: at the largest prime whose inner products the narrower type
     holds exactly, and at the next, where a sum in it would round G[0, 0]
-    (float32 to float64, and float64 to object arithmetic, where every row
-    is dense and summed in blocks).  The entries are signed, and the padding
+    (float32 to float64, and float64 to float64 slices, where every row is
+    dense and summed in blocks).  The entries are signed, and the padding
     entries 0 are skipped.  matmul_mod reads the same b with unreduced
     entries.  With one pair and one cell a batch, every column is a batch
     of its own; the tiles of the dense rows' product stay _PANEL wide at
@@ -416,19 +405,22 @@ def test_kernel_runs_one_rref(monkeypatch):
 
 
 def test_rejects_p_beyond_int64_products():
-    """(p-1)^2 overflows int64 above isqrt(2^63 - 1) = 3037000499; such p are
-    refused before any primality test or elimination."""
+    """Above 11863279, the largest prime p with _PANEL (p - 1)^2 < 2^53, a
+    panel product leaves float64's exact range; rank, rref, kernel and
+    matmul_mod refuse such p, naming the limit, before any primality test
+    (2^61 - 1 used to hang in trial division) or elimination."""
 
     def rank_two(p):
         a = np.array([[p - 1, p - 2, p - 3], [p - 5, p - 7, p - 11], [0, 0, 0]], dtype=np.int64)
         a[2] = (a[0] + a[1]) % p
         return a
 
-    for p in (4294967311, 2**61 - 1):
-        for call in (rank, rref, kernel):
-            with pytest.raises(ValueError, match="3037000499"):
+    for p in (11863289, 4294967311, 2**61 - 1):
+        for call in (rank, rref, kernel, lambda a, p: matmul_mod(a, a.T, p)):
+            with pytest.raises(ValueError, match="11863279"):
                 call(rank_two(p), p)
-    p = 3037000493  # the largest prime below the limit
+    p = gfp._P_MAX
+    assert max(q for q in range(p, isqrt((2**53 - 1) // gfp._PANEL) + 2) if _is_prime(q)) == p == 11863279
     assert rank(rank_two(p), p) == 2
     _assert_matches_reference(rank_two(p), p)
 

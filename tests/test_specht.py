@@ -374,7 +374,7 @@ def test_standard_tabloids_are_the_lattice_words():
 
     for n in range(0, 11):
         for shape in partitions_by_recursion(n):
-            standard = _standard_tabloids(perm_basis(shape))
+            standard = perm_basis(shape).standard
             assert len(standard) == hook_dimension(shape), shape
             index, signs = polytabloid_matrix(shape)
             own = np.argmax(index == standard[:, None], axis=1)
@@ -552,16 +552,15 @@ def test_dual_specht_counts_the_tabloid_basis_against_memory(monkeypatch):
 def test_dual_specht_memory_bound_holds(shape, spec):
     """The bytes the refusal is based on cover what the computation
     allocates, tabloid basis and column table included, as traced by
-    tracemalloc: at p = 3, where the elimination stores int16, at
-    p = 65521, where it stores float64, and for n <= 7 at p = 11863289,
-    where it stores int64 and multiplies in object arithmetic."""
+    tracemalloc: at p = 3, where the elimination stores int16, and at
+    p = 65521, where it stores float64."""
     import tracemalloc
 
     from spinrest import specht
 
     n = sum(shape)
     m = factorial(n) // np.prod([factorial(part) for part in shape])
-    for p in (3, 65521, 11863289) if n <= 7 else (3, 65521):
+    for p in (3, 65521):
         bound = specht._dual_specht_bytes(shape, m, hook_dimension(shape), len(generators(spec)), p)
         specht.perm_basis.cache_clear()
         specht._column_table.cache_clear()
@@ -639,13 +638,13 @@ def _traced_gram_peak(shape, p) -> int:
 @pytest.mark.parametrize(
     "shape, p",
     [(shape, p) for shape in [(4, 3, 2, 1), (3, 3, 2, 1), (5, 2, 2), (1,) * 8, (8,), (4, 4)] for p in (3, 65521)]
-    + [((4, 3, 1), 11863279), ((1,) * 5, 11863279), ((4, 2, 1), 11863289), ((3, 2, 1), 11863289)],
+    + [((4, 3, 1), 11863279), ((1,) * 5, 11863279)],
 )
 def test_gram_memory_bound_holds(shape, p):
     """The bytes the Gram refusal is based on cover what gram_irreducibility
     allocates, as traced by tracemalloc: in float32 and float64 products,
-    at p = 11863279, where m (p - 1)^2 > 2^53, in object arithmetic, and at
-    p = 11863289, where the elimination also stores int64."""
+    and at p = 11863279, where m (p - 1)^2 > 2^53, so the dense rows'
+    product is summed over float64 slices."""
     from spinrest import specht
 
     m = factorial(sum(shape)) // prod(factorial(part) for part in shape)
@@ -694,18 +693,19 @@ def test_dual_specht_checks_the_degree_first(monkeypatch):
         dual_specht_invariant_dim((6, 4, 2), 3, wreath(2, 5))
 
 
-@pytest.mark.parametrize("p", [0, 1, 4, 9])
+@pytest.mark.parametrize("p", [0, 1, 4, 9, 11863289])
 def test_composite_p_is_refused_before_any_work(monkeypatch, p):
     """dual_specht_invariant_dim refuses p next to the degree check, before
     the memory preflight and the tabloid basis; gram_irreducibility refuses
-    it first of all."""
+    it first of all.  So are primes above gfp's limit, 11863279."""
     from spinrest import specht
 
     monkeypatch.setattr(specht, "perm_basis", _unreachable)
     monkeypatch.setattr(specht, "_refuse_beyond_memory", _unreachable)
-    with pytest.raises(ValueError, match=f"p must be prime, got {p}"):
+    message = "p must be at most 11863279" if p == 11863289 else f"p must be prime, got {p}"
+    with pytest.raises(ValueError, match=message):
         dual_specht_invariant_dim((3, 2), p, young(5, (3, 2)))
-    with pytest.raises(ValueError, match=f"p must be prime, got {p}"):
+    with pytest.raises(ValueError, match=message):
         gram_irreducibility((3, 2), p)
 
 
