@@ -7,19 +7,25 @@ arrays with entries in [0, p).  All elimination goes through one
 panel-blocked echelon routine: pivots are found in a narrow column panel by
 a scalar loop, and the rest of the matrix is updated by BLAS-backed
 products, one per block of rows of at most _BATCH entries, so that no
-product as large as the matrix is formed.  The scalar loop leaves its
-multipliers in the cells it clears, as LU factorizations do, so the
-transform of the panel's pivot rows is replayed on k x k arrays instead of
-by a second elimination.  Elimination refuses a p that is not prime, and
-every function a p above _P_MAX = 11863279, beyond which a full panel's
-product leaves the integers that float64 holds exactly.  Subspaces carry
-a canonical reduced-echelon basis, so equality is matrix equality.
+product as large as the matrix is formed.  The scalar loop runs on a
+transposed copy of its panel, so that a pivot's update runs along the
+panel's rows, and in rank it splits a large panel into sub-panels, each
+carried to the rest of the panel by one small product, as recursive PLUQ
+does (Dumas, Pernet and Sultan, ISSAC 2013).  It leaves its multipliers
+in the cells it clears, as LU factorizations do, so the transform of the
+panel's pivot rows is the inverse of a k x k triangular matrix, found in
+about 2 log2 k products, instead of by a second elimination.  Elimination
+refuses a p that is not prime, and every function a p above _P_MAX =
+11863279, beyond which a full panel's product leaves the integers that
+float64 holds exactly.  Subspaces carry a canonical reduced-echelon basis,
+so equality is matrix equality.
 
 Reduction mod p is delayed, as in FFLAS-FFPACK (Dumas, Giorgi and Pernet,
 ACM TOMS 35(3), 2008): elimination stores the matrix in int16 for p <= 7,
 which holds p - 1 plus eight panels' products, else in float32 or float64,
 whichever holds one exactly (_storage), subtracts unreduced products, and
-reduces only before an entry could leave that range, and at the end.
+reduces, by vectorized floor division, only the part the next product
+updates and only before an entry could leave that range, and at the end.
 Products of residue matrices run in float32 while every inner product
 stays below 2^24, else in float64, over slices of the inner dimension,
 each reduced mod p, where it would pass 2^53; BLAS sees a Gram product
@@ -77,16 +83,41 @@ def _pivot_transform(m: np.ndarray, p: int, full: bool) -> np.ndarray:
 
     m holds the panel's pivot columns of those rows as the loop left them:
     pivot j's inverse on the diagonal, and in every cell it cleared the
-    multiple of pivot row j that was subtracted there.  T replays the loop's
-    row operations on the identity: scale row j, then subtract the stored
-    multiples of it from the rows below j (full=True: all other rows)."""
-    off = m.copy() if full else np.tril(m)
-    np.fill_diagonal(off, 0)
-    t = np.eye(len(m), dtype=np.int64)
-    for j in range(len(m)):
-        t[j] = t[j] % p * m[j, j] % p
-        t -= np.outer(off[:, j], t[j])
-    return _mod(t, p)
+    multiple of pivot row j that was subtracted there.  With L the
+    multipliers below the diagonal and D the pivots, the rows entered as
+    (D + L) U, so T = (D + L)^-1 = (I + N)^-1 D^-1 with N = D^-1 L.  N is
+    strictly lower triangular, so N^k = 0 and (I + N)^-1 = (I - N)(I + N^2)
+    (I + N^4)..., about 2 log2 k exact products (k (p - 1)^2 < 2^53 for
+    k <= _PANEL), not a replay of k row operations.  full=True then
+    subtracts, from each row, the multiples of the later rows stored above
+    the diagonal: T = (I - R) (D + L)^-1, with R those multiples."""
+    k = len(m)
+    m = m.astype(np.int64)
+    inv = np.diag(m).copy()
+    n = _mod(np.tril(m, -1) * inv[:, None], p)
+    s, q, e = np.eye(k, dtype=np.int64) - n, n, 2
+    while e < k:
+        q = _mod(_product(q, q, p).astype(np.int64), p)
+        s = _mod(_product(s, q, p).astype(np.int64) + s, p)
+        e *= 2
+    t = _mod(s * inv, p)
+    if full:
+        t = _mod(_product(np.eye(k, dtype=np.int64) - np.triu(m, 1), t, p).astype(np.int64), p)
+    return t
+
+
+# In rank, the scalar loop's rank-1 updates span a sub-panel of _SUB
+# columns, and one exact product a sub-panel (k <= _SUB pivots, so
+# k (p - 1)^2 < 2^53) carries its pivots to the rows below, right of it, as
+# recursive PLUQ does (Dumas, Pernet and Sultan, ISSAC 2013).  That is done
+# only from _SUB_CELLS rows x columns of panel, where the products' fixed
+# cost is small beside the updates they shorten.  On the Gram rank of
+# S^(6,4,2) mod 3 (2673 x 64 panels) it cut the scalar loop by 12-13 % and
+# the whole rank by 0-6 % (three sets of alternating runs), the products it
+# adds taking back most of the saving; splitting every panel slowed wilson's
+# 339 incidence matrices (at most 792 x 64) by 10-15 %.
+_SUB = 16
+_SUB_CELLS = 1 << 15
 
 
 def _echelon(arr: np.ndarray, p: int, full: bool) -> tuple[np.ndarray, list[int]]:
@@ -108,17 +139,29 @@ def _echelon(arr: np.ndarray, p: int, full: bool) -> tuple[np.ndarray, list[int]
     the panel's columns, which is all the rank needs: then only the pivots
     are meaningful.
 
-    The scalar loop runs on an int64 copy of its panel.  There each pivot
+    The scalar loop runs on a transposed copy of its panel, in int16 where
+    the matrix is stored so (p <= 7) and else in int64, so that a column is
+    contiguous and a pivot's update runs along rows.  There each pivot
     reduces only its column and its row, and subtracts the outer product
-    unreduced.  That moves an entry by at most (p - 1)^2, at most _PANEL
-    times, which int64 holds; the panel copy, the pivot-row transform and
-    the gathered coefficients are reduced by _mod.  The panel products
-    are subtracted unreduced from the matrix, stored in _storage's type,
-    which `spread` keeps exact by reducing it in time; it is returned in
-    that type.  _echelon_bytes bounds what this allocates.
+    unreduced: from a slice of the rows where more than an eighth of them
+    have a multiplier, else from those rows gathered (gathering along the
+    copy's second axis costs about eight times a slice's cell).  With
+    full=False on a panel of at least _SUB_CELLS cells, a pivot's update
+    spans only its sub-panel of _SUB columns; a later pivot row of the
+    sub-panel takes the earlier pivots right of it when it is chosen, and at
+    the sub-panel's end one product carries its pivots to the rows below.
+    Either way an entry moves by at most (p - 1)^2 a pivot, at most _PANEL
+    times, which the copy holds after its p - 1.  The panel products are
+    subtracted unreduced from the matrix, stored in _storage's type, which
+    `spread` keeps exact by reducing (_mod) the rows and columns that the
+    next product updates, before it could pass the type's exact range; no
+    other part of the matrix is read again but for the pivot rows, which
+    are reduced where they are read.  The matrix is returned in that type.
+    _echelon_bytes bounds what this allocates.
     """
     _check_prime(p)
     store, limit = _storage(p)
+    wide = store if store is np.int16 else np.int64  # the panel copy's type
     a = _reduced(arr, p).astype(store, order="C")
     rows, cols = a.shape
     spread = p - 1  # no entry of a is larger in magnitude
@@ -126,45 +169,64 @@ def _echelon(arr: np.ndarray, p: int, full: bool) -> tuple[np.ndarray, list[int]
     top = c0 = 0
     while top < rows and c0 < cols:
         c1 = cols if rows - top <= _PANEL else min(c0 + _PANEL, cols)
-        work = _mod(a[top:, c0:c1].astype(np.int64, order="C"), p)
-        perm = np.arange(rows - top)
+        work = _mod(a[top:, c0:c1].T.astype(wide, order="C"), p)  # work[j] is the panel's column j
+        width, h = work.shape
+        sub = _SUB if not full and h * width >= _SUB_CELLS else width
+        perm = np.arange(h)
         found: list[int] = []
-        for c in range(c1 - c0):
-            r = len(found)
-            if r == work.shape[0]:
-                break
-            first = 0 if full else r
-            work[first:, c] %= p
-            nz = np.nonzero(work[r:, c])[0]
-            if nz.size == 0:
-                continue
-            if nz[0]:
-                work[[r, r + nz[0]]] = work[[r + nz[0], r]]
-                perm[[r, r + nz[0]]] = perm[[r + nz[0], r]]
-            # the pivot row is zero left of c but for its multipliers, so the
-            # update starts right of c; column c keeps inverse and multipliers
-            inv = pow(int(work[r, c]), -1, p)
-            work[r, c + 1 :] = work[r, c + 1 :] % p * inv % p
-            work[r, c] = inv
-            clear = first + np.nonzero(work[first:, c])[0]
-            clear = clear[clear != r]
-            if clear.size:
-                work[clear, c + 1 :] -= np.outer(work[clear, c], work[r, c + 1 :])
-            found.append(c)
+        for s0 in range(0, width, sub):
+            s1, r0 = min(s0 + sub, width), len(found)
+            for c in range(s0, s1):
+                r = len(found)
+                if r == h:
+                    break
+                first = 0 if full else r
+                col = work[c, first:]
+                col -= col // p * p
+                nz = work[c, r:].nonzero()[0]
+                if nz.size == 0:
+                    continue
+                if nz[0]:
+                    work[:, [r, r + nz[0]]] = work[:, [r + nz[0], r]]
+                    perm[[r, r + nz[0]]] = perm[[r + nz[0], r]]
+                if r0 < r and s1 < width:  # the sub-panel's earlier pivots, right of it
+                    work[s1:, r] -= work[s1:, r0:r] @ work[found[r0:], r]
+                # the pivot row is zero left of c but for its multipliers, so
+                # the update starts right of c; column c keeps inverse and
+                # multipliers.  A swap moves the row that was zero at c to
+                # r + nz[0], so the other nonzero rows below are r + nz[1:]
+                inv = pow(int(work[c, r]), -1, p)
+                pivot = work[c + 1 :, r] % p * inv % p
+                work[c + 1 :, r] = pivot
+                pivot = pivot[: s1 - c - 1]
+                clear = r + nz[1:]
+                if full:
+                    clear = np.concatenate([work[c, :r].nonzero()[0], clear])
+                if 8 * clear.size > h - first:  # a slice, the pivot row by zero
+                    work[c, r] = 0
+                    work[c + 1 : s1, first:] -= pivot[:, None] * work[c, first:]
+                elif clear.size:
+                    work[c + 1 : s1, clear] -= pivot[:, None] * work[c, clear]
+                work[c, r] = inv
+                found.append(c)
+            r1 = len(found)
+            if r0 < r1 < h and s1 < width:  # the sub-panel's pivots, on the rows below
+                work[s1:, r1:] -= _product(work[s1:, r0:r1], work[found[r0:], r1:], p).astype(wide)
         k = len(found)
         if k:
             piv = np.array(found)
             last = c1 == cols  # the scalar loop saw every remaining column
             if last:
-                work[:k, piv] = np.eye(k, dtype=np.int64)
-                x, start = work[:k] % p, c0
+                work[piv, :k] = np.eye(k, dtype=wide)
+                x, start = work[:, :k].T % p, c0
             else:
                 start = c0 if full else c1
-                moved = np.nonzero(perm != np.arange(rows - top))[0]
+                moved = np.nonzero(perm != np.arange(h))[0]
                 a[top + moved, start:] = a[top + perm[moved], start:]
-                u = a[top : top + k, start:].astype(np.int64)  # reduced by //, which numpy vectorizes, unlike np.mod
-                x = _product(_pivot_transform(work[:k, piv], p, full), u - u // p * p, p).astype(np.int64)
-                x -= x // p * p
+                u = _mod(a[top : top + k, start:].copy(), p)
+                x = _product(_pivot_transform(work[piv, :k].T, p, full), u, p)
+                del u
+                x = _mod(x, p)  # kept in the product's float type, which the blocks below read without a copy
             # full=True: the other rows, by their pivot-column entries against
             # the RREF rows (the pivot rows are then overwritten); full=False:
             # the rows below, by their multipliers against U.  After the last
@@ -174,12 +236,12 @@ def _echelon(arr: np.ndarray, p: int, full: bool) -> tuple[np.ndarray, list[int]
                 coeff = _mod(a[lo:hi, c0 + piv].astype(np.int64, order="C", copy=False), p)
             else:
                 lo, hi = top + k, top + k if last else rows
-                coeff = work[k : hi - top, piv]
+                coeff = work[piv, k : hi - top].T
             hit = np.nonzero(coeff.any(axis=1))[0]
             if hit.size:
                 step = k * (p - 1) ** 2
                 if spread + step > limit:
-                    np.mod(a, p, out=a)
+                    _mod(a[lo:hi, start:], p)
                     spread = p - 1
                 spread += step
                 height = max(_BATCH // (cols - start), 1)
@@ -198,19 +260,40 @@ def _echelon(arr: np.ndarray, p: int, full: bool) -> tuple[np.ndarray, list[int]
 
 def _echelon_bytes(rows: int, cols: int, p: int, full: bool) -> int:
     """Bytes that bound what rank (full=False) or kernel (full=True)
-    allocates beyond its rows x cols input: the copy in _storage's type,
-    with either a block of the panel update (the product, its cast and the
-    rows it updates, at most _BATCH + cols entries of a panel product's
-    float type) and six int64 copies of a scalar loop's panel (the last
-    spans every remaining column), or in full mode the int64 RREF rows and
-    their reduction's buffer; 48 bytes a pivot; and in full mode kernel's
-    RREF rows, basis and reversed basis after it."""
-    store, f = _storage(p)[0], np.dtype(_exact_type(_PANEL * (p - 1) ** 2)[0]).itemsize
-    work = 3 * f * min(_BATCH + cols, rows * cols) + 6 * 8 * max(rows * min(cols, _PANEL), min(rows, _PANEL) * cols)
+    allocates beyond its rows x cols input.  Besides the copy in _storage's
+    type (s bytes an entry), 64 bytes a row of index arrays, 48 bytes a
+    pivot and 16 kB of small objects, it holds the scalar loop's panel copy
+    (w bytes an entry, `panel` entries: rows x _PANEL, or _PANEL rows x
+    every remaining column in the last panel) and the largest of three
+    stages, with f bytes an entry of a panel product's float type and
+    `block` entries (_BATCH + cols, or fewer) a block of rows:
+    - the scalar loop: the next panel's copy, or a rank-1 update or a
+      sub-panel's product (its factors, the product and its cast) no larger
+      than the panel;
+    - the pivot rows' transform: the k x k arrays of _pivot_transform, at
+      most 96 bytes a cell, and the rows in s, as floats and their product,
+      then its reduction through int64, a block at a time;
+    - the update: the transformed rows (floats) and the coefficients (w, or
+      in full mode gathered from the matrix and made int64), and a block of
+      rows: its coefficients and their floats, and the product, its cast
+      and the rows it updates, a block each, or, in a float type,
+      the in-time reduction's int64 block and quotient.
+    In full mode the int64 RREF rows and their reduction's buffer follow,
+    and then kernel's basis, its reversed copy and its lists of pivot and
+    free columns, 48 bytes a column."""
+    s, f = np.dtype(_storage(p)[0]).itemsize, np.dtype(_exact_type(_PANEL * (p - 1) ** 2)[0]).itemsize
+    w = 2 if s == 2 else 8
+    c = 8 + s if full else w
+    panel, block = max(rows * min(cols, _PANEL), min(rows, _PANEL) * cols), min(_BATCH + cols, rows * cols)
+    k = min(rows, cols, _PANEL)  # the most pivots a panel has
+    scalar = max(w, f) * panel + f * k * k
+    transform = (s + 2 * f) * panel + 16 * block + 96 * k * k
+    update = 2 * (f + c) * panel + max(f + 2 * s, 0 if s == 2 else 16) * block
+    work = w * panel + max(scalar, transform, update) + 64 * rows
     if full:
         work = max(work, 8 * cols * cols + 8 * min(_BATCH, cols * cols))
-    echelon = np.dtype(store).itemsize * rows * cols + work + 48 * cols
-    return max(echelon, 16 * cols * cols) if full else echelon
+    echelon = s * rows * cols + work + 48 * cols + (1 << 14)
+    return max(echelon, 16 * cols * cols + 48 * cols) if full else echelon
 
 
 def rref(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -236,9 +319,9 @@ def _reduced(a, p: int) -> np.ndarray:
 
 
 def _product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b for integer factors with entries in (-p, p), exact and
-    unreduced, in the narrowest float type whose mantissa holds every inner
-    product (_exact_type).  An inner dimension K with K (p - 1)^2 >= 2^53
+    """a @ b for integer or integer-valued float factors with entries in
+    (-p, p), exact and unreduced, in the narrowest float type whose mantissa
+    holds every inner product (_exact_type).  An inner dimension K with K (p - 1)^2 >= 2^53
     (only matmul_mod's; a panel's K is at most _PANEL) is cut into float64
     slices whose products are exact, each reduced mod p by fmod before it
     is added, and the sum after it, so the result lies in (-p, p).  A Gram
@@ -252,8 +335,8 @@ def _product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     step = max(-(-k // n), 1)
     out = None
     for i in range(0, max(k, 1), step):
-        y = b[i : i + step].astype(dtype)
-        part = y.T @ y if gram else a[..., i : i + step].astype(dtype) @ y
+        y = b[i : i + step].astype(dtype, copy=False)
+        part = y.T @ y if gram else a[..., i : i + step].astype(dtype, copy=False) @ y
         if sliced:
             np.fmod(part, p, out=part)
         out = part if out is None else np.add(out, part, out=out)
@@ -377,25 +460,43 @@ def _column_gram_bytes(m: int, d: int, c: int, p: int) -> int:
 
 
 def _mod(out: np.ndarray, p: int) -> np.ndarray:
-    """The C-contiguous int64 out reduced mod p in place, by x - x // p * p
-    (numpy vectorizes it, unlike np.mod), _BATCH entries at a time through
-    one buffer, so that no second temporary of out's size is live."""
-    flat = out.reshape(-1)  # a view, as out is C-contiguous
-    quotient = np.empty(min(flat.size, _BATCH), np.int64)
-    for lo in range(0, flat.size, _BATCH):
-        x = flat[lo : lo + _BATCH]
-        q = np.floor_divide(x, p, out=quotient[: len(x)])
+    """The 2-D out, of any integer type or a float type with integer entries,
+    reduced mod p in place, to [0, p), and returned: by x - x // p * p, which
+    numpy vectorizes, unlike np.mod, in blocks of rows of at most _BATCH
+    entries, through one quotient buffer (and for a float type one int64
+    copy), so that no temporary of out's size is live.  An integer type is
+    reduced in itself: in int16, x // p * p may wrap, but x - x // p * p
+    lies in [0, p), so it is still right modulo 2^16.  A float type goes
+    through int64, which holds its entries exactly (np.mod takes five times
+    as long on floats, np.fmod more)."""
+    height = max(_BATCH // max(out.shape[1], 1), 1)
+    own = out.dtype.kind in "iu"
+    shape = (min(height, len(out)), out.shape[1])
+    quotient, exact = np.empty(shape, out.dtype if own else np.int64), None if own else np.empty(shape, np.int64)
+    for lo in range(0, len(out), height):
+        x = out[lo : lo + height]
+        y = x if own else exact[: len(x)]
+        if not own:
+            y[...] = x
+        q = np.floor_divide(y, p, out=quotient[: len(y)])
         q *= p
-        x -= q
+        y -= q
+        if not own:
+            x[...] = y
     return out
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact a @ b mod p, for any modulus 1 <= p <= _P_MAX.  In a Gram
-    product b.T @ b, b is reduced once, so that _product still sees one."""
+    product b.T @ b of a 2-D b, b is reduced once, so that _product still
+    sees one.  As in np.matmul, a 1-D a is one row and a 1-D b one column,
+    and the result drops that axis (a 0-d array for two vectors)."""
     if p > _P_MAX:
         _check_prime(p)  # refuses it, as elimination does
-    gram = np.asarray(a).__array_interface__ == np.asarray(b).T.__array_interface__
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim == 1 or b.ndim == 1:  # a vector is its own transpose, so it must not pass for a Gram factor
+        return matmul_mod(a.reshape(-1, a.shape[-1]), b.reshape(len(b), -1), p).reshape(a.shape[:-1] + b.shape[1:])
+    gram = a.__array_interface__ == b.T.__array_interface__
     b = _reduced(b, p)
     a = b.T if gram else _reduced(a, p)
     return _mod(_product(a, b, p).astype(np.int64, order="C", copy=False), p)

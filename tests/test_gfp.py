@@ -200,6 +200,98 @@ def test_int16_storage_is_reduced_in_time():
     assert ker.dim == r + 60 - len(pivots) and not np.any(matmul_mod(a, ker.basis.T, p))
 
 
+@pytest.mark.parametrize("p", [7, 509, 11863279])
+def test_reduction_in_time_covers_every_updated_column(p):
+    """a = L U mod p, with L unit lower and U unit upper triangular and p - 1
+    everywhere else in their triangles, is eliminated without a row swap,
+    and every panel's multipliers and transformed pivot rows are then all
+    p - 1: each panel moves every entry right of it and below it by the
+    most it can, _PANEL (p - 1)^2.  So the stored matrix is reduced in time
+    at every column that is updated later, the first column of the next
+    panel included: int16 at p = 7 every fifteenth panel, float32 at 509
+    and float64 at 11863279 every panel.  U has r < rows rows, so the rows
+    below r must come out zero; the RREF is checked by a = a[:, pivots] red
+    on random vectors."""
+    rows, r = 1100, 1050
+    lower = np.tril(np.full((rows, r), p - 1, dtype=np.int64), -1) + np.eye(rows, r, dtype=np.int64)
+    upper = np.triu(np.full((r, rows), p - 1, dtype=np.int64), 1) + np.eye(r, rows, dtype=np.int64)
+    a = matmul_mod(lower, upper, p)
+    assert rank(a, p) == r
+    red, pivots = rref(a, p)
+    assert pivots == list(range(r))
+    v = np.random.default_rng(p % 1000).integers(0, p, (rows, 3))
+    assert np.array_equal(matmul_mod(a[:, pivots], matmul_mod(red, v, p), p), matmul_mod(a, v, p))
+
+
+@pytest.mark.parametrize("p", sorted(STORAGE_PRIMES))
+def test_subpanels_match_reference(p, monkeypatch):
+    """rank's scalar loop splits a panel of at least _SUB_CELLS cells into
+    sub-panels of _SUB columns, and carries each sub-panel's pivots to the
+    rest of the panel by one product.  Its pivots must be the reference
+    elimination's, at every storage tier, with the panel split always, never
+    and by the rule, and splitting must add products.  With the rule lowered
+    to one cell:
+    - a 100 x 90 matrix whose second sub-panel has no pivot and whose rank
+      deficit spans the boundary of the third and fourth, and whose last
+      panel (64 rows) spans 26 columns;
+    - a sparse 200 x 64 one with five dense columns, so that one panel
+      updates some multiplier columns by slices and others by gathered rows;
+    - a 40 x 80 one, a last panel wider than a sub-panel.
+    These also run rref and kernel against the reference.  At the rule's
+    own size, 520 x 63 and 521 x 63 lie on either side of it (32760 and
+    32823 cells; the extra row is a combination of the others, so the
+    pivots are the same), and 60 x 560 is a last panel past it."""
+    rule = gfp._SUB_CELLS
+    products = []
+    product = gfp._product
+    monkeypatch.setattr(gfp, "_product", lambda a, b, p: products.append(len(b)) or product(a, b, p))
+
+    def pivots(a, cells):
+        monkeypatch.setattr(gfp, "_SUB_CELLS", cells)
+        products.clear()
+        return gfp._echelon(a, p, False)[1], len(products)
+
+    def check(a, split_at_rule, want=None):
+        want = want or gauss_jordan(a.tolist(), a.shape[1], p)[1]
+        (whole, n_whole), (split, n_split), (ruled, n_ruled) = pivots(a, 2**62), pivots(a, 1), pivots(a, rule)
+        assert whole == split == ruled == want
+        assert n_split > n_whole and n_ruled == (n_split if split_at_rule else n_whole)
+
+    rng = np.random.default_rng(p % 997)
+    a = rng.integers(0, p, (100, 90))
+    a[:, 16:32] = matmul_mod(a[:, :16], rng.integers(0, p, (16, 16)), p)
+    a[:, 40:52] = matmul_mod(a[:, 32:40], rng.integers(0, p, (8, 12)), p)
+    sparse = rng.integers(0, p, (200, 64)) * (rng.random((200, 64)) < 0.03)
+    sparse[:, [0, 5, 17, 33, 50]] = rng.integers(0, p, (200, 5))
+    for small in (a, sparse, _known_rank(rng, 40, 80, 30, p)):
+        check(small, False)
+        monkeypatch.setattr(gfp, "_SUB_CELLS", 1)
+        _assert_matches_reference(small, p)
+    below = _known_rank(rng, 520, 63, 40, p)
+    above = np.vstack([below, matmul_mod(rng.integers(0, p, 520), below, p)])
+    want = gauss_jordan(below.tolist(), 63, p)[1]
+    check(below, False, want)
+    check(above, True, want)
+    check(_known_rank(rng, 60, 560, 30, p), True)
+
+
+@pytest.mark.parametrize("p", [2, 7, 65521, 11863279])
+def test_matmul_mod_reads_vectors_as_numpy_does(p):
+    """A 1-D factor is one row (a) or one column (b), and the result drops
+    that axis, as in np.matmul: vector by vector (a 0-d array), matrix by
+    vector and vector by matrix, with signed entries, against object
+    integers.  v by v is no Gram product b.T @ b, though a 1-D v is its own
+    transpose.  At 11863279, K = 65 passes 2^53, so the product is summed
+    over float64 slices."""
+    rng = np.random.default_rng(p % 991)
+    for k in (1, 64, 65):
+        v, w, m = rng.integers(1 - p, p, k), rng.integers(1 - p, p, k), rng.integers(1 - p, p, (k, 5))
+        for a, b in ((v, v), (v, w), (m.T, v), (v, m)):
+            want = np.asarray((a.astype(object) @ b.astype(object)) % p)
+            got = matmul_mod(a, b, p)
+            assert got.dtype == np.int64 and got.shape == want.shape and got.tolist() == want.tolist()
+
+
 @pytest.mark.parametrize("limit", [2**24, 2**53])
 def test_matmul_mod_tiers_match_object_products(limit, monkeypatch):
     """Inner products just below and just above the exact range of float32
