@@ -9,16 +9,14 @@ a scalar loop, and the rest of the matrix is updated by BLAS-backed
 products, one per block of rows of at most _BATCH entries, so that no
 product as large as the matrix is formed.  The scalar loop runs on a
 transposed copy of its panel, so that a pivot's update runs along the
-panel's rows, and in rank it splits a large panel into sub-panels, each
-carried to the rest of the panel by one small product, as recursive PLUQ
-does (Dumas, Pernet and Sultan, ISSAC 2013).  It leaves its multipliers
-in the cells it clears, as LU factorizations do, so the transform of the
-panel's pivot rows is the inverse of a k x k triangular matrix, found in
-about 2 log2 k products, instead of by a second elimination.  Elimination
-refuses a p that is not prime, and every function a p above _P_MAX =
-11863279, beyond which a full panel's product leaves the integers that
-float64 holds exactly.  Subspaces carry a canonical reduced-echelon basis,
-so equality is matrix equality.
+panel's rows.  It leaves its multipliers in the cells it clears, as LU
+factorizations do, so the transform of the panel's pivot rows is the
+inverse of a k x k triangular matrix, found in about 2 log2 k products,
+instead of by a second elimination.  Elimination refuses a p that is not
+prime, and every function a p above _P_MAX = 11863279, beyond which a
+full panel's product leaves the integers that float64 holds exactly.
+Subspaces carry a canonical reduced-echelon basis, so equality is matrix
+equality.
 
 Reduction mod p is delayed, as in FFLAS-FFPACK (Dumas, Giorgi and Pernet,
 ACM TOMS 35(3), 2008): elimination stores the matrix in int16 for p <= 7,
@@ -106,20 +104,6 @@ def _pivot_transform(m: np.ndarray, p: int, full: bool) -> np.ndarray:
     return t
 
 
-# In rank, the scalar loop's rank-1 updates span a sub-panel of _SUB
-# columns, and one exact product a sub-panel (k <= _SUB pivots, so
-# k (p - 1)^2 < 2^53) carries its pivots to the rows below, right of it, as
-# recursive PLUQ does (Dumas, Pernet and Sultan, ISSAC 2013).  That is done
-# only from _SUB_CELLS rows x columns of panel, where the products' fixed
-# cost is small beside the updates they shorten.  On the Gram rank of
-# S^(6,4,2) mod 3 (2673 x 64 panels) it cut the scalar loop by 12-13 % and
-# the whole rank by 0-6 % (three sets of alternating runs), the products it
-# adds taking back most of the saving; splitting every panel slowed wilson's
-# 339 incidence matrices (at most 792 x 64) by 10-15 %.
-_SUB = 16
-_SUB_CELLS = 1 << 15
-
-
 def _echelon(arr: np.ndarray, p: int, full: bool) -> tuple[np.ndarray, list[int]]:
     """Echelon form over GF(p) by column panels: (nonzero rows, pivot columns).
 
@@ -145,18 +129,14 @@ def _echelon(arr: np.ndarray, p: int, full: bool) -> tuple[np.ndarray, list[int]
     reduces only its column and its row, and subtracts the outer product
     unreduced: from a slice of the rows where more than an eighth of them
     have a multiplier, else from those rows gathered (gathering along the
-    copy's second axis costs about eight times a slice's cell).  With
-    full=False on a panel of at least _SUB_CELLS cells, a pivot's update
-    spans only its sub-panel of _SUB columns; a later pivot row of the
-    sub-panel takes the earlier pivots right of it when it is chosen, and at
-    the sub-panel's end one product carries its pivots to the rows below.
-    Either way an entry moves by at most (p - 1)^2 a pivot, at most _PANEL
-    times, which the copy holds after its p - 1.  The panel products are
-    subtracted unreduced from the matrix, stored in _storage's type, which
-    `spread` keeps exact by reducing (_mod) the rows and columns that the
-    next product updates, before it could pass the type's exact range; no
-    other part of the matrix is read again but for the pivot rows, which
-    are reduced where they are read.  The matrix is returned in that type.
+    copy's second axis costs about eight times a slice's cell).  An entry
+    moves by at most (p - 1)^2 a pivot, at most _PANEL times, which the
+    copy holds after its p - 1.  The panel products are subtracted
+    unreduced from the matrix, stored in _storage's type, which `spread`
+    keeps exact by reducing (_mod) the rows and columns that the next
+    product updates, before it could pass the type's exact range; no other
+    part of the matrix is read again but for the pivot rows, which are
+    reduced where they are read.  The matrix is returned in that type.
     _echelon_bytes bounds what this allocates.
     """
     _check_prime(p)
@@ -171,47 +151,38 @@ def _echelon(arr: np.ndarray, p: int, full: bool) -> tuple[np.ndarray, list[int]
         c1 = cols if rows - top <= _PANEL else min(c0 + _PANEL, cols)
         work = _mod(a[top:, c0:c1].T.astype(wide, order="C"), p)  # work[j] is the panel's column j
         width, h = work.shape
-        sub = _SUB if not full and h * width >= _SUB_CELLS else width
         perm = np.arange(h)
         found: list[int] = []
-        for s0 in range(0, width, sub):
-            s1, r0 = min(s0 + sub, width), len(found)
-            for c in range(s0, s1):
-                r = len(found)
-                if r == h:
-                    break
-                first = 0 if full else r
-                col = work[c, first:]
-                col -= col // p * p
-                nz = work[c, r:].nonzero()[0]
-                if nz.size == 0:
-                    continue
-                if nz[0]:
-                    work[:, [r, r + nz[0]]] = work[:, [r + nz[0], r]]
-                    perm[[r, r + nz[0]]] = perm[[r + nz[0], r]]
-                if r0 < r and s1 < width:  # the sub-panel's earlier pivots, right of it
-                    work[s1:, r] -= work[s1:, r0:r] @ work[found[r0:], r]
-                # the pivot row is zero left of c but for its multipliers, so
-                # the update starts right of c; column c keeps inverse and
-                # multipliers.  A swap moves the row that was zero at c to
-                # r + nz[0], so the other nonzero rows below are r + nz[1:]
-                inv = pow(int(work[c, r]), -1, p)
-                pivot = work[c + 1 :, r] % p * inv % p
-                work[c + 1 :, r] = pivot
-                pivot = pivot[: s1 - c - 1]
-                clear = r + nz[1:]
-                if full:
-                    clear = np.concatenate([work[c, :r].nonzero()[0], clear])
-                if 8 * clear.size > h - first:  # a slice, the pivot row by zero
-                    work[c, r] = 0
-                    work[c + 1 : s1, first:] -= pivot[:, None] * work[c, first:]
-                elif clear.size:
-                    work[c + 1 : s1, clear] -= pivot[:, None] * work[c, clear]
-                work[c, r] = inv
-                found.append(c)
-            r1 = len(found)
-            if r0 < r1 < h and s1 < width:  # the sub-panel's pivots, on the rows below
-                work[s1:, r1:] -= _product(work[s1:, r0:r1], work[found[r0:], r1:], p).astype(wide)
+        for c in range(width):
+            r = len(found)
+            if r == h:
+                break
+            first = 0 if full else r
+            col = work[c, first:]
+            col -= col // p * p
+            nz = work[c, r:].nonzero()[0]
+            if nz.size == 0:
+                continue
+            if nz[0]:
+                work[:, [r, r + nz[0]]] = work[:, [r + nz[0], r]]
+                perm[[r, r + nz[0]]] = perm[[r + nz[0], r]]
+            # the pivot row is zero left of c but for its multipliers, so
+            # the update starts right of c; column c keeps inverse and
+            # multipliers.  A swap moves the row that was zero at c to
+            # r + nz[0], so the other nonzero rows below are r + nz[1:]
+            inv = pow(int(work[c, r]), -1, p)
+            pivot = work[c + 1 :, r] % p * inv % p
+            work[c + 1 :, r] = pivot
+            clear = r + nz[1:]
+            if full:
+                clear = np.concatenate([work[c, :r].nonzero()[0], clear])
+            if 8 * clear.size > h - first:  # a slice, the pivot row by zero
+                work[c, r] = 0
+                work[c + 1 :, first:] -= pivot[:, None] * work[c, first:]
+            elif clear.size:
+                work[c + 1 :, clear] -= pivot[:, None] * work[c, clear]
+            work[c, r] = inv
+            found.append(c)
         k = len(found)
         if k:
             piv = np.array(found)
@@ -267,9 +238,9 @@ def _echelon_bytes(rows: int, cols: int, p: int, full: bool) -> int:
     every remaining column in the last panel) and the largest of three
     stages, with f bytes an entry of a panel product's float type and
     `block` entries (_BATCH + cols, or fewer) a block of rows:
-    - the scalar loop: the next panel's copy, or a rank-1 update or a
-      sub-panel's product (its factors, the product and its cast) no larger
-      than the panel;
+    - the scalar loop: the next panel's copy and its reduction's quotient
+      buffer, or a rank-1 update's product (and the rows it gathers, at most
+      an eighth of them), no larger than the panel, in w;
     - the pivot rows' transform: the k x k arrays of _pivot_transform, at
       most 96 bytes a cell, and the rows in s, as floats and their product,
       then its reduction through int64, a block at a time;
@@ -279,21 +250,22 @@ def _echelon_bytes(rows: int, cols: int, p: int, full: bool) -> int:
       and the rows it updates, a block each, or, in a float type,
       the in-time reduction's int64 block and quotient.
     In full mode the int64 RREF rows and their reduction's buffer follow,
-    and then kernel's basis, its reversed copy and its lists of pivot and
-    free columns, 48 bytes a column."""
+    and then kernel's basis, its reversed copy and the lists and index
+    arrays of its pivot and free columns and of the Subspace's pivots,
+    96 bytes a column (about 78 measured)."""
     s, f = np.dtype(_storage(p)[0]).itemsize, np.dtype(_exact_type(_PANEL * (p - 1) ** 2)[0]).itemsize
     w = 2 if s == 2 else 8
     c = 8 + s if full else w
     panel, block = max(rows * min(cols, _PANEL), min(rows, _PANEL) * cols), min(_BATCH + cols, rows * cols)
     k = min(rows, cols, _PANEL)  # the most pivots a panel has
-    scalar = max(w, f) * panel + f * k * k
+    scalar = 2 * w * panel
     transform = (s + 2 * f) * panel + 16 * block + 96 * k * k
     update = 2 * (f + c) * panel + max(f + 2 * s, 0 if s == 2 else 16) * block
     work = w * panel + max(scalar, transform, update) + 64 * rows
     if full:
         work = max(work, 8 * cols * cols + 8 * min(_BATCH, cols * cols))
     echelon = s * rows * cols + work + 48 * cols + (1 << 14)
-    return max(echelon, 16 * cols * cols + 48 * cols) if full else echelon
+    return max(echelon, 16 * cols * cols + 96 * cols) if full else echelon
 
 
 def rref(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -460,7 +432,7 @@ def _column_gram_bytes(m: int, d: int, c: int, p: int) -> int:
 
 
 def _mod(out: np.ndarray, p: int) -> np.ndarray:
-    """The 2-D out, of any integer type or a float type with integer entries,
+    """out, of any integer type or a float type with integer entries,
     reduced mod p in place, to [0, p), and returned: by x - x // p * p, which
     numpy vectorizes, unlike np.mod, in blocks of rows of at most _BATCH
     entries, through one quotient buffer (and for a float type one int64
@@ -468,7 +440,11 @@ def _mod(out: np.ndarray, p: int) -> np.ndarray:
     reduced in itself: in int16, x // p * p may wrap, but x - x // p * p
     lies in [0, p), so it is still right modulo 2^16.  A float type goes
     through int64, which holds its entries exactly (np.mod takes five times
-    as long on floats, np.fmod more)."""
+    as long on floats, np.fmod more).  An out of other than two axes (a
+    stacked product) is read as the rows of its last axis, without a copy."""
+    if out.ndim != 2:
+        _mod(out.reshape(-1, out.shape[-1], copy=False), p)
+        return out
     height = max(_BATCH // max(out.shape[1], 1), 1)
     own = out.dtype.kind in "iu"
     shape = (min(height, len(out)), out.shape[1])
@@ -487,15 +463,20 @@ def _mod(out: np.ndarray, p: int) -> np.ndarray:
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact a @ b mod p, for any modulus 1 <= p <= _P_MAX.  In a Gram
-    product b.T @ b of a 2-D b, b is reduced once, so that _product still
-    sees one.  As in np.matmul, a 1-D a is one row and a 1-D b one column,
-    and the result drops that axis (a 0-d array for two vectors)."""
+    """Exact a @ b mod p, for any modulus 1 <= p <= _P_MAX; a may be stacked
+    (more than two axes), b has one or two.  In a Gram product b.T @ b of a
+    2-D b, b is reduced once, so that _product still sees one.  As in
+    np.matmul, a 1-D a is one row and a 1-D b one column, and the result
+    drops that axis (a 0-d array for two vectors)."""
     if p > _P_MAX:
         _check_prime(p)  # refuses it, as elimination does
     a, b = np.asarray(a), np.asarray(b)
+    if b.ndim > 2:
+        raise ValueError(f"b must have one or two axes, got {b.ndim}")
     if a.ndim == 1 or b.ndim == 1:  # a vector is its own transpose, so it must not pass for a Gram factor
-        return matmul_mod(a.reshape(-1, a.shape[-1]), b.reshape(len(b), -1), p).reshape(a.shape[:-1] + b.shape[1:])
+        out = matmul_mod(a[None, :] if a.ndim == 1 else a, b[:, None] if b.ndim == 1 else b, p)
+        out = out[..., 0, :] if a.ndim == 1 else out
+        return out[..., 0] if b.ndim == 1 else out
     gram = a.__array_interface__ == b.T.__array_interface__
     b = _reduced(b, p)
     a = b.T if gram else _reduced(a, p)

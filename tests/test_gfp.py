@@ -224,72 +224,44 @@ def test_reduction_in_time_covers_every_updated_column(p):
 
 
 @pytest.mark.parametrize("p", sorted(STORAGE_PRIMES))
-def test_subpanels_match_reference(p, monkeypatch):
-    """rank's scalar loop splits a panel of at least _SUB_CELLS cells into
-    sub-panels of _SUB columns, and carries each sub-panel's pivots to the
-    rest of the panel by one product.  Its pivots must be the reference
-    elimination's, at every storage tier, with the panel split always, never
-    and by the rule, and splitting must add products.  With the rule lowered
-    to one cell:
-    - a 100 x 90 matrix whose second sub-panel has no pivot and whose rank
-      deficit spans the boundary of the third and fourth, and whose last
-      panel (64 rows) spans 26 columns;
+def test_scalar_loop_matches_reference(p):
+    """The scalar loop's rank, rref and kernel against the reference
+    elimination, at every storage tier:
+    - a 100 x 90 matrix whose columns 16-31 and 40-51 are combinations of
+      the columns before them, so have no pivot, and whose last panel (64
+      rows) spans 26 columns;
     - a sparse 200 x 64 one with five dense columns, so that one panel
       updates some multiplier columns by slices and others by gathered rows;
-    - a 40 x 80 one, a last panel wider than a sub-panel.
-    These also run rref and kernel against the reference.  At the rule's
-    own size, 520 x 63 and 521 x 63 lie on either side of it (32760 and
-    32823 cells; the extra row is a combination of the others, so the
-    pivots are the same), and 60 x 560 is a last panel past it."""
-    rule = gfp._SUB_CELLS
-    products = []
-    product = gfp._product
-    monkeypatch.setattr(gfp, "_product", lambda a, b, p: products.append(len(b)) or product(a, b, p))
-
-    def pivots(a, cells):
-        monkeypatch.setattr(gfp, "_SUB_CELLS", cells)
-        products.clear()
-        return gfp._echelon(a, p, False)[1], len(products)
-
-    def check(a, split_at_rule, want=None):
-        want = want or gauss_jordan(a.tolist(), a.shape[1], p)[1]
-        (whole, n_whole), (split, n_split), (ruled, n_ruled) = pivots(a, 2**62), pivots(a, 1), pivots(a, rule)
-        assert whole == split == ruled == want
-        assert n_split > n_whole and n_ruled == (n_split if split_at_rule else n_whole)
-
+    - a 40 x 80 one, a last panel wider than _PANEL."""
     rng = np.random.default_rng(p % 997)
     a = rng.integers(0, p, (100, 90))
     a[:, 16:32] = matmul_mod(a[:, :16], rng.integers(0, p, (16, 16)), p)
     a[:, 40:52] = matmul_mod(a[:, 32:40], rng.integers(0, p, (8, 12)), p)
     sparse = rng.integers(0, p, (200, 64)) * (rng.random((200, 64)) < 0.03)
     sparse[:, [0, 5, 17, 33, 50]] = rng.integers(0, p, (200, 5))
-    for small in (a, sparse, _known_rank(rng, 40, 80, 30, p)):
-        check(small, False)
-        monkeypatch.setattr(gfp, "_SUB_CELLS", 1)
-        _assert_matches_reference(small, p)
-    below = _known_rank(rng, 520, 63, 40, p)
-    above = np.vstack([below, matmul_mod(rng.integers(0, p, 520), below, p)])
-    want = gauss_jordan(below.tolist(), 63, p)[1]
-    check(below, False, want)
-    check(above, True, want)
-    check(_known_rank(rng, 60, 560, 30, p), True)
+    for m in (a, sparse, _known_rank(rng, 40, 80, 30, p)):
+        _assert_matches_reference(m, p)
 
 
 @pytest.mark.parametrize("p", [2, 7, 65521, 11863279])
 def test_matmul_mod_reads_vectors_as_numpy_does(p):
     """A 1-D factor is one row (a) or one column (b), and the result drops
     that axis, as in np.matmul: vector by vector (a 0-d array), matrix by
-    vector and vector by matrix, with signed entries, against object
-    integers.  v by v is no Gram product b.T @ b, though a 1-D v is its own
-    transpose.  At 11863279, K = 65 passes 2^53, so the product is summed
-    over float64 slices."""
+    vector and vector by matrix, and a stacked 3-D a by a matrix or a
+    vector, with signed entries, against object integers, K = 0 included.
+    v by v is no Gram product b.T @ b, though a 1-D v is its own transpose.
+    At 11863279, K = 65 passes 2^53, so the product is summed over float64
+    slices.  A b of three axes is refused."""
     rng = np.random.default_rng(p % 991)
-    for k in (1, 64, 65):
+    for k in (0, 1, 64, 65):
         v, w, m = rng.integers(1 - p, p, k), rng.integers(1 - p, p, k), rng.integers(1 - p, p, (k, 5))
-        for a, b in ((v, v), (v, w), (m.T, v), (v, m)):
+        stacked = rng.integers(1 - p, p, (3, 4, k))
+        for a, b in ((v, v), (v, w), (m.T, v), (v, m), (stacked, m), (stacked, v)):
             want = np.asarray((a.astype(object) @ b.astype(object)) % p)
             got = matmul_mod(a, b, p)
             assert got.dtype == np.int64 and got.shape == want.shape and got.tolist() == want.tolist()
+    with pytest.raises(ValueError, match="one or two axes"):
+        matmul_mod(np.ones((2, 3), np.int64), np.ones((2, 3, 4), np.int64), p)
 
 
 @pytest.mark.parametrize("limit", [2**24, 2**53])
