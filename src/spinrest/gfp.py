@@ -2,21 +2,21 @@
 
 Inputs are integer arrays of any width with entries in (-p, p), such as the
 int8 dual-Specht blocks and Gram matrices, read without a widening copy (an
-entry outside costs one reduced copy); the public functions return int64
-arrays with entries in [0, p).  All elimination goes through one
-panel-blocked echelon routine: pivots are found in a narrow column panel by
-a scalar loop, and the rest of the matrix is updated by BLAS-backed
-products, one per block of rows of at most _BATCH entries, so that no
-product as large as the matrix is formed.  The scalar loop runs on a
-transposed copy of its panel, so that a pivot's update runs along the
+entry outside costs matmul_mod one reduced copy, and elimination none where
+its storage type holds the entry); the public functions return int64 arrays
+with entries in [0, p).  The public elimination is rank and kernel, which
+returns the kernel's canonical reduced-echelon basis and its dim.  Both go
+through one panel-blocked echelon routine: pivots are found in a narrow
+column panel by a scalar loop, and the rest of the matrix is updated by
+BLAS-backed products, one per block of rows of at most _BATCH entries, so
+that no product as large as the matrix is formed.  The scalar loop runs on
+a transposed copy of its panel, so that a pivot's update runs along the
 panel's rows.  It leaves its multipliers in the cells it clears, as LU
 factorizations do, so the transform of the panel's pivot rows is the
 inverse of a k x k triangular matrix, found in about 2 log2 k products,
 instead of by a second elimination.  Elimination refuses a p that is not
-prime, and every function a p above _P_MAX = 11863279, beyond which a
-full panel's product leaves the integers that float64 holds exactly.
-Subspaces carry a canonical reduced-echelon basis, so equality is matrix
-equality.
+prime, and every function a p above _P_MAX = 11863279, beyond which a full
+panel's product leaves the integers that float64 holds exactly.
 
 Reduction mod p is delayed, as in FFLAS-FFPACK (Dumas, Giorgi and Pernet,
 ACM TOMS 35(3), 2008): elimination stores the matrix in int16 for p <= 7,
@@ -35,7 +35,7 @@ straight into G, reduced, in the narrowest signed type that holds [0, p).
 Elimination states its own memory (_echelon_bytes), which callers compose
 to refuse a request beyond physical memory before they allocate it."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
@@ -130,21 +130,28 @@ def _echelon(arr: np.ndarray, p: int, full: bool) -> tuple[np.ndarray, list[int]
     unreduced: from a slice of the rows where more than an eighth of them
     have a multiplier, else from those rows gathered (gathering along the
     copy's second axis costs about eight times a slice's cell).  An entry
-    moves by at most (p - 1)^2 a pivot, at most _PANEL times, which the
-    copy holds after its p - 1.  The panel products are subtracted
-    unreduced from the matrix, stored in _storage's type, which `spread`
-    keeps exact by reducing (_mod) the rows and columns that the next
-    product updates, before it could pass the type's exact range; no other
-    part of the matrix is read again but for the pivot rows, which are
-    reduced where they are read.  The matrix is returned in that type.
-    _echelon_bytes bounds what this allocates.
+    moves by at most (p - 1)^2 a pivot, at most _PANEL times, which the copy
+    holds after its p - 1.  The panel products are subtracted unreduced from
+    the matrix, stored in _storage's type, which `spread` keeps exact by
+    reducing (_mod) the rows and columns that the next product updates,
+    before it could pass the type's exact range; no other part of the matrix
+    is read again but for the pivot rows, which are reduced where they are
+    read.  An input whose entries that type holds exactly is copied into it
+    as it is, reduced or not (the int8 dual-Specht blocks hold +-2, outside
+    (-2, 2)), and reduced there in time like any product; any other input is
+    reduced first, in an int64 copy.  The matrix is returned in that type,
+    unreduced.  _echelon_bytes bounds what this allocates.
     """
     _check_prime(p)
     store, limit = _storage(p)
     wide = store if store is np.int16 else np.int64  # the panel copy's type
-    a = _reduced(arr, p).astype(store, order="C")
+    a = np.asarray(arr)
+    a = a if a.dtype.kind in "iu" else a.astype(np.int64)
+    spread = max(p - 1, -int(a.min(initial=0)), int(a.max(initial=0)))  # no entry of a is larger in magnitude
+    if spread > limit:  # the storage type would not hold every entry exactly
+        a, spread = np.mod(a, p, dtype=np.int64), p - 1
+    a = a.astype(store, order="C")
     rows, cols = a.shape
-    spread = p - 1  # no entry of a is larger in magnitude
     pivots: list[int] = []
     top = c0 = 0
     while top < rows and c0 < cols:
@@ -204,7 +211,7 @@ def _echelon(arr: np.ndarray, p: int, full: bool) -> tuple[np.ndarray, list[int]
             # panel only the rows above are left.
             if full:
                 lo, hi = 0, top if last else rows
-                coeff = _mod(a[lo:hi, c0 + piv].astype(np.int64, order="C", copy=False), p)
+                coeff = _mod(a[lo:hi, c0 + piv], p)  # a gathered copy, reduced in its own type
             else:
                 lo, hi = top + k, top + k if last else rows
                 coeff = work[piv, k : hi - top].T
@@ -245,33 +252,32 @@ def _echelon_bytes(rows: int, cols: int, p: int, full: bool) -> int:
       most 96 bytes a cell, and the rows in s, as floats and their product,
       then its reduction through int64, a block at a time;
     - the update: the transformed rows (floats) and the coefficients (w, or
-      in full mode gathered from the matrix and made int64), and a block of
-      rows: its coefficients and their floats, and the product, its cast
-      and the rows it updates, a block each, or, in a float type,
-      the in-time reduction's int64 block and quotient.
-    In full mode the int64 RREF rows and their reduction's buffer follow,
-    and then kernel's basis, its reversed copy and the lists and index
-    arrays of its pivot and free columns and of the Subspace's pivots,
-    96 bytes a column (about 78 measured)."""
+      in full mode gathered from the matrix in s), and a block of rows: its
+      coefficients and their floats, and the product, its cast and the rows
+      it updates, a block each, or, in a float type, the in-time
+      reduction's int64 block and quotient.
+    kernel's basis follows.  It reads the pivot rows at the free columns,
+    at most kf = max k (cols - k) entries over the ranks k <= rows, gathered
+    in s beside the storage copy, which is then freed; they are reduced
+    (at most 16 bytes an entry of buffers, _BATCH entries at a time) and
+    cast, 8 bytes an entry, into the int64 basis, at most cols x cols, with
+    the index arrays of the pivot and free columns, 96 bytes a column."""
     s, f = np.dtype(_storage(p)[0]).itemsize, np.dtype(_exact_type(_PANEL * (p - 1) ** 2)[0]).itemsize
     w = 2 if s == 2 else 8
-    c = 8 + s if full else w
+    c = s if full else w
     panel, block = max(rows * min(cols, _PANEL), min(rows, _PANEL) * cols), min(_BATCH + cols, rows * cols)
     k = min(rows, cols, _PANEL)  # the most pivots a panel has
     scalar = 2 * w * panel
     transform = (s + 2 * f) * panel + 16 * block + 96 * k * k
     update = 2 * (f + c) * panel + max(f + 2 * s, 0 if s == 2 else 16) * block
     work = w * panel + max(scalar, transform, update) + 64 * rows
-    if full:
-        work = max(work, 8 * cols * cols + 8 * min(_BATCH, cols * cols))
     echelon = s * rows * cols + work + 48 * cols + (1 << 14)
-    return max(echelon, 16 * cols * cols + 96 * cols) if full else echelon
-
-
-def rref(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and pivot columns, over GF(p)."""
-    red, pivots = _echelon(arr, p, True)
-    return _mod(red.astype(np.int64, order="C", copy=False), p), pivots
+    if not full:
+        return echelon
+    half = min(rows, cols // 2)
+    kf = half * (cols - half)
+    basis = max(s * rows * cols, 8 * cols * cols + 8 * kf + 16 * min(_BATCH, kf)) + s * kf
+    return max(echelon, basis + 96 * cols + (1 << 14))
 
 
 def rank(arr: np.ndarray, p: int) -> int:
@@ -483,50 +489,40 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return _mod(_product(a, b, p).astype(np.int64, order="C", copy=False), p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
-    """A subspace of GF(p)^ambient with a canonical RREF basis (rows)."""
+    """A subspace of GF(p)^n by its canonical reduced-echelon basis: an
+    int64 array of dim rows and n columns."""
 
-    ambient: int
     basis: np.ndarray
-    p: int
-    pivots: tuple[int, ...] = field(init=False)
-
-    def __post_init__(self):
-        piv = []
-        for row in self.basis:
-            nz = np.nonzero(row)[0]
-            piv.append(int(nz[0]))
-        object.__setattr__(self, "pivots", tuple(piv))
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[0]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subspace)
-            and self.ambient == other.ambient
-            and self.p == other.p
-            and np.array_equal(self.basis, other.basis)
-        )
+        return len(self.basis)
 
 
 def kernel(arr: np.ndarray, p: int) -> Subspace:
-    """Right kernel {v : arr v = 0} as a canonical Subspace.
+    """Right kernel {v : arr v = 0} by its canonical basis.
 
     Eliminating the reversed columns puts each free column after the pivots
     its kernel vector involves; reversed back, the kernel vectors have their
     leading 1 at distinct columns that are zero in the others, so read from
-    the last free column to the first they are already the RREF.
-    """
+    the last free column to the first they are already the RREF.  The basis
+    reads of the RREF only its rows' entries at the free columns, so only
+    those are copied and reduced, before the elimination's copy is freed,
+    and it is written once, in its final order."""
     a = np.asarray(arr)
     cols = a.shape[1]
-    red, pivots = rref(a[:, ::-1], p)
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
+    red, pivots = _echelon(a[:, ::-1], p, True)
+    piv = np.array(pivots, dtype=np.intp)
+    free = np.ones(cols, dtype=bool)
+    free[piv] = False
+    free = np.flatnonzero(free)[::-1]  # the reversed matrix's free columns, the last first
+    x = red[:, free]
+    del red
+    x = _mod(np.negative(x, out=x), p)
     basis = np.zeros((len(free), cols), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = (-red[:, free].T) % p
-    return Subspace(cols, np.ascontiguousarray(basis[::-1, ::-1]), p)
+    basis[np.arange(len(free)), cols - 1 - free] = 1
+    basis[:, cols - 1 - piv] = x.T
+    return Subspace(basis)
 

@@ -1,20 +1,21 @@
 """Independent brute-force oracles used to freeze expected values.
 
 Everything here works directly on node sets / literal definitions and avoids
-the package's row-arithmetic code paths, so agreement is meaningful.  The
-exceptions use the package's elimination on other matrices than the routes
-they check: subspace_from_rows, and the last section, the quotient route to
-dual Specht invariants.
+the package's row-arithmetic code paths, so agreement is meaningful.  Linear
+algebra over GF(p) runs on this module's own eliminations, gauss_jordan on
+Python ints and row_reduce, its numpy counterpart, and imports nothing from
+spinrest.gfp.  The quotient route to dual Specht invariants builds its
+matrices from the package's tabloid bases and polytabloids.
 """
 
 from collections import defaultdict
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from math import factorial, prod
 
 import numpy as np
 
-from spinrest.gfp import Subspace, kernel, matmul_mod, rref
 from spinrest.specht import generators, perm_basis, polytabloid_matrix
 
 Node = tuple[int, int]
@@ -418,16 +419,66 @@ def carter_irreducible(shape, p: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Subspaces in reduced echelon form
+# Subspaces in reduced echelon form, by numpy Gauss-Jordan
 # ---------------------------------------------------------------------------
+
+
+def row_reduce(rows, p: int) -> tuple[np.ndarray, list[int]]:
+    """gauss_jordan on an integer array: (nonzero rows of the reduced
+    echelon form, int64 in [0, p), pivot columns).  One int64 row operation
+    per pivot, applied to the rows that are nonzero in the pivot column and
+    reduced mod p each time, so exact while p (p - 1) < 2^63."""
+    a = np.mod(np.asarray(rows, dtype=np.int64), p)
+    pivots: list[int] = []
+    for c in range(a.shape[1]):
+        r = len(pivots)
+        hit = r + np.flatnonzero(a[r:, c])
+        if hit.size == 0:
+            continue
+        a[[r, hit[0]]] = a[[hit[0], r]]
+        a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p  # zero left of c
+        others = np.flatnonzero(a[:, c])
+        others = others[others != r]
+        a[others, c:] = (a[others, c:] - np.outer(a[others, c], a[r, c:])) % p
+        pivots.append(c)
+    return a[: len(pivots)], pivots
+
+
+@dataclass(frozen=True, eq=False)
+class Subspace:
+    """A subspace of GF(p)^ambient by its reduced echelon basis (rows) and
+    their pivot columns."""
+
+    ambient: int
+    basis: np.ndarray
+    pivots: list[int]
+    p: int
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
 
 
 def subspace_from_rows(rows, ambient: int, p: int) -> Subspace:
     """The span of the given rows, with its canonical RREF basis."""
-    arr = np.asarray(rows, dtype=np.int64)
-    if arr.size == 0:
-        return Subspace(ambient, np.zeros((0, ambient), dtype=np.int64), p)
-    return Subspace(ambient, rref(arr, p)[0], p)
+    return Subspace(ambient, *row_reduce(np.asarray(rows, dtype=np.int64), p), p)
+
+
+def null_space(a, p: int) -> Subspace:
+    """{v : a v = 0} by its RREF basis, from row_reduce of a's reversed
+    columns: one vector per free column, 1 there and minus the RREF's
+    column at the pivots.  Reversed back, each has its leading 1 at its
+    free column, where the others are zero, so read from the last free
+    column to the first they are the RREF (kernel_by_hand, a second
+    Gauss-Jordan pass, checks this on small inputs)."""
+    a = np.asarray(a, dtype=np.int64)
+    cols = a.shape[1]
+    red, pivots = row_reduce(a[:, ::-1], p)
+    free = sorted(set(range(cols)) - set(pivots))
+    vecs = np.zeros((len(free), cols), dtype=np.int64)
+    vecs[np.arange(len(free)), free] = 1
+    vecs[:, pivots] = -red[:, free].T % p
+    return Subspace(cols, np.ascontiguousarray(vecs[::-1, ::-1]), [cols - 1 - f for f in reversed(free)], p)
 
 
 def residue(w, rows) -> np.ndarray:
@@ -471,7 +522,7 @@ def specht_perp(shape, p: int):
     """(S^shape)^perp in M^shape under the standard tabloid pairing: the
     kernel of the transposed polytabloid matrix, a dense (m - d) x m basis.
     For two-row shapes this is the radical Z_k with M_k / Z_k = S_k^*."""
-    return kernel(dense_polytabloid_matrix(shape).T, p)
+    return null_space(dense_polytabloid_matrix(shape).T, p)
 
 
 def fixed_space(mats, dim: int, p: int):
@@ -479,14 +530,14 @@ def fixed_space(mats, dim: int, p: int):
     kernel(G - I); the full space when no generators are given."""
     mats = list(mats)
     if not mats:
-        return Subspace(dim, np.eye(dim, dtype=np.int64), p)
+        return subspace_from_rows(np.eye(dim, dtype=np.int64), dim, p)
     blocks = []
     for g in mats:
         g = np.mod(np.asarray(g, dtype=np.int64), p)
         if g.shape != (dim, dim):
             raise ValueError(f"generator shape {g.shape} != ({dim}, {dim})")
         blocks.append((g - np.eye(dim, dtype=np.int64)) % p)
-    return kernel(np.concatenate(blocks, axis=0), p)
+    return null_space(np.concatenate(blocks, axis=0), p)
 
 
 def quotient_action(g, w) -> np.ndarray:
@@ -504,8 +555,9 @@ def quotient_action(g, w) -> np.ndarray:
     pivots = list(w.pivots)
     free = np.setdiff1d(np.arange(n), pivots)
     image = w.basis[:, np.argsort(g)]  # rows are g * basis vectors
-    # in RREF the residue modulo W vanishes on the pivot columns identically
-    residue = (image[:, free] - matmul_mod(image[:, pivots], w.basis[:, free], p)) % p
+    # in RREF the residue modulo W vanishes on the pivot columns identically;
+    # the int64 product is exact while dim W (p - 1)^2 < 2^63
+    residue = (image[:, free] - image[:, pivots] @ w.basis[:, free]) % p
     if np.any(residue):
         raise ValueError("subspace is not stable under the generator")
     proj = np.zeros((len(free), n), dtype=np.int64)

@@ -1,17 +1,33 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 
 def run_cli(*args):
-    proc = subprocess.run(
-        [sys.executable, "-m", "spinrest.cli", *args],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    """cli.main(args) in this process: (exit code, stdout, stderr).  An
+    argparse exit gives its code, and warnings are written to stderr, as a
+    process of its own would print them."""
+    from spinrest import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+    shown = "".join(warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught)
+    return code, out.getvalue(), err.getvalue() + shown
+
+
+def run_python(*args):
+    """A Python subprocess with the given arguments: (exit code, stdout, stderr)."""
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -411,7 +427,7 @@ def test_main_builds_the_parser_once(monkeypatch, capsys):
          "--subgroup", "W(3,2)"],
         ["dims", "--n", "9", "--p", "5", "--which", "second"],
     ]
-    fresh = [run_cli(*argv)[1] for argv in queries]  # one process, so one parser, each
+    fresh = [run_python("-m", "spinrest.cli", *argv)[1] for argv in queries]  # one process, so one parser, each
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -425,3 +441,23 @@ def test_main_builds_the_parser_once(monkeypatch, capsys):
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == want
     assert built.count("spinrest") == 1
+
+
+def test_module_entry_point_exit_codes():
+    """`python -m spinrest.cli` exits with main's code: 0 for a clean suite,
+    2 for an argument error, and 3 for an internal error (a classifier that
+    raises RuntimeError, patched in before the module runs)."""
+    code, out, _ = run_python("-m", "spinrest.cli", "verify", "parity")
+    assert code == 0 and "0 violations" in out
+    code, out, err = run_python("-m", "spinrest.cli", "verify", "nonsense")
+    assert code == 2 and out == "" and "invalid choice" in err
+    argv = ["classify", "--group", "S", "--n", "6", "--p", "3", "--label", "D[(4,2);0]", "--subgroup", "S(4,2)"]
+    script = (
+        "import importlib, runpy, sys\n"
+        "def boom(query):\n    raise RuntimeError('clauses overlap')\n"
+        "importlib.import_module('spinrest.classify').classify = boom\n"
+        f"sys.argv[1:] = {argv!r}\n"
+        "runpy.run_module('spinrest.cli', run_name='__main__')\n"
+    )
+    code, out, err = run_python("-c", script)
+    assert code == 3 and out == "" and err == "internal error: clauses overlap\n"

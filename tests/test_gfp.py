@@ -12,13 +12,15 @@ from oracles import (
     gauss_jordan,
     inverse_by_hand,
     kernel_by_hand,
+    null_space,
     perm_matrix,
     quotient_action,
     quotient_projection,
+    row_reduce,
     subspace_from_rows,
 )
 from spinrest import gfp
-from spinrest.gfp import kernel, matmul_mod, rank, rref
+from spinrest.gfp import kernel, matmul_mod, rank
 from spinrest.partitions import _is_prime
 from spinrest.specht import eta, from_cycles, subset_basis
 
@@ -47,17 +49,43 @@ def _random_matrix(rng, m, n, p):
     return rng.integers(0, p, (m, n)) * (rng.random((m, n)) < 0.15)
 
 
+def rref(a, p):
+    """The reduced echelon rows, int64 in [0, p), and pivot columns of
+    kernel's elimination, gfp._echelon(a, p, True)."""
+    red, pivots = gfp._echelon(a, p, True)
+    return gfp._mod(red.astype(np.int64), p), pivots
+
+
 def _assert_matches_reference(a, p):
+    """rref, rank and kernel against the reference elimination, row_reduce
+    (itself checked against gauss_jordan on small inputs)."""
     n = a.shape[1]
-    want_red, want_pivots = gauss_jordan(a.tolist(), n, p)
+    want_red, want_pivots = row_reduce(a, p)
     red, pivots = rref(a, p)
     assert pivots == want_pivots
-    assert red.shape == (len(want_pivots), n) and red.tolist() == want_red
+    assert red.shape == (len(want_pivots), n) and np.array_equal(red, want_red)
     assert rank(a, p) == len(want_pivots)
     ker = kernel(a, p)
     assert ker.basis.shape == (n - len(want_pivots), n)
-    assert ker.basis.tolist() == kernel_by_hand(a.tolist(), n, p)
+    assert ker.basis.dtype == np.int64 and np.array_equal(ker.basis, null_space(a, p).basis)
     assert not np.any(matmul_mod(a, ker.basis.T, p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 65521])
+def test_numpy_oracle_matches_gauss_jordan(p):
+    """row_reduce and null_space, the numpy reference elimination, against
+    gauss_jordan and kernel_by_hand on Python ints, on small random
+    matrices: dense, low rank, sparse, empty, and unreduced and negative
+    entries."""
+    rng = np.random.default_rng(p % 1009)
+    for _ in range(40):
+        m, n = (int(x) for x in rng.integers(0, 12, 2))
+        a = _random_matrix(rng, m, n, p) + p * rng.integers(-3, 4, (m, n))
+        red, pivots = row_reduce(a, p)
+        want_red, want_pivots = gauss_jordan(a.tolist(), n, p)
+        assert pivots == want_pivots and red.dtype == np.int64 and red.tolist() == want_red
+        ker = null_space(a, p)
+        assert ker.dim == n - len(pivots) and ker.basis.tolist() == kernel_by_hand(a.tolist(), n, p)
 
 
 def test_rank_basics():
@@ -395,6 +423,23 @@ def test_gram_sparse_rows_match_object_products(limit, monkeypatch):
         assert got.shape == (shape[1], shape[1]) and not got.any()
 
 
+@pytest.mark.parametrize("p", sorted(STORAGE_PRIMES))
+def test_unreduced_input_matches_reduced(p):
+    """rank, rref and kernel of a + p X give what they give on a, past one
+    panel: with X small, so that the storage type holds every entry and the
+    elimination reduces them there in time, and with X near 2^62 / p, beyond
+    every storage type, so that the input is reduced first."""
+    rng = np.random.default_rng(p % 1013)
+    for rows, cols in ((150, 140), (70, 130)):
+        a = _known_rank(rng, rows, cols, 50, p)
+        want_red, want_pivots = rref(a, p)
+        want_ker = kernel(a, p).basis
+        for bound in (4, 2**62 // p - 1):
+            b = a + p * rng.integers(-bound, bound, a.shape)
+            assert rank(b, p) == 50 and rref(b, p)[1] == want_pivots
+            assert np.array_equal(rref(b, p)[0], want_red) and np.array_equal(kernel(b, p).basis, want_ker)
+
+
 @pytest.mark.parametrize("p", [2, 3, 7, 65521])
 def test_narrow_signed_input_matches_reduced_int64(p):
     """rank, rref, kernel and matmul_mod read an int8 array with signed
@@ -414,7 +459,7 @@ def test_narrow_signed_input_matches_reduced_int64(p):
             (red, pivots), (want_red, want_pivots) = rref(view, p), rref(wide, p)
             assert pivots == want_pivots and red.dtype == np.int64 and np.array_equal(red, want_red)
             ker = kernel(view, p)
-            assert ker == kernel(wide, p) and ker.basis.dtype == np.int64
+            assert ker.basis.dtype == np.int64 and np.array_equal(ker.basis, kernel(wide, p).basis)
             for a, b in ((view.T, view), (view, wide.T), (view, view.T)):
                 got = matmul_mod(a, b, p)
                 want = matmul_mod(a.astype(np.int64) % p, b.astype(np.int64) % p, p)
@@ -442,30 +487,34 @@ def test_rank_updates_panels_in_row_blocks():
     assert r == 1800 and peak <= 2 * a.size + 3 * 8 * gfp._BATCH
 
 
-def test_rref_reduces_its_one_int64_copy():
-    """rref of a reversed-column int8 view (as kernel passes it) holds the
-    int16 storage copy and one int64 copy of the echelon rows, reduced in
-    place through a buffer of _BATCH entries, and gives the rows and pivots
-    of the same matrix as a contiguous int64 array."""
-    view = np.random.default_rng(9).integers(-1, 2, (1500, 1200)).astype(np.int8)[:, ::-1]
-    want_red, want_pivots = rref(np.ascontiguousarray(view).astype(np.int64) % 3, 3)
-    (red, pivots), peak = _traced_peak(lambda: rref(view, 3))
-    assert pivots == want_pivots and red.dtype == np.int64 and np.array_equal(red, want_red)
-    assert np.array_equal(red[:, pivots], np.eye(len(pivots), dtype=np.int64))
-    assert peak <= 2 * view.size + 8 * red.size + 8 * gfp._BATCH + 2_000_000
+def test_kernel_keeps_no_copy_of_its_rows():
+    """kernel of a reversed-column int8 view of rank 900 mod 3 holds no more
+    than rank does on it and the 300 x 1200 int64 basis: the int16 storage
+    copy and the elimination's workspace, then only the echelon rows'
+    entries at the free columns, not an int64 copy of the 900 echelon rows.
+    The basis is that of the same matrix as a contiguous int64 array."""
+    a = np.random.default_rng(9).integers(-1, 2, (1500, 1200)).astype(np.int8)
+    a[:, 900:] = a[:, :300]
+    view = a[:, ::-1]
+    want = kernel(np.ascontiguousarray(view).astype(np.int64) % 3, 3).basis
+    r, rank_peak = _traced_peak(lambda: rank(view, 3))
+    ker, peak = _traced_peak(lambda: kernel(view, 3))
+    assert r == 900 and ker.basis.dtype == np.int64 and np.array_equal(ker.basis, want)
+    assert peak <= rank_peak + 8 * ker.basis.size
 
 
-def test_kernel_runs_one_rref(monkeypatch):
+def test_kernel_runs_one_elimination(monkeypatch):
     calls = []
+    echelon = gfp._echelon
 
-    def counted(arr, p):
-        calls.append(arr.shape)
-        return rref(arr, p)
+    def counted(arr, p, full):
+        calls.append((arr.shape, full))
+        return echelon(arr, p, full)
 
-    monkeypatch.setattr(gfp, "rref", counted)
+    monkeypatch.setattr(gfp, "_echelon", counted)
     a = _known_rank(np.random.default_rng(4), 90, 120, 50, 5)
     assert kernel(a, 5).dim == 70
-    assert calls == [(90, 120)]
+    assert calls == [((90, 120), True)]
 
 
 def test_rejects_p_beyond_int64_products():
@@ -498,8 +547,8 @@ def test_kernel_vectors_annihilate():
 
 
 def test_inv_mod():
-    """Inverting through rref of [A | I], the way the elimination core
-    inverts its pivot blocks; 100 x 100 runs past one panel."""
+    """Inverting through the reduced echelon form of [A | I], by kernel's
+    elimination; 100 x 100 runs past one panel."""
     rng = np.random.default_rng(2)
     for p, k in ((3, 6), (7, 6), (5, 100)):
         a = _known_rank(rng, k, k, k, p)
@@ -537,7 +586,7 @@ def test_fixed_space_generator_independence():
     a = fixed_space(mats, dim, p)
     b = fixed_space(mats[::-1], dim, p)
     c = fixed_space([perm_matrix(basis.act(g)) for g in sorted(group)], dim, p)
-    assert a == b == c
+    assert a.basis.tolist() == b.basis.tolist() == c.basis.tolist()
 
 
 def _random_stable_pair(rng, n, p):

@@ -502,11 +502,11 @@ def _unreachable(*args, **kwargs):
 
 def test_dual_specht_refuses_beyond_physical_memory(monkeypatch):
     """With 0.2 GB of physical memory, (6,4,2) under W(2,6) mod 65521 (three
-    2673 x 2673 int8 blocks, one per generator, the blocks' float64 copy
-    and the RREF's int64 rows, about 0.25 GB) is refused before any basis
-    or matrix is built, and (5,3,2) under W(2,5) mod 3 (about 12 MB) still
+    2673 x 2673 int8 blocks, one per generator, their float64 copy and the
+    elimination's workspace, about 0.23 GB) is refused before any basis or
+    matrix is built, and (5,3,2) under W(2,5) mod 3 (about 12 MB) still
     runs.  Mod 3 the elimination stores int16, and (6,4,2) needs about
-    0.14 GB."""
+    0.11 GB."""
     from spinrest import specht
 
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 48_800}
@@ -514,7 +514,7 @@ def test_dual_specht_refuses_beyond_physical_memory(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(specht, "perm_basis", _unreachable)
         patch.setattr(specht, "polytabloid_matrix", _unreachable)
-        with pytest.raises(ValueError, match=r"needs about 0\.3 GB \(m = 13860 tabloids, dim S = 2673\)"):
+        with pytest.raises(ValueError, match=r"needs about 0\.2 GB \(m = 13860 tabloids, dim S = 2673\)"):
             dual_specht_invariant_dim((6, 4, 2), 65521, wreath(2, 6))
     assert dual_specht_invariant_dim((5, 3, 2), 3, wreath(2, 5)) == 0
 
@@ -547,20 +547,24 @@ def test_dual_specht_counts_the_tabloid_basis_against_memory(monkeypatch):
         ((6, 3, 1), young(10, (1,) * 10)),
         ((3, 2, 1), wreath(3, 2)),
         ((4, 2, 1), young(7, (4, 3))),
+        ((4, 3, 2, 1), young(10, (5, 5))),
     ],
 )
 def test_dual_specht_memory_bound_holds(shape, spec):
     """The bytes the refusal is based on cover what the computation
     allocates, tabloid basis and column table included, as traced by
-    tracemalloc: at p = 3, where the elimination stores int16, and at
-    p = 65521, where it stores float64."""
+    tracemalloc: at p = 2 and 3, where the elimination stores int16, and at
+    p = 65521, where it stores float64.  At p = 2 the blocks' entries +-2
+    lie outside (-p, p); on (4,3,2,1) under S(5,5) an int64 copy of the
+    reduced blocks, which the bound does not count, would take the peak to
+    1.4 times the bound."""
     import tracemalloc
 
     from spinrest import specht
 
     n = sum(shape)
     m = factorial(n) // np.prod([factorial(part) for part in shape])
-    for p in (3, 65521):
+    for p in (2, 3, 65521):
         bound = specht._dual_specht_bytes(shape, m, hook_dimension(shape), len(generators(spec)), p)
         specht.perm_basis.cache_clear()
         specht._column_table.cache_clear()
