@@ -5,11 +5,14 @@ k-subset bases.
 Permutations are 0-indexed image tuples.  A tabloid of shape
 (l_1, ..., l_r) is one word of row labels: word[x] is the row of entry x,
 with row 1 labelled 0, so label a occurs l_{a+1} times.  A basis lists these
-words in lexicographic word order, and a word's index is found by binary
-search among them, each word read as one n-byte key.  Standard tableaux are
-the lattice words among them (no prefix holds more of label a + 1 than of
-label a), kept in word order.  A permutation acts on a basis as one index
-array (image of each tabloid), so orbits, polytabloids and the blocks of
+words in lexicographic word order, and a word's index is its rank in that
+order, read one position at a time from a per-shape table indexed by the
+counts of the labels still to be placed and the label placed next: no
+search, and no word is copied to be ranked.  Standard tableaux are the
+lattice words among them (no prefix holds more of label a + 1 than of label
+a), kept in word order, and found by a walk over the same states.  A
+permutation acts on a basis as one index array (image of each tabloid),
+read through its column order, so orbits, polytabloids and the blocks of
 the dual Specht action are gathers and scatters on integer arrays, and
 matrices are reproducible.  The polytabloid matrix E is only ever its
 column structure, the tabloids and signs of each column's entries.
@@ -21,6 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import comb, factorial, prod
+from typing import Iterator
 
 import numpy as np
 
@@ -248,6 +252,10 @@ def generators(spec: SubgroupSpec) -> list[Perm]:
 # ---------------------------------------------------------------------------
 
 
+# Words walked at a time by _walk; bounds its state arrays at 8 * _WALK_BLOCK bytes.
+_WALK_BLOCK = 1 << 16
+
+
 @dataclass(frozen=True, eq=False)
 class PermBasis:
     """Ordered basis of tabloids of a given shape.
@@ -269,30 +277,104 @@ class PermBasis:
     def __len__(self) -> int:
         return self.words.shape[0]
 
-    def index_of(self, words) -> np.ndarray:
-        """Positions in the basis of a batch of words (shape (..., n)), by
-        binary search.  Each word is one n-byte key: labels are non-negative
-        int8 and all words have length n, so bytewise order is lexicographic
-        word order, the order of the basis.  The words must be tabloids of
-        this shape; any other word gets a meaningless position."""
+    def index_of(self, words, order=None) -> np.ndarray:
+        """Positions in the basis of a batch of words (shape (..., n)): their
+        lexicographic ranks, read one position at a time from _rank_table.
+        With `order` (shape (..., n)), the words read through it, word
+        (i, j) having label words[i, order[j, x]] at position x, in a batch of
+        shape words.shape[:-1] + order.shape[:-1]; no permuted copy is made.
+        The words must be tabloids of this shape; any other word gets a
+        meaningless position or an IndexError."""
         words = np.asarray(words)
-        if self.n == 0:  # one empty tabloid, and no zero-byte key type
-            return np.zeros(words.shape[:-1], dtype=np.intp)
-        key = f"S{self.n}"
-        keys = np.ascontiguousarray(words, np.int8).view(key)[..., 0]
-        return np.searchsorted(self.words.view(key)[:, 0], keys)
+        lead, tail = words.shape[:-1], () if order is None else order.shape[:-1]
+        words = words.reshape(prod(lead), self.n)
+        add = _rank_table(self.shape)[1]
+        rank = np.zeros((len(words),) + tail, dtype=np.intp)
+        for rows, state in _walk(self.shape, words, order):
+            rank[rows] += add[state]
+        return rank.reshape(lead + tail)
 
     def act(self, g: Perm, at=None) -> np.ndarray:
         """g on the basis as an index array: img[j] is the position of g t_j,
-        whose entry g[x] sits in the row of entry x of t_j.  With `at`, only
-        the images of the tabloids at those positions, act(g)[at]."""
+        whose entry g[x] sits in the row of entry x of t_j, so its label at
+        position y is that of t_j at argsort(g)[y].  With `at`, only the
+        images of the tabloids at those positions, act(g)[at]."""
         g = np.asarray(g, dtype=np.intp)
         if g.shape != (self.n,):
             raise ValueError(
                 f"a permutation of degree {len(g)} cannot act on the tabloids of {self.shape}, of degree {self.n}"
             )
-        words = self.words if at is None else self.words[at]
-        return self.index_of(words[:, np.argsort(g)])
+        return self.index_of(self.words if at is None else self.words[at], np.argsort(g))
+
+
+@lru_cache(maxsize=512)
+def _rank_table(shape: Partition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lexicographic rank of the shape's words as a walk over states, one
+    position at a time (Knuth, TAOCP 4A, section 7.2.1.2).  A state counts
+    the labels still to be placed, label a in mixed radix with base l_a + 1,
+    label 0 slowest, so the walk starts at the last state.  The read-only
+    tables are flat, indexed by state * rows + label:
+
+    - step, the state that placing the label reaches, times rows;
+    - add, the number of words that share the prefix read so far and place
+      a smaller label here: the multinomials of the states reached by
+      placing each smaller label that is left;
+    - lattice, whether placing the label keeps a lattice word: it is label
+      0, or more labels a - 1 than labels a are placed already.
+
+    A state's multinomial is the product over a of C(c_0 + ... + c_a, c_a)
+    for its counts c, read from a Pascal table capped at m.  No state has
+    more than m words, so every binomial read is exact."""
+    rows, n, m = len(shape), sum(shape), _tabloid_count(shape)
+    bases = [part + 1 for part in shape]
+    left = np.indices(bases).reshape(rows, prod(bases)).T  # left[s, a]: labels a left in state s
+    radix = prod(bases) // np.cumprod(bases, dtype=np.int64)
+    binom = np.zeros((n + 1, max(shape, default=0) + 1), dtype=np.int64)
+    binom[:, 0] = 1
+    for t in range(1, n + 1):
+        np.minimum(binom[t - 1, 1:] + binom[t - 1, :-1], m, out=binom[t, 1:])
+    count = np.prod(binom[np.cumsum(left, axis=1), left], axis=1)  # the words of each state
+    here = left > 0
+    after = np.arange(len(left))[:, None] - radix  # the state after placing each label; wraps where none is left
+    first = np.where(here, count[after], 0)  # the words that place each label first
+    placed = np.array(shape) - left
+    lattice = here.copy()
+    lattice[:, 1:] &= placed[:, :-1] > placed[:, 1:]
+    step = np.where(here, after * rows, 0)
+    add = np.cumsum(first, axis=1) - first
+    tables = step.ravel(), add.ravel(), lattice.ravel()
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _walk_bytes(shape: Partition) -> int:
+    """Bytes that bound what a walk allocates beside its caller's results:
+    _rank_table's making, 96 bytes a table entry, of which 17 stay cached,
+    and 24 bytes a word of a block for the states and one gathered table
+    value."""
+    return 96 * len(shape) * prod(part + 1 for part in shape) + 24 * _WALK_BLOCK
+
+
+def _walk(shape: Partition, words: np.ndarray, order) -> Iterator[tuple[slice, np.ndarray]]:
+    """The states of (m, n) words, read through `order` as in
+    PermBasis.index_of, in blocks of rows of about _WALK_BLOCK words: for
+    each block and each position x = 0 .. n - 2, the block's rows and the
+    index state * rows + label into _rank_table of each of its words, for
+    the state before position x and the label there.  The last position is
+    left out: its label is forced, so it adds no rank and keeps every
+    lattice word one."""
+    step = _rank_table(shape)[0]
+    tail = () if order is None else order.shape[:-1]
+    size = max(1, _WALK_BLOCK // max(1, prod(tail)))
+    for lo in range(0, len(words), size):
+        block = words[lo : lo + size]
+        state = np.full(block.shape[:-1] + tail, len(step) - len(shape))  # the full state, times rows
+        for x in range(sum(shape) - 1):
+            if x:
+                state = step[state]
+            state += block[..., x if order is None else order[..., x]]
+            yield slice(lo, lo + size), state
 
 
 def shape_from_tail(n: int, tail) -> Partition:
@@ -353,12 +435,14 @@ def _orbit_labels(spec: SubgroupSpec, basis: PermBasis) -> np.ndarray:
     propagation along each generator and its inverse, plus pointer jumping,
     until a round changes nothing.  generators() gives at most two
     generators per factor of the subgroup, so there are few moves per round.
+    Labels only fall, and lab[j] <= j throughout, so a round changes nothing
+    iff it leaves the labels' sum as it was; no copy is kept to compare.
 
-    Two int64 index arrays per generator, a few label arrays and the
-    temporaries of basis.act must fit in physical memory, or the request is
-    refused before any is allocated."""
+    Two int64 index arrays per generator, the labels and one gathered copy
+    of them, and what basis.act walks with (_walk_bytes) must fit in
+    physical memory, or the request is refused before any is allocated."""
     gens = generators(spec)
-    need = len(basis) * (3 * basis.n + 16 * len(gens) + 96)
+    need = len(basis) * (16 * len(gens) + 16) + _walk_bytes(basis.shape)
     _refuse_beyond_memory(need, f"the orbits of {spec}", f"m = {len(basis)} tabloids")
     lab = np.arange(len(basis))
     moves = []
@@ -367,13 +451,13 @@ def _orbit_labels(spec: SubgroupSpec, basis: PermBasis) -> np.ndarray:
         inv = np.empty_like(img)
         inv[img] = lab
         moves += [img, inv]
+    total = None
     while True:
-        old = lab
-        lab = lab.copy()
         for move in moves:
             np.minimum(lab, lab[move], out=lab)
         lab = lab[lab]
-        if np.array_equal(lab, old):
+        total, before = int(lab.sum()), total
+        if total == before:
             return lab
 
 
@@ -388,7 +472,7 @@ def orbit_count(spec: SubgroupSpec, basis: PermBasis) -> int:
 # ---------------------------------------------------------------------------
 
 # Standard tableaux ranked per batch in polytabloid_matrix; bounds the
-# temporaries at (column group order) x _TABLEAU_CHUNK x n.
+# positions ranked at once at (column group order) x _TABLEAU_CHUNK.
 _TABLEAU_CHUNK = 256
 
 
@@ -415,18 +499,12 @@ def _standard_tabloids(basis: PermBasis) -> np.ndarray:
     """Positions in the basis of the standard tableaux, ascending.  A word is
     the tabloid of a standard tableau (entry x in row word[x]) iff it is a
     lattice word: in every prefix, label a occurs at least as often as label
-    a + 1.  One pass over the n positions keeps each word's count of every
-    label read so far, rows x m small integers."""
-    shape = basis.shape
-    counts = np.zeros((len(shape), len(basis)), dtype=np.min_scalar_type(max(shape, default=0)))
-    lattice = np.ones(len(basis), dtype=bool)
-    for label in basis.words.T:
-        for a, count in enumerate(counts):
-            here = label == a
-            if a:  # one more label a needs more labels a - 1 before it
-                lattice &= ~here | (count < counts[a - 1])
-            count += here
-    standard = np.flatnonzero(lattice)
+    a + 1.  One walk over the words' states (_rank_table's lattice)."""
+    lattice = _rank_table(basis.shape)[2]
+    keep = np.ones(len(basis), dtype=bool)
+    for rows, state in _walk(basis.shape, basis.words, None):
+        keep[rows] &= lattice[state]
+    standard = np.flatnonzero(keep)
     standard.flags.writeable = False
     return standard
 
@@ -477,24 +555,25 @@ def polytabloid_matrix(shape: Partition) -> tuple[np.ndarray, np.ndarray]:
         # entry x sits in cell (start of row word[x]) + (earlier entries
         # labelled word[x]): its place in the stable sort of the word
         cell_of = np.argsort(np.argsort(words, axis=1, kind="stable"), axis=1)
-        index[lo : lo + len(words)] = basis.index_of(labels[:, cell_of]).T
+        index[lo : lo + len(words)] = basis.index_of(labels, cell_of).T
     return index, signs
 
 
 def _polytabloid_bytes(shape: Partition, m: int, d: int, later: int) -> int:
     """Bytes that bound what polytabloid_matrix, and then its caller with
-    `later` bytes, allocate: 64 kB, and the larger of perm_basis at its last
-    level (_basis_bytes), which the lattice pass and the column table's
-    making do not exceed, and what stays (the words, the standard positions
-    and the column table with its one-column words, 2n + 1 bytes a column
-    permutation) with either the caller's bytes or E's structure, 8 bytes an
-    entry, and one chunk of tableaux: its cell numbers, and 2n + 16 bytes a
-    column permutation for its words, index_of's copy and their positions."""
+    `later` bytes, allocate: 64 kB and what its walks allocate (_walk_bytes),
+    and the larger of perm_basis at its last level (_basis_bytes), which the
+    lattice pass and the column table's making do not exceed, and what stays
+    (the words, the standard positions and the column table with its
+    one-column words, 2n + 1 bytes a column permutation) with either the
+    caller's bytes or E's structure, 8 bytes an entry, and one chunk of
+    tableaux: its words and cell numbers, 17n bytes a tableau, and the
+    positions index_of returns, 8 bytes a column permutation."""
     n = sum(shape)
     group = _column_group_order(shape)
     kept = m * n + 8 * d + group * (2 * n + 1)
-    columns = 8 * d * group + min(d, _TABLEAU_CHUNK) * (group * (2 * n + 16) + 16 * n)
-    return 64 * 1024 + max(_basis_bytes(shape, m), kept + max(columns, later))
+    columns = 8 * d * group + min(d, _TABLEAU_CHUNK) * (8 * group + 17 * n)
+    return 64 * 1024 + _walk_bytes(shape) + max(_basis_bytes(shape, m), kept + max(columns, later))
 
 
 def gram_irreducibility(shape: Partition, p: int) -> bool:
@@ -552,13 +631,15 @@ def _dual_specht_preflight(shape: Partition, p: int, spec: SubgroupSpec) -> tupl
 def _fixed_class_blocks(e: tuple[np.ndarray, np.ndarray], shape: Partition, gens: list[Perm]) -> np.ndarray:
     """The d x d blocks (E[g(J)] - E[J])^T of dual_specht_invariant_dim,
     stacked over the generators, over Z: int8 with entries in [-2, 2].  E is
-    its column structure, where a tabloid occurs at most once a column."""
+    its column structure, where a tabloid occurs at most once a column.  The
+    tabloids' places in J or g(J), and their gathers at E's entries, are in
+    the narrowest type that holds -1 and d - 1."""
     index, signs = e
     basis = perm_basis(shape)
     standard = basis.standard
     d = len(standard)
     blocks = np.zeros((len(gens) * d, d), dtype=np.int8)
-    at = np.full(len(basis), -1)  # at[t] = k where t is the k-th tabloid of J, or of g(J)
+    at = np.full(len(basis), -1, dtype=np.min_scalar_type(-d))  # at[t] = k where t is the k-th tabloid of J, or of g(J)
     for i, g in enumerate(gens):
         for sign, tabloids in ((-1, standard), (1, basis.act(g, standard))):
             at[tabloids] = np.arange(d)

@@ -249,19 +249,42 @@ def test_perm_basis_words_are_sorted_multiset_permutations():
 
 
 def test_index_of_matches_multinomial_rank():
-    """Binary search in the sorted basis ranks batches of permuted words as
-    the closed-form rank does, for every shape with n <= 8."""
+    """The walk over _rank_table's states ranks batches of randomly permuted
+    words as the closed-form rank of tests/oracles.py does, which shares no
+    code with the table: for every shape with n <= 8, and for (6,4,2),
+    (18,1,1,1,1) and (24,1,1,1,1), whose 22- and 28-letter words are past a
+    packed 64-bit key."""
     rng = np.random.default_rng(9)
-    for n in range(1, 9):
+    shapes = [shape for n in range(1, 9) for shape in partitions_by_recursion(n)]
+    for shape in shapes + [(6, 4, 2), (18, 1, 1, 1, 1), (24, 1, 1, 1, 1)]:
+        basis = perm_basis(shape)
+        picked = basis.words[rng.integers(len(basis), size=60)]
+        words = rng.permuted(picked, axis=1)  # still tabloids of this shape
+        for batch in ((60,), (6, 10), (0,)):
+            batched = words[: int(np.prod(batch))].reshape(*batch, basis.n)
+            got = basis.index_of(batched)
+            assert got.shape == batch
+            assert np.array_equal(got, multinomial_rank(batched, shape)), (shape, batch)
+
+
+def test_index_of_ranks_every_basis_in_order():
+    """Every basis with n <= 9 ranks its own words 0, 1, ..., m - 1."""
+    for n in range(0, 10):
         for shape in partitions_by_recursion(n):
             basis = perm_basis(shape)
-            picked = basis.words[rng.integers(len(basis), size=60)]
-            words = rng.permuted(picked, axis=1)  # still tabloids of this shape
-            for batch in ((60,), (6, 10), (0,)):
-                batched = words[: int(np.prod(batch))].reshape(*batch, n)
-                got = basis.index_of(batched)
-                assert got.shape == batch
-                assert np.array_equal(got, multinomial_rank(batched, shape)), (shape, batch)
+            assert np.array_equal(basis.index_of(basis.words), np.arange(len(basis))), shape
+
+
+def test_act_at_is_act_then_taken():
+    """act(g, at), which ranks only the words at `at`, read through g's
+    column order, equals act(g)[at], on shapes up to 28 letters."""
+    rng = np.random.default_rng(3)
+    for shape in ((3, 2, 1), (6, 4, 2), (1,) * 8, (8, 2, 2, 2), (24, 1, 1, 1, 1)):
+        basis = perm_basis(shape)
+        g = tuple(int(x) for x in rng.permutation(basis.n))
+        at = rng.integers(len(basis), size=(5, 7))
+        assert np.array_equal(basis.act(g, at), basis.act(g)[at]), shape
+        assert np.array_equal(basis.act(g, basis.standard), basis.act(g)[basis.standard]), shape
 
 
 def test_index_of_on_the_empty_shape():
@@ -686,6 +709,45 @@ def test_orbits_refuse_beyond_physical_memory(monkeypatch):
     monkeypatch.setattr(specht.os, "sysconf", pages.__getitem__)
     with pytest.raises(ValueError, match=r"the orbits of S\(9\) needs about .* \(m = 5040 tabloids\)"):
         orbit_count(young(9, (9,)), basis)
+
+
+@pytest.mark.parametrize(
+    "shape, spec", [((1,) * 9, alt_young(9, (9,))), ((24, 1, 1, 1, 1), wreath(2, 14))]
+)
+def test_orbits_and_polytabloids_stay_under_their_stated_bytes(monkeypatch, shape, spec):
+    """The bytes _orbit_labels states before it refuses, and
+    _polytabloid_bytes, cover what each allocates from cold caches, as traced
+    by tracemalloc, on (1^9) (m = 362880) and (24,1,1,1,1) (m = 491400, 28
+    letters): the walk that ranks the tabloids reads one position at a time,
+    and no permuted copy of the words is gathered."""
+    import tracemalloc
+
+    from spinrest import specht
+
+    stated = {}
+    refuse = specht._refuse_beyond_memory
+
+    def record(need, what, detail):
+        stated[what] = need
+        refuse(need, what, detail)
+
+    def traced_peak(call):
+        specht._rank_table.cache_clear()
+        specht._column_table.cache_clear()
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(specht, "_refuse_beyond_memory", record)
+    basis = perm_basis(shape)
+    assert traced_peak(lambda: orbit_count(spec, basis)) <= stated[f"the orbits of {spec}"]
+    specht.perm_basis.cache_clear()
+    need = specht._polytabloid_bytes(shape, len(basis), hook_dimension(shape), 0)
+    assert traced_peak(lambda: polytabloid_matrix(shape)) <= need
+    specht.perm_basis.cache_clear()
 
 
 def test_dual_specht_checks_the_degree_first(monkeypatch):
