@@ -10,7 +10,8 @@ order, read one position at a time from a per-shape table indexed by the
 counts of the labels still to be placed and the label placed next: no
 search, and no word is copied to be ranked.  Standard tableaux are the
 lattice words among them (no prefix holds more of label a + 1 than of label
-a), kept in word order, and found by a walk over the same states.  A
+a), kept in word order.  One walk over the same states, a level per
+position, builds the basis and marks its lattice words together.  A
 permutation acts on a basis as one index array (image of each tabloid),
 read through its column order, so orbits, polytabloids and the blocks of
 the dual Specht action are gathers and scatters on integer arrays, and
@@ -21,10 +22,9 @@ column structure, the tabloids and signs of each column's entries.
 import os
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate
 from math import comb, factorial, prod
-from typing import Iterator
 
 import numpy as np
 
@@ -252,7 +252,7 @@ def generators(spec: SubgroupSpec) -> list[Perm]:
 # ---------------------------------------------------------------------------
 
 
-# Words walked at a time by _walk; bounds its state arrays at 8 * _WALK_BLOCK bytes.
+# Words ranked at a time by index_of; bounds its state arrays at 8 * _WALK_BLOCK bytes.
 _WALK_BLOCK = 1 << 16
 
 
@@ -263,12 +263,13 @@ class PermBasis:
     `words` is a read-only (m, n) int8 array: words[t, x] is the row of
     entry x in tabloid t (row 1 is label 0), and the rows are in
     lexicographic word order.  For shape (n - k, k) the entries labelled 1
-    are the k-subset; `standard` holds the positions of the standard tableaux.
+    are the k-subset; `standard`, read-only and ascending, holds the
+    positions of the standard tableaux.
     """
 
     shape: Partition
     words: np.ndarray
-    standard = cached_property(lambda self: _standard_tabloids(self))
+    standard: np.ndarray
 
     @property
     def n(self) -> int:
@@ -288,10 +289,17 @@ class PermBasis:
         words = np.asarray(words)
         lead, tail = words.shape[:-1], () if order is None else order.shape[:-1]
         words = words.reshape(prod(lead), self.n)
-        add = _rank_table(self.shape)[1]
+        step, add = _rank_table(self.shape)[:2]
         rank = np.zeros((len(words),) + tail, dtype=np.intp)
-        for rows, state in _walk(self.shape, words, order):
-            rank[rows] += add[state]
+        size = max(1, _WALK_BLOCK // max(1, prod(tail)))
+        for lo in range(0, len(words), size):
+            block = words[lo : lo + size]
+            state = np.full(block.shape[:-1] + tail, len(step) - len(self.shape))  # the full state, times rows
+            for x in range(self.n - 1):  # the last label is forced and adds no rank
+                if x:
+                    state = step[state]
+                state += block[..., x if order is None else order[..., x]]
+                rank[lo : lo + size] += add[state]
         return rank.reshape(lead + tail)
 
     def act(self, g: Perm, at=None) -> np.ndarray:
@@ -308,7 +316,7 @@ class PermBasis:
 
 
 @lru_cache(maxsize=512)
-def _rank_table(shape: Partition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _rank_table(shape: Partition) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The lexicographic rank of the shape's words as a walk over states, one
     position at a time (Knuth, TAOCP 4A, section 7.2.1.2).  A state counts
     the labels still to be placed, label a in mixed radix with base l_a + 1,
@@ -320,7 +328,9 @@ def _rank_table(shape: Partition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
       a smaller label here: the multinomials of the states reached by
       placing each smaller label that is left;
     - lattice, whether placing the label keeps a lattice word: it is label
-      0, or more labels a - 1 than labels a are placed already.
+      0, or more labels a - 1 than labels a are placed already;
+    - first, the number of words that continue the prefix with the label,
+      the multinomial of the state it reaches, and 0 where none is left.
 
     A state's multinomial is the product over a of C(c_0 + ... + c_a, c_a)
     for its counts c, read from a Pascal table capped at m.  No state has
@@ -342,39 +352,18 @@ def _rank_table(shape: Partition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     lattice[:, 1:] &= placed[:, :-1] > placed[:, 1:]
     step = np.where(here, after * rows, 0)
     add = np.cumsum(first, axis=1) - first
-    tables = step.ravel(), add.ravel(), lattice.ravel()
+    tables = step.ravel(), add.ravel(), lattice.ravel(), first.ravel()
     for table in tables:
         table.flags.writeable = False
     return tables
 
 
 def _walk_bytes(shape: Partition) -> int:
-    """Bytes that bound what a walk allocates beside its caller's results:
-    _rank_table's making, 96 bytes a table entry, of which 17 stay cached,
+    """Bytes that bound what index_of allocates beside its caller's results:
+    _rank_table's making, 96 bytes a table entry, of which 25 stay cached,
     and 24 bytes a word of a block for the states and one gathered table
     value."""
     return 96 * len(shape) * prod(part + 1 for part in shape) + 24 * _WALK_BLOCK
-
-
-def _walk(shape: Partition, words: np.ndarray, order) -> Iterator[tuple[slice, np.ndarray]]:
-    """The states of (m, n) words, read through `order` as in
-    PermBasis.index_of, in blocks of rows of about _WALK_BLOCK words: for
-    each block and each position x = 0 .. n - 2, the block's rows and the
-    index state * rows + label into _rank_table of each of its words, for
-    the state before position x and the label there.  The last position is
-    left out: its label is forced, so it adds no rank and keeps every
-    lattice word one."""
-    step = _rank_table(shape)[0]
-    tail = () if order is None else order.shape[:-1]
-    size = max(1, _WALK_BLOCK // max(1, prod(tail)))
-    for lo in range(0, len(words), size):
-        block = words[lo : lo + size]
-        state = np.full(block.shape[:-1] + tail, len(step) - len(shape))  # the full state, times rows
-        for x in range(sum(shape) - 1):
-            if x:
-                state = step[state]
-            state += block[..., x if order is None else order[..., x]]
-            yield slice(lo, lo + size), state
 
 
 def shape_from_tail(n: int, tail) -> Partition:
@@ -393,31 +382,43 @@ def _tabloid_count(shape: Partition) -> int:
 
 
 def _basis_bytes(shape: Partition, m: int) -> int:
-    """Bytes of perm_basis at its last level: the old, gathered and extended
-    words, two copies of the row counts left, and three int64 index arrays."""
-    count_bytes = np.min_scalar_type(max(shape, default=0)).itemsize
-    return m * (3 * sum(shape) + 2 * len(shape) * count_bytes + 24)
+    """Bytes that bound what perm_basis allocates: _rank_table's making, 96
+    bytes a table entry, and at the last level n bytes a tabloid for its word
+    and at most rows + 35 for the level's arrays: its state, prefix, label
+    and repeat count, 8 bytes each, its lattice flag, two int8 copies of its
+    label, and the row of label flags gathered for np.nonzero.  The empty
+    shape has no level."""
+    levels = m * (sum(shape) + len(shape) + 35) if shape else 0
+    return 96 * len(shape) * prod(part + 1 for part in shape) + levels
 
 
 @lru_cache(maxsize=512)
 def perm_basis(shape: Partition) -> PermBasis:
-    """All tabloids of the given shape as row-label words, in lex order: each
-    level extends every prefix by every label it has left, smallest first.
+    """All tabloids of the given shape as row-label words, in lex order, and
+    the positions of the lattice words, from one walk over _rank_table's
+    states: each level extends every prefix by every label it has left,
+    smallest first, writes that label into its column of the words the
+    prefix begins, and keeps whether the prefix is still a lattice word.
     A shape whose last level cannot fit in physical memory is refused before
-    the first level is built."""
+    anything is allocated."""
     shape = check_partition(shape)
-    m = _tabloid_count(shape)
+    m, rows = _tabloid_count(shape), len(shape)
     _refuse_beyond_memory(_basis_bytes(shape, m), f"the tabloids of {shape}", f"m = {m} tabloids")
-    words = np.zeros((1, 0), dtype=np.int8)
-    # m x rows counts are live at the last level: one byte each while rows are short
-    left = np.array([shape], dtype=np.min_scalar_type(max(shape, default=0)))
-    for _ in range(sum(shape)):
-        prefix, label = np.nonzero(left)  # by prefix, then by label
-        words = np.concatenate([words[prefix], label[:, None].astype(np.int8)], axis=1)
-        left = left[prefix]
-        left[np.arange(len(prefix)), label] -= 1
-    words.flags.writeable = False
-    return PermBasis(shape, words)
+    step, _, lattice, first = _rank_table(shape)
+    left = (first > 0).reshape(prod(part + 1 for part in shape), rows)  # left[s, a]: label a is left in state s
+    words = np.empty((m, sum(shape)), dtype=np.int8)
+    state, keep = np.array([len(step) - rows]), np.ones(1, dtype=bool)  # the full state, times rows
+    for x in range(sum(shape)):
+        prefix, label = np.nonzero(left[state // rows])  # by prefix, then by label
+        state = state[prefix]
+        state += label
+        keep = keep[prefix] & lattice[state]
+        words[:, x] = np.repeat(label.astype(np.int8), first[state])
+        del prefix, label  # one buffer, freed before the next level's
+        state = step[state]
+    standard = np.flatnonzero(keep)
+    words.flags.writeable = standard.flags.writeable = False
+    return PermBasis(shape, words, standard)
 
 
 def _refuse_beyond_memory(need: int, what: str, detail: str) -> None:
@@ -495,20 +496,6 @@ def hook_dimension(shape: Partition) -> int:
     return factorial(sum(shape)) // prod(hooks)
 
 
-def _standard_tabloids(basis: PermBasis) -> np.ndarray:
-    """Positions in the basis of the standard tableaux, ascending.  A word is
-    the tabloid of a standard tableau (entry x in row word[x]) iff it is a
-    lattice word: in every prefix, label a occurs at least as often as label
-    a + 1.  One walk over the words' states (_rank_table's lattice)."""
-    lattice = _rank_table(basis.shape)[2]
-    keep = np.ones(len(basis), dtype=bool)
-    for rows, state in _walk(basis.shape, basis.words, None):
-        keep[rows] &= lattice[state]
-    standard = np.flatnonzero(keep)
-    standard.flags.writeable = False
-    return standard
-
-
 @lru_cache(maxsize=64)
 def _column_table(shape: Partition) -> tuple[np.ndarray, np.ndarray]:
     """The column stabiliser of the diagram as read-only (labels, signs).
@@ -561,11 +548,11 @@ def polytabloid_matrix(shape: Partition) -> tuple[np.ndarray, np.ndarray]:
 
 def _polytabloid_bytes(shape: Partition, m: int, d: int, later: int) -> int:
     """Bytes that bound what polytabloid_matrix, and then its caller with
-    `later` bytes, allocate: 64 kB and what its walks allocate (_walk_bytes),
-    and the larger of perm_basis at its last level (_basis_bytes), which the
-    lattice pass and the column table's making do not exceed, and what stays
-    (the words, the standard positions and the column table with its
-    one-column words, 2n + 1 bytes a column permutation) with either the
+    `later` bytes, allocate: 64 kB and what index_of allocates (_walk_bytes),
+    and the larger of perm_basis's making (_basis_bytes), which the column
+    table's making does not exceed, and what stays (the words, the standard
+    positions and the column table with its one-column words, 2n + 1 bytes
+    a column permutation) with either the
     caller's bytes or E's structure, 8 bytes an entry, and one chunk of
     tableaux: its words and cell numbers, 17n bytes a tableau, and the
     positions index_of returns, 8 bytes a column permutation."""

@@ -319,6 +319,14 @@ def multinomial_rank(words, shape) -> np.ndarray:
     return out.astype(np.int64).reshape(batch)
 
 
+def lattice_positions(words, rows: int) -> np.ndarray:
+    """Positions of the lattice words among (m, n) row-label words over
+    `rows` labels: those in which every prefix holds label a at least as
+    often as label a + 1, read from the cumulative sums of one-hot labels."""
+    counts = np.cumsum(np.asarray(words)[..., None] == np.arange(rows), axis=1, dtype=np.int8)
+    return np.flatnonzero(np.all(counts[..., :-1] >= counts[..., 1:], axis=(1, 2)))
+
+
 def perm_matrix(img) -> np.ndarray:
     """Dense 0/1 matrix of an index permutation: column j has its 1 in row img[j]."""
     m = len(img)

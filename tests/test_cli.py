@@ -205,16 +205,19 @@ def test_invariants_refuses_z_step_beyond_memory(monkeypatch, capsys):
 
 
 def test_invariants_makes_one_lattice_pass(monkeypatch, capsys):
-    """One invariants query finds the standard tableaux of its tabloid basis
-    once, though both E and the dual-Specht blocks are indexed by them."""
+    """One invariants query builds the tabloid basis of its shape, and with
+    it the standard tableaux, once, though the orbits, E and the dual-Specht
+    blocks all read them.  A build is a perm_basis miss, which states its
+    bytes to _refuse_beyond_memory; the column table's (1,)*h bases are
+    built besides and not counted."""
     from spinrest import cli, specht
 
-    calls = []
-    lattice = specht._standard_tabloids
-    monkeypatch.setattr(specht, "_standard_tabloids", lambda basis: calls.append(basis) or lattice(basis))
+    built = []
+    refuse = specht._refuse_beyond_memory
+    monkeypatch.setattr(specht, "_refuse_beyond_memory", lambda need, what, detail: built.append(what) or refuse(need, what, detail))
     specht.perm_basis.cache_clear()
     assert cli.main(["--format", "json", "invariants", "--shape", "(5,3,2)", "--p", "3", "--subgroup", "W(2,5)"]) == 0
-    assert len(calls) == 1
+    assert built.count("the tabloids of (5, 3, 2)") == 1
     assert json.loads(capsys.readouterr().out)["dim_dualS_H"] == 0
 
 

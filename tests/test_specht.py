@@ -16,6 +16,7 @@ from oracles import (
     dual_specht_invariant_dim_by_quotients,
     fixed_space,
     gauss_jordan,
+    lattice_positions,
     multinomial_rank,
     partitions_by_recursion,
     perm_matrix,
@@ -27,7 +28,6 @@ from oracles import (
 from spinrest.gfp import matmul_mod, rank
 from spinrest.specht import (
     SubgroupSpec,
-    _standard_tabloids,
     alt_young,
     dual_specht_invariant_dim,
     eta,
@@ -307,14 +307,36 @@ def test_long_words_rank_without_overflow():
 
 def test_perm_basis_refuses_beyond_physical_memory(monkeypatch):
     """(1^14) has 14! tabloids, about 8 TB at the last level: with 8 GB of
-    physical memory it is refused before the first level is built."""
+    physical memory it is refused before its rank table, the first thing
+    the builder allocates, is made."""
     from spinrest import specht
 
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2_000_000}
     monkeypatch.setattr(specht.os, "sysconf", pages.__getitem__)
-    monkeypatch.setattr(specht.np, "concatenate", _unreachable)
+    monkeypatch.setattr(specht, "_rank_table", _unreachable)
     with pytest.raises(ValueError, match=r"the tabloids of \(1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1\) needs about .* \(m = 87178291200 tabloids\), more than the 8\.2 GB"):
         perm_basis((1,) * 14)
+
+
+@pytest.mark.parametrize("shape", [(), (6, 4, 2), (12, 4, 2), (18, 1, 1, 1, 1), (1,) * 9])
+def test_perm_basis_stays_under_its_stated_bytes(shape):
+    """_basis_bytes, with 64 kB for Python objects, covers what perm_basis
+    allocates from cold caches, rank table included, as traced by
+    tracemalloc."""
+    import tracemalloc
+
+    from spinrest import specht
+
+    specht.perm_basis.cache_clear()
+    specht._rank_table.cache_clear()
+    tracemalloc.start()
+    try:
+        basis = perm_basis(shape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        specht.perm_basis.cache_clear()
+    assert peak <= 64 * 1024 + specht._basis_bytes(shape, len(basis)), shape
 
 
 def test_act_matches_moving_entries():
@@ -386,7 +408,17 @@ def test_hook_dimension():
     assert hook_dimension((4, 2)) == 9
     assert hook_dimension((6, 4, 2)) == 2673
     assert hook_dimension((3, 2, 1)) == 16
-    assert len(_standard_tabloids(perm_basis((3, 2)))) == 5
+    assert len(perm_basis((3, 2)).standard) == 5
+
+
+def test_standard_positions_match_the_lattice_oracle():
+    """PermBasis.standard, marked while the basis is built, holds the
+    positions that tests/oracles.py finds from prefix counts, for every
+    shape with n <= 9."""
+    for n in range(0, 10):
+        for shape in partitions_by_recursion(n):
+            basis = perm_basis(shape)
+            assert np.array_equal(basis.standard, lattice_positions(basis.words, len(shape))), shape
 
 
 def test_standard_tabloids_are_the_lattice_words():
