@@ -33,9 +33,24 @@ few nonzeros adds its pair products e_ri e_rj by bincount, and only the
 other rows are made dense, for BLAS, in bounded tiles.  Both are summed
 straight into G, reduced, in the narrowest signed type that holds [0, p).
 Elimination states its own memory (_echelon_bytes), which callers compose
-to refuse a request beyond physical memory before they allocate it."""
+to refuse a request beyond physical memory before they allocate it.
 
+Every BLAS product of fewer than _THREADED multiply-adds runs on one
+OpenBLAS thread, and the caller's thread count is restored straight after
+it (_matmul): after a product split over two threads the second thread
+spins for about 0.1 s, which where small products dominate, as in the
+Wilson ranks, spent as much CPU again as the wall time and saved little of
+it.  FFLAS-FFPACK, too, sends only large products to parallel BLAS.  The
+count is read and set through the functions of numpy's bundled OpenBLAS,
+found once by ctypes; where either is missing (another BLAS or wheel),
+every product keeps numpy's threads.  The count is the process's, so gfp
+must not be called from two Python threads at once."""
+
+import ctypes
+import glob
+import os
 from dataclasses import dataclass
+from functools import cache
 from math import isqrt
 
 import numpy as np
@@ -314,7 +329,7 @@ def _product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     out = None
     for i in range(0, max(k, 1), step):
         y = b[i : i + step].astype(dtype, copy=False)
-        part = y.T @ y if gram else a[..., i : i + step].astype(dtype, copy=False) @ y
+        part = _matmul(y.T, y) if gram else _matmul(a[..., i : i + step].astype(dtype, copy=False), y)
         if sliced:
             np.fmod(part, p, out=part)
         out = part if out is None else np.add(out, part, out=out)
@@ -332,6 +347,46 @@ _KAPPA = 40
 # Entries handled at once: of the pairs and the output cells of one of
 # _column_gram's bincounts, and of a product matmul_mod reduces.
 _BATCH = 1 << 19
+# Products of fewer multiply-adds than this run on one OpenBLAS thread.  On
+# two cores, float32 n x 64 x n products ran faster on two threads, back to
+# back and after an idle gap, from n = 600 (2^24.5) on; below it the gain
+# was mixed or none, and the second thread spins for about 0.1 s after each
+# product.  Elimination's row-block updates of G (about _BATCH * _PANEL =
+# 2^25 multiply-adds) stay above it.
+_THREADED = 1 << 24
+
+
+@cache
+def _blas_threads():
+    """The (get, set) functions of the thread count of numpy's bundled
+    OpenBLAS, found once by ctypes, or None where the library or either
+    symbol is missing (then every product keeps numpy's threads)."""
+    for lib in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")):
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get, put = (getattr(handle, name.format(verb), None) for verb in ("get", "set"))
+            if get is not None and put is not None:
+                get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
+                return get, put
+    return None
+
+
+def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y, on one OpenBLAS thread where it takes fewer than _THREADED
+    multiply-adds, and the caller's thread count restored after it."""
+    blas = _blas_threads() if x.size * y.shape[-1] < _THREADED else None
+    if blas is None:
+        return x @ y
+    get, put = blas
+    threads = get()
+    put(1)
+    try:
+        return x @ y
+    finally:
+        put(threads)
 
 
 def _signed(bound: int) -> type:

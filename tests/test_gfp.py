@@ -467,6 +467,95 @@ def test_narrow_signed_input_matches_reduced_int64(p):
         assert np.array_equal(narrow, before)
 
 
+def _fake_blas(monkeypatch, threads=3):
+    """Put a fake OpenBLAS (get, set) pair in place of gfp's lookup, get
+    reading `threads`; returns the list of counts set."""
+    counts = []
+    monkeypatch.setattr(gfp, "_blas_threads", lambda: (lambda: threads, counts.append))
+    return counts
+
+
+def _threaded_sides(p, side, rng):
+    """matmul_mod's a (256 x 256 b) and rank's matrix whose largest product,
+    the first panel's update (rows - 64) x 64 x 1024, takes _THREADED
+    multiply-adds (side 0) or one row's worth fewer (side -1)."""
+    n = gfp._THREADED // (256 * 256) + side
+    a, b = rng.integers(0, p, (n, 256)), rng.integers(0, p, (256, 256))
+    return a, b, _known_rank(rng, gfp._THREADED // (64 * 1024) + side + 64, 1024 + 64, 100, p)
+
+
+def test_products_below_threaded_run_on_one_thread(monkeypatch):
+    """A product below _THREADED multiply-adds sets one OpenBLAS thread and
+    then the count it read; one at _THREADED sets none, in matmul_mod and in
+    rank's panel products alike."""
+    rng = np.random.default_rng(31)
+    small, large = _threaded_sides(7, -1, rng), _threaded_sides(7, 0, rng)
+    counts = _fake_blas(monkeypatch)
+    a, b = rng.integers(0, 7, (30, 40)), rng.integers(0, 7, (40, 20))
+    assert np.array_equal(matmul_mod(a, b, 7), a @ b % 7) and counts == [1, 3]
+    counts.clear()
+    assert np.array_equal(matmul_mod(large[0], large[1], 7), large[0] @ large[1] % 7) and counts == []
+    assert rank(small[2], 7) == 100 and counts and counts == [1, 3] * (len(counts) // 2)
+    counts.clear()
+    products = []
+    matmul = gfp._matmul
+    monkeypatch.setattr(gfp, "_matmul", lambda x, y: products.append(x.size * y.shape[-1]) or matmul(x, y))
+    assert rank(large[2], 7) == 100
+    assert len(counts) == 2 * sum(size < gfp._THREADED for size in products) and max(products) == gfp._THREADED
+
+
+def test_blas_lookup_that_finds_nothing_calls_nothing(monkeypatch):
+    """Where numpy.libs holds no OpenBLAS, the library does not load, or it
+    lacks either of the get and set functions, the lookup gives None and a
+    product calls nothing in the library."""
+    lookup = gfp._blas_threads.__wrapped__
+    called = []
+
+    class OnlyGet:
+        def __init__(self, path):
+            self.scipy_openblas_get_num_threads64_ = lambda: called.append(path) or 2
+
+    def unloadable(path):
+        raise OSError(path)
+
+    monkeypatch.setattr(gfp.glob, "glob", lambda pattern: [])
+    assert lookup() is None
+    monkeypatch.setattr(gfp.glob, "glob", lambda pattern: ["libopenblas.so"])
+    for library in (unloadable, OnlyGet):
+        monkeypatch.setattr(gfp.ctypes, "CDLL", library)
+        assert lookup() is None
+    monkeypatch.setattr(gfp, "_blas_threads", lookup)
+    a = np.random.default_rng(5).integers(0, 5, (20, 20))
+    assert np.array_equal(matmul_mod(a, a, 5), a @ a % 5) and rank(a, 5) == len(row_reduce(a, 5)[1])
+    assert called == []
+
+
+@pytest.mark.skipif(gfp._blas_threads() is None, reason="numpy's OpenBLAS thread functions were not found")
+def test_blas_thread_count_is_restored():
+    """numpy's real OpenBLAS thread count after rank and matmul_mod, on
+    products either side of _THREADED, is the count before them."""
+    get = gfp._blas_threads()[0]
+    before = get()
+    rng = np.random.default_rng(17)
+    for side in (-1, 0):
+        a, b, m = _threaded_sides(3, side, rng)
+        matmul_mod(a, b, 3)
+        rank(m, 3)
+        assert get() == before
+
+
+@pytest.mark.parametrize("p", [3, 65521])
+@pytest.mark.parametrize("side", [-1, 0])
+def test_products_either_side_of_threaded_are_exact(p, side):
+    """matmul_mod and rank where the largest product falls just below
+    _THREADED multiply-adds (one OpenBLAS thread) and at it (numpy's
+    threads): float32 products at p = 3, float64 at 65521, against int64
+    products, which numpy takes without BLAS, and the oracle's elimination."""
+    a, b, m = _threaded_sides(p, side, np.random.default_rng(p + side))
+    assert np.array_equal(matmul_mod(a, b, p), a @ b % p)
+    assert rank(m, p) == len(row_reduce(m, p)[1]) == 100
+
+
 def _traced_peak(call):
     """call()'s result and the peak of what it allocated, by tracemalloc."""
     tracemalloc.start()
