@@ -354,6 +354,10 @@ _BATCH = 1 << 19
 # product.  Elimination's row-block updates of G (about _BATCH * _PANEL =
 # 2^25 multiply-adds) stay above it.
 _THREADED = 1 << 24
+# Products of at most this many multiply-adds, as _pivot_transform's 64^3,
+# skip the get/set pair: numpy's OpenBLAS 0.3.31 ran float32 64 x 64 x n
+# products on one thread itself up to n = 240, and on two from n = 248.
+_SERIAL = 1 << 18
 
 
 @cache
@@ -375,9 +379,10 @@ def _blas_threads():
 
 
 def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y, on one OpenBLAS thread where it takes fewer than _THREADED
-    multiply-adds, and the caller's thread count restored after it."""
-    blas = _blas_threads() if x.size * y.shape[-1] < _THREADED else None
+    """x @ y, on one OpenBLAS thread where it takes more than _SERIAL and
+    fewer than _THREADED multiply-adds, and the caller's thread count
+    restored after it."""
+    blas = _blas_threads() if _SERIAL < x.size * y.shape[-1] < _THREADED else None
     if blas is None:
         return x @ y
     get, put = blas

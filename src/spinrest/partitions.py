@@ -2,9 +2,12 @@
 
 Partitions are plain tuples of weakly decreasing positive ints; the empty
 partition is ().  All enumeration runs in lexicographically decreasing order
-on part sequences, which is the fixed output order everywhere.
+on part sequences, which is the fixed output order everywhere.  The strict,
+p-strict and restricted p-strict families come in that same order from one
+pruned walk (_walk), not from a filter over every partition of n.
 """
 
+import operator
 from typing import Callable, Iterator
 
 Partition = tuple[int, ...]
@@ -52,12 +55,12 @@ def check_partition(parts) -> Partition:
 
     Trailing zeros are stripped; raises ValueError on non-partitions.
     """
-    lam = tuple(int(x) for x in parts)
+    lam = tuple(map(int, parts))
     while lam and lam[-1] == 0:
         lam = lam[:-1]
-    if any(x <= 0 for x in lam):
+    if min(lam, default=1) <= 0:
         raise ValueError(f"parts must be positive: {lam}")
-    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
+    if any(map(operator.lt, lam, lam[1:])):
         raise ValueError(f"parts must be weakly decreasing: {lam}")
     return lam
 
@@ -117,32 +120,42 @@ def is_restricted_p_strict(lam: Partition, p: int) -> bool:
     return True
 
 
-def partitions_of(n: int, predicate: Callable[[Partition], bool] | None = None) -> Iterator[Partition]:
-    """All partitions of n in lexicographically decreasing order, optionally filtered."""
+def _walk(n: int, bounds: Callable[[int], tuple[int, int]]) -> Iterator[Partition]:
+    """The partitions of n whose consecutive parts a, b pass a rule, in
+    lexicographically decreasing order (Knuth, TAOCP 4A, 7.2.1.4): a prefix
+    ending in a is extended only by the b with lo <= b <= hi, (lo, hi) =
+    bounds(a), and is a partition only if a passes against b = 0 (lo <= 0)."""
     if n < 0:
         raise ValueError("n must be >= 0")
 
-    def gen(remaining: int, max_part: int, prefix: list[int]) -> Iterator[Partition]:
-        if remaining == 0:
-            yield tuple(prefix)
-            return
-        for part in range(min(remaining, max_part), 0, -1):
-            prefix.append(part)
-            yield from gen(remaining - part, part, prefix)
-            prefix.pop()
-
-    for lam in gen(n, n if n else 0, []):
-        if predicate is None or predicate(lam):
+    def gen(remaining: int, lam: Partition) -> Iterator[Partition]:
+        lo, hi = bounds(lam[-1]) if lam else (0, n)
+        if remaining == 0 and lo <= 0:
             yield lam
+        for part in range(min(remaining, hi), max(lo, 1) - 1, -1):
+            yield from gen(remaining - part, lam + (part,))
+
+    return gen(n, ())
+
+
+def partitions_of(n: int, predicate: Callable[[Partition], bool] | None = None) -> Iterator[Partition]:
+    """All partitions of n in lexicographically decreasing order, optionally
+    filtered; predicate is_strict is walked (b < a) instead."""
+    if predicate is is_strict:
+        return _walk(n, lambda a: (0, a - 1))
+    lams = _walk(n, lambda a: (0, a))
+    return lams if predicate is None else filter(predicate, lams)
 
 
 def p_strict_partitions(n: int, p: int) -> Iterator[Partition]:
-    return partitions_of(n, lambda lam: is_p_strict(lam, p))
+    """Each part b after a part a has b < a, or b = a with p | a."""
+    return _walk(n, lambda a: (0, a - (a % p != 0)))
 
 
 def restricted_p_strict_partitions(n: int, p: int) -> Iterator[Partition]:
-    """RP_p(n), the labels of the irreducible spin supermodules."""
-    return partitions_of(n, lambda lam: is_restricted_p_strict(lam, p))
+    """RP_p(n), the labels of the irreducible spin supermodules: p-strict,
+    and a - b < p, or a - b = p with p not dividing a."""
+    return _walk(n, lambda a: (a - p + (a % p == 0), a - (a % p != 0)))
 
 
 def part_counts(lam: Partition, p: int) -> tuple[int, int, int]:

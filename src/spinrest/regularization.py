@@ -6,9 +6,10 @@ interleave into a single ladder (the unique reading that makes ladders
 partition the quadrant).  Regularization slides each ladder's nodes as far
 left (= down the ladder) as they can go.  The row of a ladder's j-th node
 from the left is a closed form, so no ladder is ever listed to regularize.
+Counts and rows are read by runs, each two entries of a difference list.
 """
 
-from collections import Counter
+from itertools import accumulate
 
 from .labels import alpha_n
 from .partitions import (
@@ -43,22 +44,45 @@ def _ladder_node(index: int, j: int, p: int) -> Node:
 
 
 def ladder_counts(lam: Partition, p: int) -> dict[int, int]:
-    """Node count of lam on each (canonical) ladder."""
-    return Counter(ladder_index((r, c), p) for r, row_len in enumerate(lam, start=1) for c in range(1, row_len + 1))
+    """Node count of lam on each (canonical) ladder: row r is one run of
+    columns s = (r-1)p + 1, ..., (r-1)p + lam_r, and s = mp moves to its
+    fused ladder mp + 1.  For p > lam_1 every node is alone on its ladder,
+    and the list, of about len(lam) * p entries, is not made."""
+    widest = max(lam, default=0)
+    if p > widest:
+        return {r * p + c: 1 for r, row_len in enumerate(lam) for c in range(1, row_len + 1)}
+    ends = [0] * ((len(lam) - 1) * p + widest + 2)
+    for r, row_len in enumerate(lam):
+        ends[r * p + 1] += 1
+        ends[r * p + row_len + 1] -= 1
+    counts = list(accumulate(ends))
+    for s in range(p, len(counts) - 1, p):
+        if counts[s]:
+            counts[ladder_index((1, s), p)] += counts[s]
+            counts[s] = 0
+    return {s: k for s, k in enumerate(counts) if k}
 
 
 def regularize(lam: Partition, p: int) -> Partition:
     """Slide nodes along their ladders to the smallest columns; lands in RP_p
-    and fixes RP_p pointwise."""
+    and fixes RP_p pointwise.  By _ladder_node, a plain ladder's k nodes
+    fill rows t - k + 1, ..., t, one a row, t the row of its node 0; a
+    fused ladder's fill (k + 1) // 2 rows from t and k // 2 from t - 1."""
     check_odd_prime(p)
     lam = check_partition(lam)
     if not is_p_strict(lam, p):
         raise ValueError(f"{lam} is not {p}-strict")
-    row_lens = Counter(
-        _ladder_node(idx, j, p)[0] for idx, count in ladder_counts(lam, p).items() for j in range(count)
-    )
-    out = tuple(row_lens[r] for r in range(1, max(row_lens, default=0) + 1))
-    out = check_partition(out)
+    counts = ladder_counts(lam, p)
+    ends = [0] * (max(counts, default=0) // p + 2)
+    for idx, k in counts.items():
+        row = _ladder_node(idx, 0, p)[0]
+        if idx % p == 1:
+            ends[row - 1] += 1
+            ends[row - 1 - k // 2] -= 1
+            k = (k + 1) // 2
+        ends[row] += 1
+        ends[row - k] -= 1
+    out = check_partition(list(accumulate(reversed(ends[1:])))[::-1])
     if not is_restricted_p_strict(out, p):
         raise RuntimeError(f"regularization of {lam} gave {out}, not restricted {p}-strict")
     return out

@@ -75,6 +75,18 @@ def regularize_by_ladders(lam: tuple[int, ...], p: int) -> tuple[int, ...]:
     return tuple(rows[r] for r in range(1, max(rows, default=0) + 1))
 
 
+def ladder_counts_by_nodes(lam: tuple[int, ...], p: int) -> dict[int, int]:
+    """Node count on each ladder, one node at a time: node (r, c) lies on
+    column s = c + (r - 1)p, and the fused ladder of columns mp and mp + 1
+    is named mp + 1."""
+    counts = defaultdict(int)
+    for r, part in enumerate(lam, start=1):
+        for c in range(1, part + 1):
+            s = c + (r - 1) * p
+            counts[s + 1 if s % p == 0 else s] += 1
+    return dict(counts)
+
+
 def cells_to_partition(cells: set) -> tuple[int, ...] | None:
     """Row lengths if the cell set is a left-justified Young diagram, else None."""
     if not cells:

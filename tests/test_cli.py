@@ -354,6 +354,14 @@ def test_invariants_empty_shape():
         assert (payload["dim_M_H"], payload["dim_dualS_H"], payload["dim_Z_H"]) == (1, 1, 0)
 
 
+def test_reg_refuses_a_non_p_strict_partition():
+    """(2,2) repeats a part that 3 does not divide: exit 2 with the reason,
+    and no traceback."""
+    code, out, err = run_cli("reg", "--lambda", "(2,2)", "--p", "3")
+    assert code == 2 and out == ""
+    assert "is not 3-strict" in err and "Traceback" not in err
+
+
 def test_reg_huge_odd_prime():
     """p = 2^61 - 1 used to hang in trial division; beyond the exact range of
     the primality test p is refused."""

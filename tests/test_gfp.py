@@ -485,14 +485,17 @@ def _threaded_sides(p, side, rng):
 
 
 def test_products_below_threaded_run_on_one_thread(monkeypatch):
-    """A product below _THREADED multiply-adds sets one OpenBLAS thread and
-    then the count it read; one at _THREADED sets none, in matmul_mod and in
-    rank's panel products alike."""
+    """A product of more than _SERIAL and fewer than _THREADED multiply-adds
+    sets one OpenBLAS thread and then the count it read; one at or below
+    _SERIAL, which OpenBLAS runs on one thread itself, or at _THREADED sets
+    none, in matmul_mod and in rank's panel products alike."""
     rng = np.random.default_rng(31)
     small, large = _threaded_sides(7, -1, rng), _threaded_sides(7, 0, rng)
     counts = _fake_blas(monkeypatch)
-    a, b = rng.integers(0, 7, (30, 40)), rng.integers(0, 7, (40, 20))
-    assert np.array_equal(matmul_mod(a, b, 7), a @ b % 7) and counts == [1, 3]
+    a = rng.integers(0, 7, (64, 65))
+    for y, want in ((a[:40, :20], []), (a[:, :64], []), (a, [1, 3])):  # 64 x 64 x 64 is _SERIAL
+        x = a[:, : len(y)]
+        assert np.array_equal(matmul_mod(x, y, 7), x @ y % 7) and counts == want
     counts.clear()
     assert np.array_equal(matmul_mod(large[0], large[1], 7), large[0] @ large[1] % 7) and counts == []
     assert rank(small[2], 7) == 100 and counts and counts == [1, 3] * (len(counts) // 2)
@@ -501,7 +504,8 @@ def test_products_below_threaded_run_on_one_thread(monkeypatch):
     matmul = gfp._matmul
     monkeypatch.setattr(gfp, "_matmul", lambda x, y: products.append(x.size * y.shape[-1]) or matmul(x, y))
     assert rank(large[2], 7) == 100
-    assert len(counts) == 2 * sum(size < gfp._THREADED for size in products) and max(products) == gfp._THREADED
+    assert len(counts) == 2 * sum(gfp._SERIAL < size < gfp._THREADED for size in products)
+    assert max(products) == gfp._THREADED and min(products) <= gfp._SERIAL
 
 
 def test_blas_lookup_that_finds_nothing_calls_nothing(monkeypatch):

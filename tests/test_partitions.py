@@ -15,6 +15,7 @@ from spinrest.partitions import (
     is_strict,
     parse_partition,
     part_counts,
+    p_strict_partitions,
     partitions_of,
     restricted_p_strict_partitions,
 )
@@ -42,8 +43,8 @@ def test_rp_enumeration_anchors():
 
 
 def test_enumeration_against_recursive_oracle():
-    """Counts and members agree with an independent recursive generator,
-    filtered by a from-scratch predicate, for n <= 30."""
+    """RP_p(n) equals an independent recursive generator, filtered by a
+    from-scratch predicate, as a list (so in the same order), for n <= 30."""
 
     def oracle_ok(lam, p):
         strict_ok = all(
@@ -55,11 +56,38 @@ def test_enumeration_against_recursive_oracle():
 
     for p in (3, 5, 7):
         for n in range(0, 31):
-            expected = sorted(lam for lam in partitions_by_recursion(n) if oracle_ok(lam, p))
-            got = sorted(restricted_p_strict_partitions(n, p))
+            expected = [lam for lam in partitions_by_recursion(n) if oracle_ok(lam, p)]
+            got = list(restricted_p_strict_partitions(n, p))
             assert got == expected, (n, p)
             for lam in got:
                 assert is_p_strict(lam, p) and is_restricted_p_strict(lam, p)
+
+
+def test_walks_equal_filtered_recursion_in_order():
+    """The p-strict and the strict walks equal the recursive generator
+    filtered by from-scratch predicates, as lists, for n <= 30 and p in
+    {3, 5, 7}; so does partitions_of with any other predicate."""
+    for n in range(0, 31):
+        every = partitions_by_recursion(n)
+        for p in (3, 5, 7):
+            want = [lam for lam in every if all(a > b or a % p == 0 for a, b in zip(lam, lam[1:]))]
+            assert list(p_strict_partitions(n, p)) == want, (n, p)
+        assert list(partitions_of(n, is_strict)) == [lam for lam in every if len(set(lam)) == len(lam)], n
+        assert list(partitions_of(n, lambda lam: 3 in lam)) == [lam for lam in every if 3 in lam], n
+
+
+@pytest.mark.parametrize(
+    "walk",
+    [
+        partitions_of,
+        lambda n: partitions_of(n, is_strict),
+        lambda n: p_strict_partitions(n, 3),
+        lambda n: restricted_p_strict_partitions(n, 3),
+    ],
+)
+def test_walks_refuse_negative_n(walk):
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        list(walk(-1))
 
 
 def test_enumeration_order_is_lex_decreasing():

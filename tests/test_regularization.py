@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import regularize_by_ladders
+from oracles import ladder_counts_by_nodes, regularize_by_ladders
 from spinrest.labels import alpha_n
 from spinrest.partitions import (
     is_restricted_p_strict,
@@ -59,11 +59,44 @@ def test_regularize_fixes_restricted_labels():
 
 def test_regularize_matches_ladder_scan():
     """The closed-form ladder positions against a scan of every quadrant
-    node of each ladder."""
-    for p in (3, 5, 7):
-        for n in range(0, 21):
+    node of each ladder, and the ladder counts by row runs against a count
+    node by node: on the wide reg grid (n <= 28 at p = 3, 5) and at p = 7
+    for n <= 20."""
+    for p, top in ((3, 28), (5, 28), (7, 20)):
+        for n in range(0, top + 1):
             for lam in p_strict_partitions(n, p):
                 assert regularize(lam, p) == regularize_by_ladders(lam, p), (lam, p)
+                assert ladder_counts(lam, p) == ladder_counts_by_nodes(lam, p), (lam, p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 2**61 - 1])
+def test_ladder_counts_of_non_p_strict_partitions(p):
+    """ladder_counts reads any partition, p-strict or not, and a p above
+    every part (no row shares a column) as well as one below."""
+    for n in range(0, 13):
+        for lam in partitions_of(n):
+            assert ladder_counts(lam, p) == ladder_counts_by_nodes(lam, p), (lam, p)
+
+
+@pytest.mark.parametrize(
+    "lam, p, message",
+    [
+        ((3, 1), 2, "odd prime"),
+        ((3, 1), 4, "odd prime"),
+        ((3, 1), 9, "odd prime"),
+        ((3, 1), 15, "odd prime"),
+        ((1, 3), 3, "weakly decreasing"),
+        ((3, -1), 3, "positive"),
+        ((3, 0, 1), 3, "positive"),
+        ((2, 2), 3, "is not 3-strict"),
+        ((4, 4, 1), 5, "is not 5-strict"),
+    ],
+)
+def test_regularize_refuses_bad_input(lam, p, message):
+    """An even or composite p, a non-partition and a partition that is not
+    p-strict are refused with ValueError."""
+    with pytest.raises(ValueError, match=message):
+        regularize(lam, p)
 
 
 def test_closed_form_examples():
