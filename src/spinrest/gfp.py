@@ -37,14 +37,23 @@ to refuse a request beyond physical memory before they allocate it.
 
 Every BLAS product of fewer than _THREADED multiply-adds runs on one
 OpenBLAS thread, and the caller's thread count is restored straight after
-it (_matmul): after a product split over two threads the second thread
-spins for about 0.1 s, which where small products dominate, as in the
-Wilson ranks, spent as much CPU again as the wall time and saved little of
-it.  FFLAS-FFPACK, too, sends only large products to parallel BLAS.  The
-count is read and set through the functions of numpy's bundled OpenBLAS,
-found once by ctypes; where either is missing (another BLAS or wheel),
-every product keeps numpy's threads.  The count is the process's, so gfp
-must not be called from two Python threads at once."""
+it (_matmul): where small products dominate, as in the Wilson ranks, a
+second thread saved little wall time and cost CPU.  FFLAS-FFPACK, too,
+sends only large products to parallel BLAS.  After a threaded product,
+OpenBLAS's idle thread spins for 2^28 cycles (about 0.13 s on a 2-core
+host) before it sleeps, and so through every scalar loop between two panel
+products.  So the first product above _SERIAL also sets that timeout to
+its minimum, 2^4 cycles, once per process, unless OPENBLAS_THREAD_TIMEOUT
+is set: it sets the variable, has the library read its environment again,
+removes the variable, and shuts the thread pool down, which the next
+threaded product starts again with the new timeout.  This goes through the
+functions of numpy's bundled OpenBLAS, found once by ctypes
+(_blas_threads).  Where the thread count's get or set is missing (another
+BLAS or wheel), every product keeps numpy's threads; where the environment
+reader or the shut-down is, the timeout is left as it is.  The count and
+the pool are the process's, so gfp must not be called from two Python
+threads at once, and its first product above _SERIAL must not run while
+another thread is inside BLAS."""
 
 import ctypes
 import glob
@@ -135,8 +144,9 @@ def _echelon(arr: np.ndarray, p: int, full: bool) -> tuple[np.ndarray, list[int]
     full=True clears the rows above the panel too and yields the RREF,
     taking each row's coefficients from its entries in the pivot columns.
     full=False clears only below, by the rows' own multipliers, and skips
-    the panel's columns, which is all the rank needs: then only the pivots
-    are meaningful.
+    the panel's columns, which is all the rank needs: it transforms a
+    panel's pivot rows only where a row below has a multiplier, and never
+    writes them back, so then only the returned pivots are meaningful.
 
     The scalar loop runs on a transposed copy of its panel, in int16 where
     the matrix is stored so (p <= 7) and else in int64, so that a column is
@@ -209,17 +219,21 @@ def _echelon(arr: np.ndarray, p: int, full: bool) -> tuple[np.ndarray, list[int]
         if k:
             piv = np.array(found)
             last = c1 == cols  # the scalar loop saw every remaining column
-            if last:
-                work[piv, :k] = np.eye(k, dtype=wide)
-                x, start = work[:, :k].T % p, c0
-            else:
-                start = c0 if full else c1
+            start = c0 if full or last else c1
+            if not last:
                 moved = np.nonzero(perm != np.arange(h))[0]
                 a[top + moved, start:] = a[top + perm[moved], start:]
-                u = _mod(a[top : top + k, start:].copy(), p)
-                x = _product(_pivot_transform(work[piv, :k].T, p, full), u, p)
-                del u
-                x = _mod(x, p)  # kept in the product's float type, which the blocks below read without a copy
+            # full=False reads the pivot rows only to update the rows below,
+            # so it transforms them only where one of those has a multiplier
+            if full or not last and work[piv, k:].any():
+                if last:
+                    work[piv, :k] = np.eye(k, dtype=wide)
+                    x = work[:, :k].T % p
+                else:
+                    u = _mod(a[top : top + k, start:].copy(), p)
+                    x = _product(_pivot_transform(work[piv, :k].T, p, full), u, p)
+                    del u
+                    x = _mod(x, p)  # kept in the product's float type, which the blocks below read without a copy
             # full=True: the other rows, by their pivot-column entries against
             # the RREF rows (the pivot rows are then overwritten); full=False:
             # the rows below, by their multipliers against U.  After the last
@@ -244,7 +258,8 @@ def _echelon(arr: np.ndarray, p: int, full: bool) -> tuple[np.ndarray, list[int]
                     blocks = [(lo + hit[i : i + height], hit[i : i + height]) for i in range(0, hit.size, height)]
                 for rows_at, of in blocks:
                     a[rows_at, start:] -= _product(coeff[of], x, p).astype(store, copy=False)
-            a[top : top + k, start:] = x
+            if full:
+                a[top : top + k, start:] = x
             pivots += (c0 + piv).tolist()
             top += k
         c0 = c1
@@ -350,21 +365,30 @@ _BATCH = 1 << 19
 # Products of fewer multiply-adds than this run on one OpenBLAS thread.  On
 # two cores, float32 n x 64 x n products ran faster on two threads, back to
 # back and after an idle gap, from n = 600 (2^24.5) on; below it the gain
-# was mixed or none, and the second thread spins for about 0.1 s after each
-# product.  Elimination's row-block updates of G (about _BATCH * _PANEL =
-# 2^25 multiply-adds) stay above it.
+# was mixed or none.  With the second thread asleep straight after each
+# product (_blas_threads), removing this rule still cost CPU on the Wilson
+# ranks and the Gram criterion.  Elimination's row-block updates of G (about
+# _BATCH * _PANEL = 2^25 multiply-adds) stay above it.
 _THREADED = 1 << 24
 # Products of at most this many multiply-adds, as _pivot_transform's 64^3,
-# skip the get/set pair: numpy's OpenBLAS 0.3.31 ran float32 64 x 64 x n
-# products on one thread itself up to n = 240, and on two from n = 248.
+# neither look up OpenBLAS nor set its thread count: numpy's OpenBLAS 0.3.31
+# ran float32 64 x 64 x n products on one thread itself up to n = 240, and
+# on two from n = 248.
 _SERIAL = 1 << 18
 
 
 @cache
 def _blas_threads():
     """The (get, set) functions of the thread count of numpy's bundled
-    OpenBLAS, found once by ctypes, or None where the library or either
-    symbol is missing (then every product keeps numpy's threads)."""
+    OpenBLAS and its reader of the spin timeout's exponent (None where it is
+    missing), found once by ctypes, or None where the library or either
+    thread function is missing (then every product keeps numpy's threads).
+
+    Once found, the spin timeout is set to its minimum exponent, 4, unless
+    OPENBLAS_THREAD_TIMEOUT is set already or openblas_read_env or
+    blas_thread_shutdown_ is missing: the variable is set only while the
+    library reads its environment again, and the shut-down pool is started
+    again, with the new timeout, by the next threaded product."""
     for lib in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")):
         try:
             handle = ctypes.CDLL(lib)
@@ -374,18 +398,30 @@ def _blas_threads():
             get, put = (getattr(handle, name.format(verb), None) for verb in ("get", "set"))
             if get is not None and put is not None:
                 get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
-                return get, put
+                read, shutdown, timeout = (getattr(handle, f, None) for f in ("openblas_read_env", "blas_thread_shutdown_", "openblas_thread_timeout"))
+                if read is not None and shutdown is not None and "OPENBLAS_THREAD_TIMEOUT" not in os.environ:
+                    os.environ["OPENBLAS_THREAD_TIMEOUT"] = "4"
+                    try:
+                        read()
+                    finally:
+                        del os.environ["OPENBLAS_THREAD_TIMEOUT"]
+                    shutdown()
+                if timeout is not None:
+                    timeout.argtypes, timeout.restype = [], ctypes.c_int
+                return get, put, timeout
     return None
 
 
 def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x @ y, on one OpenBLAS thread where it takes more than _SERIAL and
     fewer than _THREADED multiply-adds, and the caller's thread count
-    restored after it."""
-    blas = _blas_threads() if _SERIAL < x.size * y.shape[-1] < _THREADED else None
-    if blas is None:
+    restored after it.  Every product above _SERIAL reaches the lookup, so
+    that the first of them sets the spin timeout (_blas_threads)."""
+    size = x.size * y.shape[-1]
+    blas = _blas_threads() if size > _SERIAL else None
+    if blas is None or size >= _THREADED:
         return x @ y
-    get, put = blas
+    get, put, _ = blas
     threads = get()
     put(1)
     try:

@@ -1,3 +1,5 @@
+import os
+import time
 import tracemalloc
 from math import isqrt
 
@@ -468,10 +470,10 @@ def test_narrow_signed_input_matches_reduced_int64(p):
 
 
 def _fake_blas(monkeypatch, threads=3):
-    """Put a fake OpenBLAS (get, set) pair in place of gfp's lookup, get
-    reading `threads`; returns the list of counts set."""
+    """Put a fake OpenBLAS (get, set) pair, and no timeout reader, in place
+    of gfp's lookup, get reading `threads`; returns the list of counts set."""
     counts = []
-    monkeypatch.setattr(gfp, "_blas_threads", lambda: (lambda: threads, counts.append))
+    monkeypatch.setattr(gfp, "_blas_threads", lambda: (lambda: threads, counts.append, None))
     return counts
 
 
@@ -511,13 +513,29 @@ def test_products_below_threaded_run_on_one_thread(monkeypatch):
 def test_blas_lookup_that_finds_nothing_calls_nothing(monkeypatch):
     """Where numpy.libs holds no OpenBLAS, the library does not load, or it
     lacks either of the get and set functions, the lookup gives None and a
-    product calls nothing in the library."""
+    product calls nothing in the library.  Where it has both but lacks the
+    environment reader or the pool's shut-down, or the user has set
+    OPENBLAS_THREAD_TIMEOUT, products still use get and set, and nothing
+    else is called and the variable is left as it was."""
     lookup = gfp._blas_threads.__wrapped__
     called = []
 
     class OnlyGet:
         def __init__(self, path):
             self.scipy_openblas_get_num_threads64_ = lambda: called.append(path) or 2
+
+    class Library(OnlyGet):
+        def __init__(self, path):
+            super().__init__(path)
+            self.scipy_openblas_set_num_threads64_ = lambda n: called.append(("set", n))
+            for name in self.extra:
+                setattr(self, name, lambda name=name: called.append(name))
+
+    class Threads(Library):
+        extra = ("openblas_thread_timeout",)
+
+    class Everything(Library):
+        extra = ("openblas_read_env", "blas_thread_shutdown_", "openblas_thread_timeout")
 
     def unloadable(path):
         raise OSError(path)
@@ -532,6 +550,81 @@ def test_blas_lookup_that_finds_nothing_calls_nothing(monkeypatch):
     a = np.random.default_rng(5).integers(0, 5, (20, 20))
     assert np.array_equal(matmul_mod(a, a, 5), a @ a % 5) and rank(a, 5) == len(row_reduce(a, 5)[1])
     assert called == []
+    b = np.random.default_rng(6).integers(0, 5, (128, 128))  # 2^21 multiply-adds: one thread
+    for library, user in ((Threads, None), (Everything, "9")):
+        if user is None:
+            monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_THREAD_TIMEOUT", user)
+        monkeypatch.setattr(gfp.ctypes, "CDLL", library)
+        assert np.array_equal(matmul_mod(b, b, 5), b @ b % 5)
+        assert called == ["libopenblas.so", ("set", 1), ("set", 2)] and os.environ.get("OPENBLAS_THREAD_TIMEOUT") == user
+        called.clear()
+
+
+def test_blas_lookup_sets_the_timeout_then_restarts_the_pool(monkeypatch):
+    """With every function present and OPENBLAS_THREAD_TIMEOUT unset, the
+    lookup sets the variable to 4 only while the library reads its
+    environment, then shuts the pool down, and the thread count's get and
+    set are returned with the timeout reader."""
+    called = []
+
+    class Library:
+        def __init__(self, path):
+            self.scipy_openblas_get_num_threads64_ = lambda: 2
+            self.scipy_openblas_set_num_threads64_ = lambda n: None
+            self.openblas_read_env = lambda: called.append(("read", os.environ.get("OPENBLAS_THREAD_TIMEOUT")))
+            self.blas_thread_shutdown_ = lambda: called.append(("shutdown", os.environ.get("OPENBLAS_THREAD_TIMEOUT")))
+            self.openblas_thread_timeout = lambda: 4
+
+    monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
+    monkeypatch.setattr(gfp.glob, "glob", lambda pattern: ["libopenblas.so"])
+    monkeypatch.setattr(gfp.ctypes, "CDLL", Library)
+    get, put, timeout = gfp._blas_threads.__wrapped__()
+    assert called == [("read", "4"), ("shutdown", None)] and "OPENBLAS_THREAD_TIMEOUT" not in os.environ
+    assert get() == 2 and timeout() == 4
+
+
+def _real_timeout():
+    """The real lookup's spin-timeout reader, or None where the lookup or
+    the reader is missing."""
+    blas = gfp._blas_threads()
+    return blas and blas[2]
+
+
+@pytest.mark.skipif(not _real_timeout(), reason="numpy's OpenBLAS timeout functions were not found")
+@pytest.mark.skipif("OPENBLAS_THREAD_TIMEOUT" in os.environ, reason="the user's spin timeout is kept")
+def test_idle_blas_thread_sleeps_after_a_threaded_product():
+    """After a threaded matmul_mod (2^27 multiply-adds), numpy's real
+    OpenBLAS reads a spin timeout of 4, the variable is gone again, the
+    thread count is what it was, and a 0.3 s sleep costs the process under
+    0.03 s of CPU (about 0.13 s on two cores at OpenBLAS's default)."""
+    get, _, timeout = gfp._blas_threads()
+    before = get()
+    a = np.random.default_rng(3).integers(0, 3, (512, 512))
+    want = a @ a % 3  # int64, without BLAS, and long enough for a spin to end
+    got = matmul_mod(a, a, 3)
+    start = time.process_time()
+    time.sleep(0.3)
+    assert time.process_time() - start < 0.03 and np.array_equal(got, want)
+    assert timeout() == 4 and "OPENBLAS_THREAD_TIMEOUT" not in os.environ and get() == before
+
+
+def test_rank_transforms_no_pivot_rows_that_no_row_below_needs(monkeypatch):
+    """rank of an identity matrix and of eta(5, 5, 12) (792 x 792, also the
+    identity) finds every pivot without a single _pivot_transform call, as
+    no row below a panel has a multiplier; kernel, which writes the RREF
+    rows back, still makes them."""
+    calls = []
+    transform = gfp._pivot_transform
+    monkeypatch.setattr(gfp, "_pivot_transform", lambda *args: calls.append(1) or transform(*args))
+    for m, p in ((np.eye(300, dtype=np.int64), 7), (eta(5, 5, 12), 3)):
+        calls.clear()
+        assert rank(m, p) == len(m) and calls == []
+        assert kernel(m, p).dim == 0 and calls
+    m = _known_rank(np.random.default_rng(8), 200, 150, 90, 5)
+    calls.clear()
+    assert rank(m, 5) == 90 and calls
 
 
 @pytest.mark.skipif(gfp._blas_threads() is None, reason="numpy's OpenBLAS thread functions were not found")
